@@ -88,6 +88,17 @@ class RunConfig:
         return self
 
 
+def _number(key, text):
+    """A finite float from config text, or ConfigError naming the key."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = np.nan
+    if not np.isfinite(val):
+        raise ConfigError(f"{key} must be a finite number, got {text.strip()!r}")
+    return val
+
+
 def load_config(path=None):
     cfg = RunConfig()
     if path is not None:
@@ -104,27 +115,32 @@ def load_config(path=None):
                 setattr(cfg, key, run[key])
         for key in ("e", "mu", "mc2", "tolerance", "tf_radius"):
             if key in run:
-                try:
-                    setattr(cfg, key, float(run[key]))
-                except ValueError:
-                    raise ConfigError(f"bad numeric value for {key}") from None
+                setattr(cfg, key, _number(key, run[key]))
         if "max_delta_order" in run:
-            cfg.max_delta_order = int(run["max_delta_order"])
+            text = run["max_delta_order"].strip()
+            if not text.isdecimal():
+                raise ConfigError(f"max_delta_order must be an integer >= 0, got {text!r}")
+            cfg.max_delta_order = int(text)
         if parser.has_section("points"):
             pts = []
-            for _, val in parser.items("points"):
+            for key, val in parser.items("points"):
                 comps = [s.strip() for s in val.split(",")]
                 if len(comps) != 4:
                     raise ConfigError(f"point needs 4 components, got {val!r}")
-                pts.append(tuple(float(s) for s in comps))
+                pts.append(tuple(_number(f"point {key}", s) for s in comps))
             if pts:
                 cfg.points = tuple(pts)
         if parser.has_section("testfunction"):
             tf = parser["testfunction"]
             if "center" in tf:
-                cfg.tf_center = tuple(float(s) for s in tf["center"].split(","))
+                cfg.tf_center = tuple(_number("testfunction center", s)
+                                      for s in tf["center"].split(","))
+                if len(cfg.tf_center) != 4:
+                    raise ConfigError("testfunction center needs 4 components")
             if "radius" in tf:
-                cfg.tf_radius = float(tf["radius"])
+                cfg.tf_radius = _number("testfunction radius", tf["radius"])
+    if not cfg.tf_radius > 0:
+        raise ConfigError("tf_radius must be positive")
     return cfg.resolve()
 
 
@@ -230,7 +246,10 @@ def cmd_distalg_solve(cfg, out):
 
 
 def cmd_distalg_verify(cfg, out, expr_text):
-    u = distalg.parse_expr(expr_text)
+    try:
+        u = distalg.parse_expr(expr_text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad expression {expr_text!r}: {exc}") from None
     result = distalg.euler_apply(u)
     out.write(f"{distalg.format_expr(result)}\n")
     return 0

@@ -20,15 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SmoothnessRequired
-from .minkowski import FourVector
+from .minkowski import METRIC, FourVector, lower
 from .retarded import DEFAULT_TOL, _as_points, kinematics_arrays
 
 
-def phi_arrays(w, fam, X, eps, e=1.0, tol=DEFAULT_TOL):
-    """Batched Phi; X has shape (..., 4)."""
-    kin = kinematics_arrays(w, X, tol)
-    H = fam.H(kin["xi"], eps)
-    return 0.5 * e * kin["R"] * np.asarray(H)[..., None]
+def _phi(fam, kin, eps, e):
+    return 0.5 * e * kin["R"] * np.asarray(fam.H(kin["xi"], eps))[..., None]
+
+
+def phi_arrays(w, fam, X, eps, e=1.0, tol=DEFAULT_TOL, tau0=None):
+    """Batched Phi; X has shape (..., 4); tau0 as in kinematics_arrays."""
+    return _phi(fam, kinematics_arrays(w, X, tol, tau0), eps, e)
 
 
 def phi_alpha(w, fam, X, eps, e=1.0, tol=DEFAULT_TOL):
@@ -80,22 +82,30 @@ def fd_steps(X, xi, eps, shell_factor=40.0):
                       np.maximum(eps / shell_factor, (xi - 2.0 * eps) / 20.0))
 
 
-def box_phi_fd(w, fam, X, eps, h=None, e=1.0, tol=DEFAULT_TOL):
-    """d'Alembertian of Phi by central second differences (oracle path)."""
+def box_phi_fd(w, fam, X, eps, h=None, e=1.0, tol=DEFAULT_TOL, kin=None):
+    """d'Alembertian of Phi by central second differences (oracle path).
+
+    kin holds the kinematics at X (solved here if not given).  Neighbour
+    X +- h e_mu starts its solve at tau_r +- h K_mu (d tau_r/dX^mu = K_mu);
+    K sets only the start, the accepted root passes the cold solve's tests.
+    """
     pts, scalar = _as_points(X)
+    if kin is None:
+        kin = kinematics_arrays(w, pts, tol)
     if h is None:
-        xi = kinematics_arrays(w, pts, tol)["xi"]
-        h = fd_steps(pts, xi, eps)
+        h = fd_steps(pts, kin["xi"], eps)
     h = np.asarray(h, dtype=float) * np.ones(pts.shape[:-1])
-    center = phi_arrays(w, fam, pts, eps, e, tol)
+    center = _phi(fam, kin, eps, e)
+    dtau = h[..., None] * lower(kin["K"])
     total = np.zeros_like(center)
-    sign = (1.0, -1.0, -1.0, -1.0)
     for mu in range(4):
         shift = np.zeros_like(pts)
         shift[..., mu] = h
-        plus = phi_arrays(w, fam, pts + shift, eps, e, tol)
-        minus = phi_arrays(w, fam, pts - shift, eps, e, tol)
-        total += sign[mu] * (plus - 2.0 * center + minus) / (h * h)[..., None]
+        plus = phi_arrays(w, fam, pts + shift, eps, e, tol,
+                          kin["tau_r"] + dtau[..., mu])
+        minus = phi_arrays(w, fam, pts - shift, eps, e, tol,
+                           kin["tau_r"] - dtau[..., mu])
+        total += METRIC[mu] * (plus - 2.0 * center + minus) / (h * h)[..., None]
     return FourVector.from_array(total) if scalar else total
 
 

@@ -21,7 +21,8 @@ def inner(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return (METRIC * a * b).sum(axis=-1)
+    return (a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
+            - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
 
 
 def lower(a):
@@ -83,28 +84,22 @@ class Worldline:
     zddot: callable
     params: dict = field(default_factory=dict)
 
-    def eval(self, tau):
-        """Z, Zdot, Zddot at scalar eigentime tau, as FourVectors."""
-        t = np.asarray(float(tau))
-        return (
-            FourVector.from_array(self.z(t)),
-            FourVector.from_array(self.zdot(t)),
-            FourVector.from_array(self.zddot(t)),
-        )
 
-
-def _stack(*comps):
-    comps = [np.asarray(c, dtype=float) for c in comps]
-    return np.stack(np.broadcast_arrays(*comps), axis=-1)
+def _fill(tau, *comps):
+    """One array of shape shape(tau) + (4,) from four components, each an
+    array of tau's shape or a scalar."""
+    out = np.empty(np.shape(tau) + (4,))
+    for i, c in enumerate(comps):
+        out[..., i] = c
+    return out
 
 
 def rest_worldline():
-    zero = lambda tau: np.zeros_like(tau, dtype=float)
     return Worldline(
         label="rest",
-        z=lambda tau: _stack(np.asarray(tau, dtype=float), zero(tau), zero(tau), zero(tau)),
-        zdot=lambda tau: _stack(np.ones_like(tau, dtype=float), zero(tau), zero(tau), zero(tau)),
-        zddot=lambda tau: _stack(zero(tau), zero(tau), zero(tau), zero(tau)),
+        z=lambda tau: _fill(tau, tau, 0.0, 0.0, 0.0),
+        zdot=lambda tau: _fill(tau, 1.0, 0.0, 0.0, 0.0),
+        zddot=lambda tau: _fill(tau, 0.0, 0.0, 0.0, 0.0),
     )
 
 
@@ -113,16 +108,11 @@ def boost_worldline(v):
     if not abs(v) < 1.0:
         raise ConfigError(f"boost speed must satisfy |v| < 1, got {v}")
     g = 1.0 / np.sqrt(1.0 - v * v)
-    zero = lambda tau: np.zeros_like(tau, dtype=float)
     return Worldline(
         label="boost",
-        z=lambda tau: _stack(g * tau, g * v * tau, zero(tau), zero(tau)),
-        zdot=lambda tau: _stack(
-            np.full_like(np.asarray(tau, dtype=float), g),
-            np.full_like(np.asarray(tau, dtype=float), g * v),
-            zero(tau), zero(tau),
-        ),
-        zddot=lambda tau: _stack(zero(tau), zero(tau), zero(tau), zero(tau)),
+        z=lambda tau: _fill(tau, g * tau, g * v * tau, 0.0, 0.0),
+        zdot=lambda tau: _fill(tau, g, g * v, 0.0, 0.0),
+        zddot=lambda tau: _fill(tau, 0.0, 0.0, 0.0, 0.0),
         params={"v": v},
     )
 
@@ -131,12 +121,11 @@ def hyperbolic_worldline(a):
     """Uniform proper acceleration a in the (x0, x1) plane."""
     if a == 0:
         raise ConfigError("hyperbolic worldline needs a != 0")
-    zero = lambda tau: np.zeros_like(tau, dtype=float)
     return Worldline(
         label="hyperbolic",
-        z=lambda tau: _stack(np.sinh(a * tau) / a, np.cosh(a * tau) / a, zero(tau), zero(tau)),
-        zdot=lambda tau: _stack(np.cosh(a * tau), np.sinh(a * tau), zero(tau), zero(tau)),
-        zddot=lambda tau: _stack(a * np.sinh(a * tau), a * np.cosh(a * tau), zero(tau), zero(tau)),
+        z=lambda tau: _fill(tau, np.sinh(a * tau) / a, np.cosh(a * tau) / a, 0.0, 0.0),
+        zdot=lambda tau: _fill(tau, np.cosh(a * tau), np.sinh(a * tau), 0.0, 0.0),
+        zddot=lambda tau: _fill(tau, a * np.sinh(a * tau), a * np.cosh(a * tau), 0.0, 0.0),
         params={"a": a},
     )
 
@@ -151,28 +140,14 @@ def circular_worldline(r, omega):
         raise ConfigError(f"circular worldline needs |r*omega| < 1, got {v}")
     g = 1.0 / np.sqrt(1.0 - v * v)
     w = omega * g  # angular frequency in eigentime
-    zero = lambda tau: np.zeros_like(tau, dtype=float)
     return Worldline(
         label="circular",
-        z=lambda tau: _stack(g * tau, r * np.cos(w * tau), r * np.sin(w * tau), zero(tau)),
-        zdot=lambda tau: _stack(
-            np.full_like(np.asarray(tau, dtype=float), g),
-            -r * w * np.sin(w * tau),
-            r * w * np.cos(w * tau),
-            zero(tau),
-        ),
-        zddot=lambda tau: _stack(
-            zero(tau),
-            -r * w * w * np.cos(w * tau),
-            -r * w * w * np.sin(w * tau),
-            zero(tau),
-        ),
+        z=lambda tau: _fill(tau, g * tau, r * np.cos(w * tau), r * np.sin(w * tau), 0.0),
+        zdot=lambda tau: _fill(tau, g, -r * w * np.sin(w * tau), r * w * np.cos(w * tau), 0.0),
+        zddot=lambda tau: _fill(tau, 0.0, -r * w * w * np.cos(w * tau),
+                                -r * w * w * np.sin(w * tau), 0.0),
         params={"r": r, "omega": omega},
     )
-
-
-def worldline_eval(w, tau):
-    return w.eval(tau)
 
 
 def catalog():

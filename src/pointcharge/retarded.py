@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, OnWorldline
-from .minkowski import METRIC, FourVector, inner, lower
+from .minkowski import FourVector, inner, lower
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 100
@@ -42,99 +42,118 @@ def _g(w, X, tau):
         return inner(R, R)
 
 
-def _worst_residual(w, X, tau):
-    g = np.abs(_g(w, X, tau))
-    return float(np.nanmax(g)) if not np.all(np.isnan(g)) else float("inf")
+def _past_end(w, X, hi, step):
+    """Lower bracket end: doubling strides, the first of length `step`, down
+    from hi until g > 0 (nan counts as not yet).  None exists e.g. behind
+    the horizon of an eternally accelerated worldline."""
+    lo = hi - step
+    step = np.broadcast_to(np.asarray(step, dtype=float), lo.shape)
+    for _ in range(MAX_ITER):
+        g = _g(w, X, lo)
+        moving = ~(g > 0)
+        if not moving.any():
+            return lo
+        lo = np.where(moving, lo - step, lo)
+        step = np.where(moving, 2.0 * step, step)
+    raise NoConvergence(MAX_ITER, float(np.abs(g[moving]).max()))
+
+
+def _rtsafe(fdf, t, lo, hi, ftol, xtol):
+    """Safeguarded Newton per point (Numerical Recipes' rtsafe, sec. 9.4),
+    iterating only the points not yet converged.
+
+    fdf(idx, t) returns f (increasing through the root), df/dt and a mask
+    of admissible iterates at the points idx.  f < 0 / f > 0 moves lo / hi
+    to t; a step that leaves [lo, hi] or meets df <= 0 bisects instead.  A
+    point converges when |f| <= ftol, |step| <= xtol*max(1, |t|) and the
+    iterate is admissible; one that turns non-finite (an unbounded bracket)
+    is dropped.  Returns the iterates and the mask of converged points.
+    """
+    t, lo, hi = t.copy(), lo.copy(), hi.copy()
+    ftol = np.broadcast_to(ftol, t.shape)
+    done = np.zeros(t.shape, dtype=bool)
+    active = np.arange(t.size)
+    for _ in range(MAX_ITER):
+        if active.size == 0:
+            break
+        ta = t[active]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f, df, admissible = fdf(active, ta)
+            a = np.where(f < 0, ta, lo[active])
+            b = np.where(f > 0, ta, hi[active])
+            newton = ta - f / df
+            bad = ~np.isfinite(newton) | (newton < a) | (newton > b) | ~(df > 0)
+            new = np.where(bad, 0.5 * (a + b), newton)
+            conv = ((np.abs(f) <= ftol[active]) & admissible
+                    & (np.abs(new - ta) <= xtol * np.maximum(1.0, np.abs(new))))
+        t[active], lo[active], hi[active] = new, a, b
+        done[active] = conv
+        active = active[~conv & np.isfinite(new)]
+    return t, done
 
 
 def _tau_simultaneous(w, X0):
-    """Solve Z0(tau) = X0 per point; Z0 is strictly increasing (Zdot0 >= 1)."""
+    """Solve Z0(tau) = X0 per point.  Zdot0 >= 1 for a unit timelike Zdot,
+    so the root lies within |f0| of X0, where f0 = Z0(X0) - X0."""
     X0 = np.asarray(X0, dtype=float)
-    f = lambda t: w.z(t)[..., 0] - X0
-    lo = X0.copy()
-    hi = X0.copy()
-    step = np.ones_like(X0)
-    for _ in range(200):
-        mask = f(lo) > 0
-        if not mask.any():
-            break
-        lo = np.where(mask, lo - step, lo)
-        step = np.where(mask, 2 * step, step)
-    step = np.ones_like(X0)
-    for _ in range(200):
-        mask = f(hi) < 0
-        if not mask.any():
-            break
-        hi = np.where(mask, hi + step, hi)
-        step = np.where(mask, 2 * step, step)
-    tau = 0.5 * (lo + hi)
-    for _ in range(80):
-        ft = f(tau)
-        lo = np.where(ft < 0, tau, lo)
-        hi = np.where(ft >= 0, tau, hi)
-        newton = tau - ft / w.zdot(tau)[..., 0]
-        inside = (newton > lo) & (newton < hi)
-        tau = np.where(inside, newton, 0.5 * (lo + hi))
-        if np.all(hi - lo < 1e-15 * np.maximum(1.0, np.abs(tau))):
-            break
-    return tau
+    x0 = X0.ravel()
+    f0 = w.z(x0)[:, 0] - x0
+    lo, hi = x0 - np.maximum(f0, 0.0), x0 - np.minimum(f0, 0.0)
+
+    def fdf(idx, t):
+        return w.z(t)[:, 0] - x0[idx], w.zdot(t)[:, 0], True
+
+    tau, _ = _rtsafe(fdf, x0, lo, hi, np.inf, 1e-15)
+    return tau.reshape(X0.shape)
 
 
-def _initial_guess(w, X):
-    """tau0 = X0 - |x - z(X0 as lab-time proxy)|; exact for the rest worldline."""
-    X0 = X[..., 0]
-    z = w.z(X0)
-    d = np.linalg.norm(X[..., 1:] - z[..., 1:], axis=-1)
-    return X0 - d
-
-
-def _solve_array(w, X, tol):
-    X0 = X[..., 0]
+def _newton(w, X, tau, lo, hi, tol):
+    """_rtsafe on -g(tau) = -R.R, whose derivative is 2*xi, for X of shape
+    (n, 4).  A point converges when |g| <= tol*scale and the step is at
+    most tol*max(1, |tau|), at an iterate with R0 > 0 and xi > 0: the
+    light cone of X meets the worldline once in its past, so that
+    certifies the retarded root."""
     scale = np.maximum(1.0, (X * X).sum(axis=-1))
 
-    hi = _tau_simultaneous(w, X0)
-    zs = w.z(hi)
-    spatial_dist = np.linalg.norm(X[..., 1:] - zs[..., 1:], axis=-1)
+    def fdf(idx, t):
+        R = X[idx] - w.z(t)
+        xi = inner(w.zdot(t), R)
+        return -inner(R, R), 2.0 * xi, (R[:, 0] > 0) & (xi > 0)
+
+    return _rtsafe(fdf, tau, lo, hi, tol * scale, tol)
+
+
+def _solve_array(w, X, tol, tau0=None):
+    """tau_r for points X of shape (..., 4).
+
+    Without tau0 every point is bracketed between a past point with g > 0
+    and the simultaneous point.  With a per-point start tau0, Newton runs
+    unbracketed from it; a point is kept only when it converges to the
+    retarded root, and every other point is solved cold.
+    """
+    shape = X.shape[:-1]
+    X = X.reshape(-1, 4)
+    if tau0 is not None:
+        inf = np.full(X.shape[0], np.inf)
+        tau, ok = _newton(w, X, np.broadcast_to(tau0, shape).ravel(), -inf, inf, tol)
+        if not ok.all():
+            tau[~ok] = _solve_array(w, X[~ok], tol)
+        return tau.reshape(shape)
+
+    hi = _tau_simultaneous(w, X[:, 0])
+    spatial_dist = np.linalg.norm(X[:, 1:] - w.z(hi)[:, 1:], axis=-1)
+    scale = np.maximum(1.0, (X * X).sum(axis=-1))
     if np.any(spatial_dist < ON_WORLDLINE_DIST * np.sqrt(scale)):
         raise OnWorldline("observer point lies on the worldline")
-
-    # expand the bracket downward from the simultaneous point; the lab-time
-    # guess can overshoot into overflow territory for accelerated worldlines
-    guess = _initial_guess(w, X)
-    lo = hi - 1.0
-    step = np.ones_like(hi)
-    for _ in range(200):
-        mask = ~(_g(w, X, lo) > 0)  # nan counts as not bracketed
-        if not mask.any():
-            break
-        lo = np.where(mask, lo - step, lo)
-        step = np.where(mask, 2 * step, step)
-    else:
-        # no past bracket exists, e.g. behind the horizon of an
-        # eternally accelerated worldline
-        raise NoConvergence(200, _worst_residual(w, X, lo))
-
-    tau = np.clip(guess, lo, hi)
-    converged = np.zeros(tau.shape, dtype=bool)
-    g = None
-    for it in range(MAX_ITER):
-        g = _g(w, X, tau)
-        lo = np.where(g > 0, tau, lo)
-        hi = np.where(g < 0, tau, hi)
-        R = X - w.z(tau)
-        xi = inner(w.zdot(tau), R)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = tau + g / (2.0 * xi)
-        bad = ~np.isfinite(newton) | (newton <= lo) | (newton >= hi) | (xi <= 0)
-        new_tau = np.where(bad, 0.5 * (lo + hi), newton)
-        step_size = np.abs(new_tau - tau)
-        tau = new_tau
-        converged = (np.abs(g) <= tol * scale) & (step_size <= tol * np.maximum(1.0, np.abs(tau)))
-        if converged.all():
-            break
-    if not converged.all():
-        raise NoConvergence(MAX_ITER, float(np.abs(g)[~converged].max()))
-    return tau
+    lo = _past_end(w, X, hi, 1.0)
+    # lab-time guess X0 - |x - z(X0)|, exact at rest; clipped, since it can
+    # overshoot into overflow territory for accelerated worldlines
+    guess = X[:, 0] - np.linalg.norm(X[:, 1:] - w.z(X[:, 0])[:, 1:], axis=-1)
+    tau, ok = _newton(w, X, np.clip(guess, lo, hi), lo, hi, tol)
+    if not ok.all():
+        g = np.abs(_g(w, X[~ok], tau[~ok]))
+        raise NoConvergence(MAX_ITER, float(g.max()))
+    return tau.reshape(shape)
 
 
 def retarded_time(w, X, tol=DEFAULT_TOL):
@@ -162,20 +181,8 @@ def retarded_time_bisection(w, X, tol=1e-12, bracket_width=None):
     pts, scalar = _as_points(X)
     X0 = pts[..., 0]
     hi = _tau_simultaneous(w, X0)
-    if bracket_width is None:
-        lo = hi - 1.0
-        step = np.ones_like(hi)
-    else:
-        lo = hi - bracket_width
-        step = np.asarray(bracket_width, dtype=float) * np.ones_like(hi)
-    for _ in range(200):
-        mask = ~(_g(w, pts, lo) > 0)
-        if not mask.any():
-            break
-        lo = np.where(mask, lo - step, lo)
-        step = np.where(mask, 2 * step, step)
-    else:
-        raise NoConvergence(200, _worst_residual(w, pts, lo))
+    step = 1.0 if bracket_width is None else bracket_width
+    lo = _past_end(w, pts, hi, step)
     for _ in range(200):
         tau = 0.5 * (lo + hi)
         g = _g(w, pts, tau)
@@ -197,10 +204,11 @@ class RetardedKinematics:
     residual: float
 
 
-def kinematics_arrays(w, X, tol=DEFAULT_TOL):
-    """Batched kinematics; returns a dict of arrays keyed by quantity."""
+def kinematics_arrays(w, X, tol=DEFAULT_TOL, tau0=None):
+    """Batched kinematics; returns a dict of arrays keyed by quantity.
+    tau0, broadcast to the points, sets only where the retarded solve starts."""
     pts, _ = _as_points(X)
-    tau = _solve_array(w, pts, tol)
+    tau = _solve_array(w, pts, tol, tau0)
     R = pts - w.z(tau)
     zdot = w.zdot(tau)
     zddot = w.zddot(tau)

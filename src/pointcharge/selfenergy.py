@@ -104,6 +104,8 @@ def divergence_bound_check(fam, eps_grid, e=1.0, mu=1.0, rtol=1e-9):
     bound = c0 / eps_grid
     violations = []
     for i, t in enumerate(eps_grid):
+        if not np.isfinite([ue[i], um[i], c[i], bound[i]]).all():
+            violations.append(f"non-finite value at eps={t:g}")
         if c[i] < (1.0 - rtol) / t:
             violations.append(f"c_eps < 1/eps at eps={t:g}")
         if a[i] < (1.0 - rtol) / (8.0 * t * t * c[i]):

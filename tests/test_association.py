@@ -85,6 +85,14 @@ def test_weak_limit_noise_floor():
     assert res.order == np.inf
 
 
+@pytest.mark.parametrize("vals, scale", [
+    (2.0 + 3.0 * GRID ** 2, np.inf),
+    (np.full(GRID.size, np.nan), None),
+])
+def test_weak_limit_never_passes_non_finite(vals, scale):
+    assert not weak_limit(vals, GRID, 2.0, scale=scale).passed
+
+
 def test_charge_density_pairs_to_point_charge():
     phi3 = bump_test_function(3, np.zeros(3), 1.0)
     res = claim_charge_density(BUMP, phi3, GRID, e=2.0)

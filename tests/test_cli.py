@@ -186,3 +186,53 @@ def test_associate_single_claim_json():
 def test_associate_unknown_claim_exits_2(capsys):
     status, _ = invoke(["associate", "--claim", "bogus"])
     assert status == 2
+
+
+def assert_input_error(status, capsys):
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("key", ["e", "mu", "mc2", "tolerance", "tf_radius"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_run_value_exits_2(tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\n{key} = {value}\n")
+    assert_input_error(invoke(["-c", str(cfg), "selfenergy"])[0], capsys)
+
+
+def test_nan_charge_prints_no_true_row(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\ne = nan\n")
+    status, text = invoke(["-c", str(cfg), "selfenergy"])
+    assert_input_error(status, capsys)
+    assert "true" not in text
+
+
+def test_distalg_verify_unparsable_exits_2(capsys):
+    assert_input_error(invoke(["distalg", "verify", "foo"])[0], capsys)
+    assert_input_error(invoke(["distalg", "verify", "1/0"])[0], capsys)
+
+
+@pytest.mark.parametrize("value", ["-1", "1.5", "three"])
+def test_bad_max_delta_order_exits_2(tmp_path, capsys, value):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\nmax_delta_order = {value}\n")
+    assert_input_error(invoke(["-c", str(cfg), "distalg", "solve"])[0], capsys)
+
+
+def test_non_numeric_point_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[points]\np1 = 3.0, x, 0.0, 0.0\n")
+    assert_input_error(invoke(["-c", str(cfg), "kinematics"])[0], capsys)
+
+
+@pytest.mark.parametrize("body", ["center = 3.0, 0.0, zero, 0.0",
+                                  "radius = wide",
+                                  "center = 3.0, 0.0, 0.0"])
+def test_bad_testfunction_exits_2(tmp_path, capsys, body):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[testfunction]\n{body}\n")
+    assert_input_error(invoke(["-c", str(cfg), "associate",
+                               "--claim", "heaviside"])[0], capsys)

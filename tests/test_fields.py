@@ -7,6 +7,7 @@ from pointcharge.fields import (
     box_phi_analytic,
     box_phi_arrays,
     box_phi_fd,
+    fd_steps,
     phi_alpha,
     phi_arrays,
     static_E_radial,
@@ -113,6 +114,49 @@ def test_analytic_box_phi_matches_fd_in_shell(w):
     fd = box_phi_fd(w, BUMP, pts, eps, h=eps / 320.0)
     rel = np.abs(fd - tot).max(axis=-1) / np.maximum(np.abs(tot).max(axis=-1), 1.0)
     assert rel.max() <= 1e-3
+
+
+def stencil(phi, pts, h):
+    """Reference 9-point d'Alembertian of a callable phi(X) -> (..., 4)."""
+    center = phi(pts)
+    total = np.zeros_like(center)
+    for mu, sign in enumerate((1.0, -1.0, -1.0, -1.0)):
+        shift = np.zeros_like(pts)
+        shift[:, mu] = h
+        total += sign * (phi(pts + shift) - 2.0 * center
+                         + phi(pts - shift)) / (h * h)[:, None]
+    return total
+
+
+def rel_gap(a, b):
+    return (np.abs(a - b).max(axis=-1)
+            / np.maximum(np.abs(b).max(axis=-1), 1.0)).max()
+
+
+@pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
+def test_warm_stencil_matches_cold_stencil(w):
+    # box_phi_fd starts each neighbour solve at tau_r + h K_mu; the
+    # reference re-solves all nine points cold
+    eps = 0.05
+    pts = np.concatenate([shell_points(w, eps, 20), outside_points(w, eps, 20)])
+    h = fd_steps(pts, kinematics_arrays(w, pts)["xi"], eps)
+    cold = stencil(lambda X: phi_arrays(w, BUMP, X, eps), pts, h)
+    assert rel_gap(box_phi_fd(w, BUMP, pts, eps), cold) <= 1e-6
+
+
+def test_warm_stencil_matches_closed_form_stencil_at_rest():
+    # at rest tau_r = X0 - |x|, R = (|x|, x) and xi = |x|
+    w = rest_worldline()
+    eps = 0.05
+    pts = np.concatenate([shell_points(w, eps, 20), outside_points(w, eps, 20)])
+    h = fd_steps(pts, kinematics_arrays(w, pts)["xi"], eps)
+
+    def closed(X):
+        r = np.linalg.norm(X[:, 1:], axis=-1)
+        R = np.concatenate([r[:, None], X[:, 1:]], axis=1)
+        return 0.5 * R * BUMP.H(r, eps)[:, None]
+
+    assert rel_gap(box_phi_fd(w, BUMP, pts, eps), stencil(closed, pts, h)) <= 1e-6
 
 
 def test_second_derivative_coefficient_sign():

@@ -118,13 +118,13 @@ def test_parse_worldline_rejects_bad_specs(spec):
 
 def test_validate_catches_bad_parametrization():
     # coordinate-time parametrization of a moving charge is not eigentime
-    from pointcharge.minkowski import Worldline, _stack
+    from pointcharge.minkowski import Worldline, _fill
 
     bad = Worldline(
         label="coordinate-time",
-        z=lambda t: _stack(t, 0.6 * np.asarray(t), 0 * t, 0 * t),
-        zdot=lambda t: _stack(np.ones_like(t), 0.6 * np.ones_like(t), 0 * t, 0 * t),
-        zddot=lambda t: _stack(0 * t, 0 * t, 0 * t, 0 * t),
+        z=lambda t: _fill(t, t, 0.6 * t, 0.0, 0.0),
+        zdot=lambda t: _fill(t, 1.0, 0.6, 0.0, 0.0),
+        zddot=lambda t: _fill(t, 0.0, 0.0, 0.0, 0.0),
     )
     rep = validate_worldline(bad, TAU_GRID)
     assert not rep.passed

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointcharge.errors import OnWorldline, PointChargeError
-from pointcharge.minkowski import catalog, inner, lower
+from pointcharge.minkowski import Worldline, catalog, inner, lower
 from pointcharge.retarded import (
     div_K_fd,
     grad_tau_check,
@@ -110,6 +110,48 @@ def test_xi_eigentime_derivative_identity(w):
     fd = (xi_of_tau(k["tau_r"] + h) - xi_of_tau(k["tau_r"] - h)) / (2 * h)
     expect = k["xi"] * k["kappa"] - 1.0
     assert np.abs(fd - expect).max() <= 1e-6
+
+
+@pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
+def test_bad_warm_start_falls_back_to_cold_solve(w):
+    pts = cloud(100, w)
+    tau = kinematics_arrays(w, pts)["tau_r"]
+    # beyond the advanced root, or between the two roots for distant points
+    warm = kinematics_arrays(w, pts, tau0=tau + 10.0)["tau_r"]
+    assert np.abs(warm - tau).max() <= 1e-12 * np.maximum(1.0, np.abs(tau)).max()
+
+
+def test_advanced_root_start_falls_back_to_cold_solve():
+    from pointcharge.minkowski import rest_worldline
+
+    # g = 0 at the advanced root X0 + |x| too, but there R0 < 0
+    w = rest_worldline()
+    pts = cloud(100)
+    advanced = pts[:, 0] + np.linalg.norm(pts[:, 1:], axis=-1)
+    tau = kinematics_arrays(w, pts, tau0=advanced)["tau_r"]
+    assert np.array_equal(tau, kinematics_arrays(w, pts)["tau_r"])
+
+
+@pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
+def test_converged_points_leave_the_newton_iteration(w):
+    pts = cloud(100, w)
+    tau = kinematics_arrays(w, pts)["tau_r"]
+    sizes = []
+
+    def z(t):
+        sizes.append(np.size(t))
+        return w.z(t)
+
+    n = pts.shape[0]
+    counted = Worldline(w.label, z=z, zdot=w.zdot, zddot=w.zddot)
+    again = kinematics_arrays(counted, pts, tau0=tau)["tau_r"]
+    # one Newton iteration over the batch, then R at the root
+    assert sizes == [n, n]
+    assert np.abs(again - tau).max() <= 1e-12 * np.maximum(1.0, np.abs(tau)).max()
+    # points that start at the root leave the iteration after one step
+    sizes.clear()
+    kinematics_arrays(counted, pts, tau0=tau + np.where(np.arange(n) % 2, 1e-3, 0.0))
+    assert sizes[0] == n and len(sizes) > 3 and max(sizes[1:-1]) <= n // 2
 
 
 def test_scalar_interface_returns_four_vectors():

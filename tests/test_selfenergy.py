@@ -74,6 +74,12 @@ def test_divergence_bounds(fam):
     assert rep.c0 > 0
 
 
+def test_divergence_bounds_refuse_nan():
+    rep = divergence_bound_check(BUMP, GRID, e=np.nan)
+    assert not rep.passed
+    assert all(any(f"eps={eps:g}" in v for v in rep.violations) for eps in GRID)
+
+
 def test_boxcar_sup_is_inverse_eps():
     for eps in GRID:
         assert sup_dh(BOX, eps) == pytest.approx(1.0 / eps, rel=1e-12)
