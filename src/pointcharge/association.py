@@ -130,12 +130,17 @@ def _angular_grid(n_theta=8, n_phi=8):
 
 def ball_nodes_3d(center, radius, eps, spacing_factor=8.0,
                   n_theta=12, n_phi=12):
-    """Spherical product grid on a 3D ball, radially refined on scale eps."""
+    """Spherical product grid on a 3D ball, radially refined on scale eps.
+
+    The refined part [0, 3 eps] is laid out in units of eps, where its
+    panel count 3/(1/8) = 24 is exact (on the r scale the quotient
+    3eps/(eps/8) rounds up to 25 at some eps); each panel has 8 nodes.
+    """
     center = np.asarray(center, dtype=float)
-    r1, w1 = radial_nodes(eps, 0.0, min(3.0 * eps, radius), spacing_factor)
-    r2, w2 = radial_nodes(eps, min(3.0 * eps, radius), radius, spacing_factor,
-                          coarse=True)
-    r, wr = np.concatenate([r1, r2]), np.concatenate([w1, w2])
+    core = min(3.0, radius / eps)
+    s1, w1 = radial_nodes(1.0, 0.0, core, spacing_factor, n_per_panel=8)
+    r2, w2 = radial_nodes(eps, core * eps, radius, spacing_factor, coarse=True)
+    r, wr = np.concatenate([eps * s1, r2]), np.concatenate([eps * w1, w2])
     dirs, wa = _angular_grid(n_theta, n_phi)
     pts = center[None, None, :] + r[:, None, None] * dirs[None, :, :]
     wts = (wr * r * r)[:, None] * wa[None, :]

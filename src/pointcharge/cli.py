@@ -99,6 +99,13 @@ def _number(key, text):
     return val
 
 
+def _positive(key, val):
+    """val if it is finite and > 0, else ConfigError naming the key."""
+    if not (np.isfinite(val) and val > 0):
+        raise ConfigError(f"{key} must be finite and positive, got {val!r}")
+    return val
+
+
 def load_config(path=None):
     cfg = RunConfig()
     if path is not None:
@@ -139,8 +146,8 @@ def load_config(path=None):
                     raise ConfigError("testfunction center needs 4 components")
             if "radius" in tf:
                 cfg.tf_radius = _number("testfunction radius", tf["radius"])
-    if not cfg.tf_radius > 0:
-        raise ConfigError("tf_radius must be positive")
+    for key in ("mc2", "tolerance", "tf_radius"):
+        _positive(key, getattr(cfg, key))
     return cfg.resolve()
 
 
@@ -225,7 +232,7 @@ def cmd_selfenergy(cfg, out):
 
 
 def cmd_renormalize(cfg, out, mc2=None):
-    target = cfg.mc2 if mc2 is None else mc2
+    target = cfg.mc2 if mc2 is None else _positive("--mc2", mc2)
     try:
         eps0 = mass_renormalize(cfg.fam, cfg.e, cfg.mu, target)
     except OutOfRange as exc:

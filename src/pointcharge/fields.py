@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SmoothnessRequired
-from .minkowski import METRIC, FourVector, lower
+from .minkowski import METRIC, lower
 from .retarded import DEFAULT_TOL, _as_points, kinematics_arrays
 
 
@@ -31,13 +31,6 @@ def _phi(fam, kin, eps, e):
 def phi_arrays(w, fam, X, eps, e=1.0, tol=DEFAULT_TOL, tau0=None):
     """Batched Phi; X has shape (..., 4); tau0 as in kinematics_arrays."""
     return _phi(fam, kinematics_arrays(w, X, tol, tau0), eps, e)
-
-
-def phi_alpha(w, fam, X, eps, e=1.0, tol=DEFAULT_TOL):
-    """Phi at a single observer point, as a FourVector."""
-    pts, scalar = _as_points(X)
-    out = phi_arrays(w, fam, pts, eps, e, tol)
-    return FourVector.from_array(out) if scalar else out
 
 
 def box_phi_arrays(w, fam, X, eps, e=1.0, tol=DEFAULT_TOL, kin=None):
@@ -61,16 +54,6 @@ def box_phi_arrays(w, fam, X, eps, e=1.0, tol=DEFAULT_TOL, kin=None):
     return lam, psi, total
 
 
-def box_phi_analytic(w, fam, X, eps, e=1.0, tol=DEFAULT_TOL):
-    """Analytic box Phi at one point: (Lambda, Psi, total) FourVectors."""
-    pts, scalar = _as_points(X)
-    lam, psi, total = box_phi_arrays(w, fam, pts, eps, e, tol)
-    if scalar:
-        return (FourVector.from_array(lam), FourVector.from_array(psi),
-                FourVector.from_array(total))
-    return lam, psi, total
-
-
 def fd_steps(X, xi, eps, shell_factor=40.0):
     """Per-point step for the 9-point stencil: eps/40 inside the widened
     shell, 1e-3*|X| far away, and in between small enough that the stencil
@@ -89,7 +72,7 @@ def box_phi_fd(w, fam, X, eps, h=None, e=1.0, tol=DEFAULT_TOL, kin=None):
     X +- h e_mu starts its solve at tau_r +- h K_mu (d tau_r/dX^mu = K_mu);
     K sets only the start, the accepted root passes the cold solve's tests.
     """
-    pts, scalar = _as_points(X)
+    pts, _ = _as_points(X)
     if kin is None:
         kin = kinematics_arrays(w, pts, tol)
     if h is None:
@@ -106,7 +89,7 @@ def box_phi_fd(w, fam, X, eps, h=None, e=1.0, tol=DEFAULT_TOL, kin=None):
         minus = phi_arrays(w, fam, pts - shift, eps, e, tol,
                            kin["tau_r"] - dtau[..., mu])
         total += METRIC[mu] * (plus - 2.0 * center + minus) / (h * h)[..., None]
-    return FourVector.from_array(total) if scalar else total
+    return total
 
 
 @dataclass(frozen=True)

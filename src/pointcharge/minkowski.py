@@ -1,8 +1,9 @@
-"""Minkowski-space primitives: metric, four-vectors, worldline catalog.
+"""Minkowski-space primitives: metric, inner product, worldline catalog.
 
-Conventions: signature (+,-,-,-), geometric units c = 1, all stored
-components are contravariant.  Worldlines are parametrized by eigentime,
-so zdot . zdot = 1 and zdot . zddot = 0 identically.
+Conventions: signature (+,-,-,-), geometric units c = 1; a four-vector
+is an array whose last axis holds its contravariant components.
+Worldlines are parametrized by eigentime, so zdot . zdot = 1 and
+zdot . zddot = 0 identically.
 """
 
 from dataclasses import dataclass, field
@@ -28,46 +29,6 @@ def inner(a, b):
 def lower(a):
     """Lower the index: componentwise metric application g_{mu nu} a^nu."""
     return METRIC * np.asarray(a, dtype=float)
-
-
-@dataclass(frozen=True)
-class FourVector:
-    x0: float
-    x1: float
-    x2: float
-    x3: float
-
-    @classmethod
-    def from_array(cls, arr):
-        arr = np.asarray(arr, dtype=float)
-        return cls(*(float(c) for c in arr))
-
-    def as_array(self):
-        return np.array([self.x0, self.x1, self.x2, self.x3])
-
-    @property
-    def spatial(self):
-        return np.array([self.x1, self.x2, self.x3])
-
-    def __add__(self, other):
-        return FourVector.from_array(self.as_array() + other.as_array())
-
-    def __sub__(self, other):
-        return FourVector.from_array(self.as_array() - other.as_array())
-
-    def __mul__(self, scalar):
-        return FourVector.from_array(self.as_array() * float(scalar))
-
-    __rmul__ = __mul__
-
-
-def minkowski_inner(a, b):
-    """Inner product of two FourVectors (or (...,4) arrays)."""
-    if isinstance(a, FourVector):
-        a = a.as_array()
-    if isinstance(b, FourVector):
-        b = b.as_array()
-    return float(inner(a, b)) if np.ndim(a) == 1 and np.ndim(b) == 1 else inner(a, b)
 
 
 @dataclass(frozen=True)

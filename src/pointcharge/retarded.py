@@ -8,15 +8,13 @@ positive again afterwards, so any bracket [lo, hi] with g(lo) > 0,
 g(hi) < 0 and hi at the simultaneous point Z0(hi) = X0 isolates tau_r.
 
 All solver routines are vectorized over arrays of observer points of
-shape (..., 4); FourVector inputs are accepted at the public surface.
+shape (..., 4); a single point of shape (4,) gives a float tau_r.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoConvergence, OnWorldline
-from .minkowski import FourVector, inner, lower
+from .minkowski import inner, lower
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 100
@@ -26,8 +24,6 @@ ON_WORLDLINE_DIST = 1e-12
 
 
 def _as_points(X):
-    if isinstance(X, FourVector):
-        return X.as_array(), True
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != 4:
         raise ValueError("observer points must have shape (..., 4)")
@@ -194,16 +190,6 @@ def retarded_time_bisection(w, X, tol=1e-12, bracket_width=None):
     return float(tau) if scalar else tau
 
 
-@dataclass(frozen=True)
-class RetardedKinematics:
-    tau_r: float
-    R: FourVector
-    xi: float
-    K: FourVector
-    kappa: float
-    residual: float
-
-
 def kinematics_arrays(w, X, tol=DEFAULT_TOL, tau0=None):
     """Batched kinematics; returns a dict of arrays keyed by quantity.
     tau0, broadcast to the points, sets only where the retarded solve starts."""
@@ -227,22 +213,6 @@ def kinematics_arrays(w, X, tol=DEFAULT_TOL, tau0=None):
     }
 
 
-def kinematics(w, X, tol=DEFAULT_TOL):
-    """Retarded kinematics R, xi, K, kappa at a single observer point."""
-    pts, scalar = _as_points(X)
-    k = kinematics_arrays(w, pts, tol)
-    if not scalar:
-        return k
-    return RetardedKinematics(
-        tau_r=float(k["tau_r"]),
-        R=FourVector.from_array(k["R"]),
-        xi=float(k["xi"]),
-        K=FourVector.from_array(k["K"]),
-        kappa=float(k["kappa"]),
-        residual=float(k["residual"]),
-    )
-
-
 def grad_tau_check(w, X, h=1e-4, tol=DEFAULT_TOL):
     """Max componentwise gap between central differences of tau_r and K.
 
@@ -264,13 +234,11 @@ def grad_tau_check(w, X, h=1e-4, tol=DEFAULT_TOL):
 def grad_xi(w, X, tol=DEFAULT_TOL):
     """Analytic gradient of the retarded distance.
 
-    Returned as a contravariant FourVector G = Zdot + (xi*kappa - 1) K,
-    so that d(xi)/dX^mu equals the lowered components of G.  Never zero.
+    Returned contravariant, G = Zdot + (xi*kappa - 1) K, so that
+    d(xi)/dX^mu equals the lowered components of G.  Never zero.
     """
-    pts, scalar = _as_points(X)
-    k = kinematics_arrays(w, pts, tol)
-    G = k["zdot"] + (k["xi"] * k["kappa"] - 1.0)[..., None] * k["K"]
-    return FourVector.from_array(G) if scalar else G
+    k = kinematics_arrays(w, X, tol)
+    return k["zdot"] + (k["xi"] * k["kappa"] - 1.0)[..., None] * k["K"]
 
 
 def div_K_fd(w, X, h=1e-4, tol=DEFAULT_TOL):

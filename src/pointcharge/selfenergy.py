@@ -3,10 +3,12 @@
 U_ele^eps = (e^2/2) * int_eps^2eps H_eps'(r)^2 dr
 U_mag^eps = (mu^2/3) * int_eps^2eps H_eps'(r)^2 / r^2 dr
 
-Both diverge as eps -> 0 with the exact scaling laws eps*U_ele = const and
-eps^3*U_mag = const (substitute r = eps*t).  The lower-bound chain
-c_eps >= 1/eps, a_eps >= 1/(8 eps^2 c_eps) >= c0/eps quantifies the
-divergence; a_eps = (2/e^2) U_ele^eps.
+With r = eps*s and H_eps' = chi(s)/eps both reduce to three moments of
+the mollifier on [1, 2]: U_ele = e^2 m0/(2 eps), U_mag = mu^2 m2/(3 eps^3)
+and c_eps = sup H_eps' = max chi/eps, where m0 = int chi^2 and
+m2 = int chi^2/s^2.  So eps*U_ele and eps^3*U_mag are constant, and the
+lower-bound chain c_eps >= 1/eps, a_eps >= 1/(8 eps^2 c_eps) >= c0/eps
+quantifies the divergence; a_eps = (2/e^2) U_ele^eps.
 """
 
 from dataclasses import dataclass
@@ -19,29 +21,30 @@ from .errors import OutOfRange
 from .regularization import GeneralizedNet
 
 
-def _int_dh_sq(fam, eps, weight=None):
-    f = (lambda r: fam.dH(r, eps) ** 2) if weight is None \
-        else (lambda r: fam.dH(r, eps) ** 2 * weight(r))
-    val, _ = quad(f, eps, 2.0 * eps, epsabs=0.0, epsrel=1e-13, limit=200)
-    return val
+def _energies(fam, e, mu, eps):
+    """(U_ele, U_mag, c_eps) at eps in (0, 1], a float or an array, from
+    the moments m0 = int chi^2 and m2 = int chi^2/s^2 over [1, 2] (by quad)
+    and max chi (on 20001 samples of [1, 2])."""
+    eps = np.asarray(eps, dtype=float)
+    if not np.all((eps > 0.0) & (eps <= 1.0)):
+        raise ValueError("eps must lie in (0, 1]")
+    chi = fam.mollifier.chi
+    m0, _ = quad(lambda s: chi(s) ** 2, 1.0, 2.0,
+                 epsabs=0.0, epsrel=1e-13, limit=200)
+    m2, _ = quad(lambda s: chi(s) ** 2 / (s * s), 1.0, 2.0,
+                 epsabs=0.0, epsrel=1e-13, limit=200)
+    chi_max = float(np.max(chi(np.linspace(1.0, 2.0, 20001))))
+    return 0.5 * e * e * m0 / eps, (mu * mu / 3.0) * m2 / eps ** 3, chi_max / eps
 
 
 def u_ele(fam, e, eps):
-    """Electric self-energy (e^2/2) * int H'^2 dr."""
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
-    if e == 0.0:
-        return 0.0
-    return 0.5 * e * e * _int_dh_sq(fam, eps)
+    """Electric self-energy (e^2/2) int H'^2 dr = e^2 m0/(2 eps)."""
+    return float(_energies(fam, e, 0.0, eps)[0])
 
 
 def u_mag(fam, mu, eps):
-    """Magnetic-dipole self-energy (mu^2/3) * int H'^2 / r^2 dr."""
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
-    if mu == 0.0:
-        return 0.0
-    return (mu * mu / 3.0) * _int_dh_sq(fam, eps, weight=lambda r: 1.0 / (r * r))
+    """Magnetic-dipole self-energy (mu^2/3) int H'^2/r^2 dr = mu^2 m2/(3 eps^3)."""
+    return float(_energies(fam, 0.0, mu, eps)[1])
 
 
 def u_ele_from_field(fam, e, eps):
@@ -59,10 +62,9 @@ def u_ele_from_field(fam, e, eps):
     return 0.5 * e * e * (val + tail)
 
 
-def sup_dh(fam, eps, n=20001):
-    """c_eps = sup of H_eps' over the shell, by dense sampling."""
-    r = np.linspace(eps, 2.0 * eps, n)
-    return float(np.max(fam.dH(r, eps)))
+def sup_dh(fam, eps):
+    """c_eps = sup of H_eps' over the shell = max chi/eps."""
+    return float(_energies(fam, 0.0, 0.0, eps)[2])
 
 
 @dataclass(frozen=True)
@@ -96,9 +98,7 @@ def divergence_bound_check(fam, eps_grid, e=1.0, mu=1.0, rtol=1e-9):
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.size < 3:
         raise ValueError("need at least 3 grid points")
-    ue = np.array([u_ele(fam, e, t) for t in eps_grid])
-    um = np.array([u_mag(fam, mu, t) for t in eps_grid])
-    c = np.array([sup_dh(fam, t) for t in eps_grid])
+    ue, um, c = _energies(fam, e, mu, eps_grid)
     a = (2.0 / (e * e)) * ue
     c0 = 1.0 / (8.0 * float(np.max(eps_grid * c)))
     bound = c0 / eps_grid
@@ -122,49 +122,38 @@ def divergence_bound_check(fam, eps_grid, e=1.0, mu=1.0, rtol=1e-9):
 
 def energy_net(fam, eps_grid, e=1.0, mu=1.0):
     """Total self-energy as an eps-indexed net (never a single float)."""
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    vals = tuple(u_ele(fam, e, t) + u_mag(fam, mu, t) for t in eps_grid)
-    return GeneralizedNet(eps=eps_grid, payloads=vals)
+    ue, um, _ = _energies(fam, e, mu, eps_grid)
+    return GeneralizedNet(eps=eps_grid, payloads=tuple((ue + um).tolist()))
 
 
-def mass_renormalize(fam, e, mu, target_mc2, tol=1e-10):
+def mass_renormalize(fam, e, mu, target_mc2):
     """Find eps0 in (0, 1] with U_ele + U_mag = target_mc2.
 
-    The total is continuous, decreasing in eps on the scaled families and
-    divergent as eps -> 0, so a unique solution exists iff the target is
-    at least the value at eps = 1.
+    The total A/eps + B/eps^3, with A = U_ele(1) and B = U_mag(1), falls
+    strictly on (0, 1] unless A = B = 0, so a unique solution exists iff
+    T = target_mc2 >= A + B.  It lies in [max(A/T, (B/T)^(1/3)), 1]: at
+    either candidate x, T x^3 - A x^2 - B <= 0, i.e. the total is >= T.
     """
-    if target_mc2 <= 0:
-        raise OutOfRange("target mc^2 must be positive")
-
-    def f(t):
-        return u_ele(fam, e, t) + u_mag(fam, mu, t) - target_mc2
-
-    f_hi = f(1.0)
-    if f_hi > 0:
+    if not (np.isfinite(target_mc2) and target_mc2 > 0):
+        raise OutOfRange("target mc^2 must be finite and positive")
+    a, b, _ = (float(v) for v in _energies(fam, e, mu, 1.0))
+    if a + b == 0.0:
+        raise OutOfRange("the self-energy vanishes for e = mu = 0", infimum=0.0)
+    if not a + b <= target_mc2:  # also a NaN total
         raise OutOfRange(
             f"target {target_mc2:g} below the self-energy at eps = 1",
-            infimum=f_hi + target_mc2,
+            infimum=a + b,
         )
-    lo = 1.0
-    for _ in range(200):
-        lo *= 0.5
-        if f(lo) > 0:
-            break
-    else:  # pragma: no cover - total diverges as eps -> 0
-        raise OutOfRange("could not bracket the target")
-    eps0 = brentq(f, lo, 1.0, xtol=1e-15, rtol=8.9e-16)
-    if abs(f(eps0)) <= tol * target_mc2:
-        return eps0
-    # fall back to bisection on the residual (not the argument)
-    a, b = lo, 1.0
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if abs(fm) <= tol * target_mc2:
-            return mid
-        if fm > 0:
-            a = mid
-        else:
-            b = mid
-    raise OutOfRange("bisection failed to reach the residual tolerance")
+
+    def f(t):
+        return a / t + b / t ** 3 - target_mc2
+
+    lo = max(a / target_mc2, (b / target_mc2) ** (1.0 / 3.0))
+    # f(lo) <= 0 only by rounding, when one term alone makes lo the root;
+    # xtol scales with lo, since U ~ eps^-3 magnifies an absolute error
+    eps0 = lo if f(lo) <= 0.0 else brentq(f, lo, 1.0, xtol=1e-15 * lo,
+                                          rtol=8.9e-16)
+    if not abs(f(eps0)) <= 1e-10 * target_mc2:
+        raise OutOfRange(f"|U(eps0) - target| = {abs(f(eps0)):.3e} exceeds "
+                         f"1e-10 * target at eps0 = {eps0:.17g}")
+    return eps0

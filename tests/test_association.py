@@ -101,6 +101,15 @@ def test_charge_density_pairs_to_point_charge():
     assert res.order == pytest.approx(2.0, abs=0.1)
 
 
+@pytest.mark.parametrize("start", [0.06, 0.09, 0.1, 0.1045, 0.12])
+def test_charge_density_limit_does_not_depend_on_grid_start(start):
+    # the panel count on [0, 3 eps] must not hinge on how 3eps/(eps/8) rounds
+    phi3 = bump_test_function(3, np.zeros(3), 1.0)
+    res = claim_charge_density(BUMP, phi3, geometric_grid(start, 0.5, 4))
+    assert res.passed
+    assert abs(res.limit - res.target) <= 1e-4
+
+
 def test_heaviside_pairs_to_lebesgue():
     w = rest_worldline()
     phi4 = bump_test_function(4, np.array([3.0, 0.0, 0.0, 0.0]), 1.0)

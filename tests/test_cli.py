@@ -125,9 +125,12 @@ def test_renormalize_json():
 
 
 def test_renormalize_out_of_range_exits_1(capsys):
-    status, _ = invoke(["renormalize", "--mc2", "0.1"])
-    assert status == 1
-    assert "error:" in capsys.readouterr().err
+    # a positive target below U(eps = 1) is a verdict, not an input error
+    for flag in ("0.1", "1e-9"):
+        status, text = invoke(["renormalize", "--mc2", flag])
+        assert status == 1 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "below the self-energy" in err
 
 
 def test_distalg_solve_output():
@@ -236,3 +239,23 @@ def test_bad_testfunction_exits_2(tmp_path, capsys, body):
     cfg.write_text(f"[testfunction]\n{body}\n")
     assert_input_error(invoke(["-c", str(cfg), "associate",
                                "--claim", "heaviside"])[0], capsys)
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_tolerance_exits_2(tmp_path, capsys, value):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\ntolerance = {value}\n")
+    assert_input_error(invoke(["-c", str(cfg), "associate",
+                               "--claim", "charge_density"])[0], capsys)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_bad_mc2_flag_exits_2(capsys, value):
+    assert_input_error(invoke(["renormalize", "--mc2", value])[0], capsys)
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_config_mc2_exits_2(tmp_path, capsys, value):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\nmc2 = {value}\n")
+    assert_input_error(invoke(["-c", str(cfg), "renormalize"])[0], capsys)

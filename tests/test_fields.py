@@ -4,11 +4,9 @@ from scipy.integrate import quad
 
 from pointcharge.errors import SmoothnessRequired
 from pointcharge.fields import (
-    box_phi_analytic,
     box_phi_arrays,
     box_phi_fd,
     fd_steps,
-    phi_alpha,
     phi_arrays,
     static_E_radial,
     static_field,
@@ -69,11 +67,12 @@ def test_phi_rest_frame_closed_form():
     x = np.array([0.3, -0.2, 0.1])
     r = np.linalg.norm(x)
     X = np.concatenate([[3.0], x])
-    phi = phi_alpha(w, BUMP, X, eps, e)
+    phi = phi_arrays(w, BUMP, X, eps, e)
     H = BUMP.H(r, eps)
     # tolerance reflects the retarded-solver stopping rule, not roundoff
-    assert phi.x0 == pytest.approx(0.5 * e * r * H, rel=1e-9)
-    assert np.allclose(phi.spatial, 0.5 * e * x * H, rtol=1e-9)
+    assert phi.shape == (4,)
+    assert phi[0] == pytest.approx(0.5 * e * r * H, rel=1e-9)
+    assert np.allclose(phi[1:], 0.5 * e * x * H, rtol=1e-9)
 
 
 def test_phi_scales_linearly_in_charge():
@@ -176,10 +175,10 @@ def test_piecewise_family_refused_in_shell():
     w = rest_worldline()
     X = (3.0, 0.075, 0.0, 0.0)  # xi = 0.075 inside the shell for eps = 0.05
     with pytest.raises(SmoothnessRequired):
-        box_phi_analytic(w, BOX, X, 0.05)
+        box_phi_arrays(w, BOX, X, 0.05)
     # outside the shell the boxcar family is fine (H'' plateau is 0)
-    lam, psi, tot = box_phi_analytic(w, BOX, (3.0, 0.5, 0.0, 0.0), 0.05)
-    assert np.all(psi.as_array() == 0)
+    lam, psi, tot = box_phi_arrays(w, BOX, (3.0, 0.5, 0.0, 0.0), 0.05)
+    assert psi.shape == (4,) and np.all(psi == 0)
 
 
 def test_static_coulomb_tail():

@@ -9,7 +9,6 @@ from pointcharge.retarded import (
     div_K_fd,
     grad_tau_check,
     grad_xi,
-    kinematics,
     kinematics_arrays,
     retarded_time,
     retarded_time_bisection,
@@ -154,12 +153,16 @@ def test_converged_points_leave_the_newton_iteration(w):
     assert sizes[0] == n and len(sizes) > 3 and max(sizes[1:-1]) <= n // 2
 
 
-def test_scalar_interface_returns_four_vectors():
+def test_single_point_kinematics():
     w = catalog()[1]
-    k = kinematics(w, (3.0, 1.0, 0.5, 0.0))
-    assert k.xi > 0
-    assert abs(inner(k.K.as_array(), k.K.as_array())) <= 1e-9
-    assert k.tau_r == pytest.approx(retarded_time(w, (3.0, 1.0, 0.5, 0.0)))
+    X = (3.0, 1.0, 0.5, 0.0)
+    k = kinematics_arrays(w, X)
+    assert np.shape(k["xi"]) == () and k["xi"] > 0
+    assert k["R"].shape == k["K"].shape == (4,)
+    assert abs(inner(k["K"], k["K"])) <= 1e-9
+    tau = retarded_time(w, X)
+    assert isinstance(tau, float)
+    assert float(k["tau_r"]) == pytest.approx(tau)
 
 
 def test_on_worldline_rejected():

@@ -26,6 +26,52 @@ BOX = make_family(boxcar_mollifier())
 GRID = geometric_grid()
 
 
+def int_dh_sq(fam, eps, weight=None):
+    """int_eps^2eps H_eps'^2 (times weight) dr by quad at this eps: the
+    oracle for the eps-scaling that selfenergy computes from moments."""
+    f = (lambda r: fam.dH(r, eps) ** 2) if weight is None \
+        else (lambda r: fam.dH(r, eps) ** 2 * weight(r))
+    val, _ = quad(f, eps, 2.0 * eps, epsabs=0.0, epsrel=1e-13, limit=200)
+    return val
+
+
+def chi_moments(fam):
+    m0, _ = quad(lambda s: fam.mollifier.chi(s) ** 2, 1.0, 2.0, epsrel=1e-13)
+    m2, _ = quad(lambda s: fam.mollifier.chi(s) ** 2 / s ** 2, 1.0, 2.0,
+                 epsrel=1e-13)
+    return m0, m2
+
+
+@pytest.mark.parametrize("fam", [BUMP, BOX], ids=["bump", "boxcar"])
+def test_energies_match_per_eps_quadrature(fam):
+    e, mu = 1.7, 0.6
+    for eps in GRID:
+        ele = 0.5 * e * e * int_dh_sq(fam, eps)
+        mag = mu * mu / 3.0 * int_dh_sq(fam, eps, lambda r: 1.0 / (r * r))
+        assert u_ele(fam, e, eps) == pytest.approx(ele, rel=1e-10, abs=0.0)
+        assert u_mag(fam, mu, eps) == pytest.approx(mag, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("fam", [BUMP, BOX], ids=["bump", "boxcar"])
+def test_sup_dh_matches_dense_sampling(fam):
+    for eps in GRID:
+        dense = np.max(fam.dH(np.linspace(eps, 2.0 * eps, 20001), eps))
+        assert sup_dh(fam, eps) == pytest.approx(dense, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("fam", [BUMP, BOX], ids=["bump", "boxcar"])
+def test_mass_renormalize_single_term_roots(fam):
+    m0, m2 = chi_moments(fam)
+    for target in (2.0, 37.0, 4e6):
+        # mu = 0: U = A/eps, root A/T; e = 0: U = B/eps^3, root (B/T)^(1/3)
+        assert mass_renormalize(fam, 1.5, 0.0, target) == pytest.approx(
+            0.5 * 1.5 ** 2 * m0 / target, rel=1e-12)
+        assert mass_renormalize(fam, 0.0, 1.5, target) == pytest.approx(
+            (1.5 ** 2 * m2 / 3.0 / target) ** (1.0 / 3.0), rel=1e-12)
+    with pytest.raises(OutOfRange):
+        mass_renormalize(fam, 0.0, 0.0, 5.0)
+
+
 def test_boxcar_closed_forms():
     for eps in GRID:
         assert u_ele(BOX, 1.0, eps) == pytest.approx(1.0 / (2 * eps), rel=1e-12)
@@ -124,8 +170,9 @@ def test_mass_renormalize_out_of_range():
     with pytest.raises(OutOfRange) as exc:
         mass_renormalize(BUMP, 1.0, 1.0, 0.5 * floor)
     assert exc.value.infimum == pytest.approx(floor, rel=1e-12)
-    with pytest.raises(OutOfRange):
-        mass_renormalize(BUMP, 1.0, 1.0, -1.0)
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(OutOfRange):
+            mass_renormalize(BUMP, 1.0, 1.0, bad)
 
 
 def test_threshold_grows_with_charge():
