@@ -16,7 +16,7 @@ what keeps the suite fast; for the catalog worldlines and test geometry
 xi and r agree up to a factor well inside (1/4, 4).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,13 +69,16 @@ def bump_test_function(dimension, center, radius, poly=None):
 
 
 def integral_of(phi, n_gauss=40):
-    """int phi over its support ball by tensor Gauss-Legendre panels."""
+    """int phi over its support ball by tensor Gauss-Legendre panels; phi
+    is evaluated only at the nodes inside the ball, and is 0 at the rest."""
     x, w = np.polynomial.legendre.leggauss(n_gauss)
     d = phi.dimension
     axes = [phi.center[i] + phi.radius * x for i in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(grids, axis=-1)
-    vals = phi(pts if d > 1 else grids[0])
+    y2 = [((a - c) / phi.radius) ** 2 for a, c in zip(axes, phi.center)]
+    inside = np.nonzero(sum(np.ix_(*y2)) < 1.0)
+    pts = np.stack([a[i] for a, i in zip(axes, inside)], axis=-1)
+    vals = np.zeros((n_gauss,) * d)
+    vals[inside] = phi(pts if d > 1 else pts[:, 0])
     wgrid = np.ones_like(vals)
     for i in range(d):
         shape = [1] * d
@@ -159,15 +162,24 @@ def pair_static(radial_net, phi, eps, spacing_factor=8.0):
 
 @dataclass(frozen=True)
 class SliceGrid:
-    """Spacetime quadrature nodes around the worldline track, with cached
-    retarded kinematics shared by every integrand on the grid."""
+    """Spacetime quadrature nodes around the worldline track, with retarded
+    kinematics, phi and (once asked for) Psi shared by its integrands."""
 
-    points: np.ndarray   # (n, 4)
-    weights: np.ndarray  # (n,)
+    points: np.ndarray      # (n, 4)
+    weights: np.ndarray     # (n,)
     kin: dict
+    phi_values: np.ndarray  # (n,), the test function the grid was built for
+    _psi: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def pair(self, values, phi):
-        return float((values * phi(self.points) * self.weights).sum())
+    def pair(self, values):
+        return float((values * self.phi_values * self.weights).sum())
+
+    def psi(self, w, fam, eps, e):
+        key = (fam, eps, e)
+        if key not in self._psi:
+            self._psi[key] = box_phi_arrays(w, fam, self.points, eps, e,
+                                            kin=self.kin)[1]
+        return self._psi[key]
 
 
 def slice_grid(w, phi, eps, r_lo, r_hi, spacing_factor=8.0, n_time=12,
@@ -191,7 +203,7 @@ def slice_grid(w, phi, eps, r_lo, r_hi, spacing_factor=8.0, n_time=12,
     wts = t_wts[:, None, None] * (wr * r * r)[None, :, None] * wa[None, None, :]
     pts = pts.reshape(-1, 4)
     kin = kinematics_arrays(w, pts, tol)
-    return SliceGrid(points=pts, weights=wts.ravel(), kin=kin)
+    return SliceGrid(points=pts, weights=wts.ravel(), kin=kin, phi_values=phi(pts))
 
 
 # the shell xi in [eps, 2*eps] sits inside this radial band (in units of
@@ -284,7 +296,7 @@ def claim_heaviside(w, fam, phi4, eps_grid, tolerance=1e-3, grids=None):
     vals = []
     for eps, g in zip(eps_grid, grids):
         defect = np.asarray(fam.H(g.kin["xi"], eps)) - 1.0
-        vals.append(target + g.pair(defect, phi4))
+        vals.append(target + g.pair(defect))
     return weak_limit(vals, eps_grid, target, tolerance,
                       scale=max(abs(target), 1e-3))
 
@@ -296,8 +308,7 @@ def claim_psi(w, fam, phi4, eps_grid, component=0, e=1.0, tolerance=1e-3,
     grids = grids or _shell_grids(w, phi4, eps_grid)
     vals = []
     for eps, g in zip(eps_grid, grids):
-        _, psi, _ = box_phi_arrays(w, fam, g.points, eps, e, kin=g.kin)
-        vals.append(g.pair(psi[..., component], phi4))
+        vals.append(g.pair(g.psi(w, fam, eps, e)[..., component]))
     return weak_limit(vals, eps_grid, 0.0, tolerance, scale=scale)
 
 
@@ -317,8 +328,8 @@ def claim_box_minus_lw(w, fam, phi4, eps_grid, component=0, e=1.0,
         fd = box_phi_fd(w, fam, g.points, eps, e=e, kin=g.kin)[..., component]
         lam = -e * g.kin["zdot"][..., component] / g.kin["xi"]
         H = np.asarray(fam.H(g.kin["xi"], eps))
-        vals.append(g.pair(fd - lam * H, phi4))
-        lam_ref = g.pair(lam * H, phi4)
+        vals.append(g.pair(fd - lam * H))
+        lam_ref = g.pair(lam * H)
     if scale is None:
         scale = max(abs(lam_ref), 1e-3)
     return weak_limit(vals, eps_grid, 0.0, tolerance, scale=scale)

@@ -24,7 +24,7 @@ from .minkowski import catalog, inner, parse_worldline, validate_worldline
 from .regularization import family_check, geometric_grid, make_family, \
     parse_mollifier
 from .retarded import kinematics_arrays, retarded_time, retarded_time_bisection
-from .selfenergy import divergence_bound_check, mass_renormalize, u_ele, u_mag
+from .selfenergy import _energies, divergence_bound_check, mass_renormalize
 
 
 def _fmt(x):
@@ -238,7 +238,8 @@ def cmd_renormalize(cfg, out, mc2=None):
     except OutOfRange as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    residual = u_ele(cfg.fam, cfg.e, eps0) + u_mag(cfg.fam, cfg.mu, eps0) - target
+    ue, um, _ = _energies(cfg.fam, cfg.e, cfg.mu, eps0)
+    residual = float(ue + um - target)
     out.write(json.dumps({"eps0": eps0, "residual": residual},
                          sort_keys=True) + "\n")
     return 0

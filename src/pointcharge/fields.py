@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SmoothnessRequired
-from .minkowski import METRIC, lower
-from .retarded import DEFAULT_TOL, _as_points, kinematics_arrays
+from .minkowski import METRIC
+from .retarded import DEFAULT_TOL, _as_points, _neighbour_tau0, kinematics_arrays
 
 
 def _phi(fam, kin, eps, e):
@@ -69,8 +69,8 @@ def box_phi_fd(w, fam, X, eps, h=None, e=1.0, tol=DEFAULT_TOL, kin=None):
     """d'Alembertian of Phi by central second differences (oracle path).
 
     kin holds the kinematics at X (solved here if not given).  Neighbour
-    X +- h e_mu starts its solve at tau_r +- h K_mu (d tau_r/dX^mu = K_mu);
-    K sets only the start, the accepted root passes the cold solve's tests.
+    X +- h e_mu starts its solve from the second-order Taylor expansion of
+    tau_r about X; the accepted root passes the cold solve's tests.
     """
     pts, _ = _as_points(X)
     if kin is None:
@@ -79,15 +79,13 @@ def box_phi_fd(w, fam, X, eps, h=None, e=1.0, tol=DEFAULT_TOL, kin=None):
         h = fd_steps(pts, kin["xi"], eps)
     h = np.asarray(h, dtype=float) * np.ones(pts.shape[:-1])
     center = _phi(fam, kin, eps, e)
-    dtau = h[..., None] * lower(kin["K"])
     total = np.zeros_like(center)
     for mu in range(4):
         shift = np.zeros_like(pts)
         shift[..., mu] = h
-        plus = phi_arrays(w, fam, pts + shift, eps, e, tol,
-                          kin["tau_r"] + dtau[..., mu])
-        minus = phi_arrays(w, fam, pts - shift, eps, e, tol,
-                           kin["tau_r"] - dtau[..., mu])
+        tau_plus, tau_minus = _neighbour_tau0(kin, mu, h)
+        plus = phi_arrays(w, fam, pts + shift, eps, e, tol, tau_plus)
+        minus = phi_arrays(w, fam, pts - shift, eps, e, tol, tau_minus)
         total += METRIC[mu] * (plus - 2.0 * center + minus) / (h * h)[..., None]
     return total
 

@@ -98,7 +98,7 @@ class HeavisideFamily:
         out = np.where(t >= 2.0, 1.0, 0.0)
         mask = (t > 1.0) & (t < 2.0)
         if np.any(mask):
-            out = np.where(mask, self._h1(np.clip(t, 1.0, 2.0)), out)
+            out[mask] = self._h1(t[mask])
         return out if out.ndim else float(out)
 
     def dH(self, r, eps):

@@ -8,7 +8,7 @@ the mollifier on [1, 2]: U_ele = e^2 m0/(2 eps), U_mag = mu^2 m2/(3 eps^3)
 and c_eps = sup H_eps' = max chi/eps, where m0 = int chi^2 and
 m2 = int chi^2/s^2.  So eps*U_ele and eps^3*U_mag are constant, and the
 lower-bound chain c_eps >= 1/eps, a_eps >= 1/(8 eps^2 c_eps) >= c0/eps
-quantifies the divergence; a_eps = (2/e^2) U_ele^eps.
+quantifies the divergence; a_eps = (2/e^2) U_ele^eps = m0/eps.
 """
 
 from dataclasses import dataclass
@@ -22,9 +22,9 @@ from .regularization import GeneralizedNet
 
 
 def _energies(fam, e, mu, eps):
-    """(U_ele, U_mag, c_eps) at eps in (0, 1], a float or an array, from
-    the moments m0 = int chi^2 and m2 = int chi^2/s^2 over [1, 2] (by quad)
-    and max chi (on 20001 samples of [1, 2])."""
+    """(U_ele, U_mag, c_eps) at eps in (0, 1] and e, floats or arrays that
+    broadcast, from the moments m0 = int chi^2 and m2 = int chi^2/s^2 over
+    [1, 2] (by quad) and max chi (on 20001 samples of [1, 2])."""
     eps = np.asarray(eps, dtype=float)
     if not np.all((eps > 0.0) & (eps <= 1.0)):
         raise ValueError("eps must lie in (0, 1]")
@@ -91,15 +91,16 @@ class SelfEnergyReport:
 def divergence_bound_check(fam, eps_grid, e=1.0, mu=1.0, rtol=1e-9):
     """Verify the divergence lower bounds on every grid point.
 
-    a_eps = (2/e^2) U_ele^eps must satisfy a_eps >= 1/(8 eps^2 c_eps) and
-    a_eps >= c0/eps with c0 = 1/(8 sup_eps(eps c_eps)); c_eps >= 1/eps
+    a_eps = (2/e^2) U_ele^eps = m0/eps must satisfy a_eps >= 1/(8 eps^2 c_eps)
+    and a_eps >= c0/eps with c0 = 1/(8 sup_eps(eps c_eps)); c_eps >= 1/eps
     holds for any admissible family since int H' = 1 over a width-eps shell.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.size < 3:
         raise ValueError("need at least 3 grid points")
-    ue, um, c = _energies(fam, e, mu, eps_grid)
-    a = (2.0 / (e * e)) * ue
+    # a_eps = 2 U_ele at e = 1 (row 1), so e = 0 needs no division by e
+    (ue, ue1), um, c = _energies(fam, np.array([[e], [1.0]]), mu, eps_grid)
+    a = 2.0 * ue1
     c0 = 1.0 / (8.0 * float(np.max(eps_grid * c)))
     bound = c0 / eps_grid
     violations = []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from pointcharge import association
 from pointcharge.association import (
     association_suite,
     bump_test_function,
@@ -50,6 +51,32 @@ def test_integral_of_matches_quad():
     # single-panel Gauss on a bump (essential singularity at the support
     # edges) converges, but not to quadrature precision
     assert integral_of(phi) == pytest.approx(ref, rel=1e-6)
+
+
+def tensor_stack_integral(phi, n_gauss=40):
+    """The full tensor-grid sum: phi evaluated on every one of n^d nodes."""
+    x, w = np.polynomial.legendre.leggauss(n_gauss)
+    d = phi.dimension
+    axes = [phi.center[i] + phi.radius * x for i in range(d)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    vals = phi(np.stack(grids, axis=-1) if d > 1 else grids[0])
+    wgrid = np.ones_like(vals)
+    for i in range(d):
+        shape = [1] * d
+        shape[i] = n_gauss
+        wgrid = wgrid * (phi.radius * w).reshape(shape)
+    return float((vals * wgrid).sum())
+
+
+@pytest.mark.parametrize("phi", [
+    bump_test_function(4, np.array([3.0, 0.0, 0.0, 0.0]), 1.0),
+    bump_test_function(4, np.array([0.3, -0.2, 0.1, 0.5]), 0.7,
+                       poly=lambda y: 1.0 + y[..., 0] * y[..., 1] ** 2),
+    bump_test_function(1, 0.3, 2.0, poly=lambda y: 1.0 + y ** 3),
+], ids=["bump4", "poly4", "poly1"])
+def test_integral_of_is_the_tensor_stack_sum(phi):
+    # phi is evaluated inside its support ball only; the sum is unchanged
+    assert integral_of(phi) == tensor_stack_integral(phi)
 
 
 def test_radial_nodes_resolve_the_shell():
@@ -124,6 +151,32 @@ def test_suite_subset_selection():
     assert set(rep.results) == {"charge_density"}
     with pytest.raises(ValueError):
         association_suite(w, BUMP, SHORT, claims=("bogus",))
+
+
+def test_suite_evaluates_phi_and_psi_once_per_grid(monkeypatch):
+    phi_calls, psi_calls = [], []
+
+    class CountingTestFunction(association.TestFunction):
+        def __call__(self, x):
+            phi_calls.append(np.shape(x))
+            return super().__call__(x)
+
+    w = rest_worldline()
+    phi4 = CountingTestFunction(dimension=4, center=np.array([3.0, 0.0, 0.0, 0.0]),
+                                radius=1.0)
+    box_phi_arrays = association.box_phi_arrays
+
+    def counting_box_phi(*args, **kwargs):
+        psi_calls.append(1)
+        return box_phi_arrays(*args, **kwargs)
+
+    monkeypatch.setattr(association, "box_phi_arrays", counting_box_phi)
+    rep = association_suite(w, BUMP, SHORT, phi4=phi4)
+    assert rep.passed, str(rep)
+    # one call from integral_of (on the nodes inside the ball), one per grid
+    assert phi_calls.count((196608, 4)) == SHORT.size
+    assert len(phi_calls) == SHORT.size + 1
+    assert len(psi_calls) == SHORT.size
 
 
 def test_full_suite_boost():

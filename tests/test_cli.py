@@ -213,6 +213,16 @@ def test_nan_charge_prints_no_true_row(tmp_path, capsys):
     assert "true" not in text
 
 
+@pytest.mark.parametrize("command", ["selfenergy", "check"])
+def test_zero_charge_prints_verdicts(tmp_path, capsys, command):
+    # a_eps = m0/eps does not depend on e, so e = 0 needs no division by e
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\ne = 0\n")
+    status, text = invoke(["-c", str(cfg), command])
+    assert status in (0, 1)
+    assert text and "Traceback" not in capsys.readouterr().err
+
+
 def test_distalg_verify_unparsable_exits_2(capsys):
     assert_input_error(invoke(["distalg", "verify", "foo"])[0], capsys)
     assert_input_error(invoke(["distalg", "verify", "1/0"])[0], capsys)

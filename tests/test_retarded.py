@@ -4,8 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointcharge.errors import OnWorldline, PointChargeError
-from pointcharge.minkowski import Worldline, catalog, inner, lower
+from pointcharge import retarded
+from pointcharge.minkowski import (
+    Worldline,
+    boost_worldline,
+    catalog,
+    inner,
+    lower,
+    rest_worldline,
+)
 from pointcharge.retarded import (
+    _neighbour_tau0,
     div_K_fd,
     grad_tau_check,
     grad_xi,
@@ -70,6 +79,65 @@ def test_kinematic_identities(w):
 def test_gradient_of_retarded_time_is_K(w):
     pts = cloud(30, w)
     assert grad_tau_check(w, pts, h=1e-4) <= 1e-4
+
+
+def boost_tau(v):
+    """Closed-form tau_r for boost(v): R.R = 0 is the quadratic
+    tau^2 - 2 g (X0 - v X1) tau + X.X = 0, and tau_r is its smaller root."""
+    g = 1.0 / np.sqrt(1.0 - v * v)
+
+    def tau(X):
+        b = g * (X[:, 0] - v * X[:, 1])
+        return b - np.sqrt(b * b - inner(X, X))
+    return tau
+
+
+@pytest.mark.parametrize("w, tau", [
+    (rest_worldline(), lambda X: X[:, 0] - np.linalg.norm(X[:, 1:], axis=-1)),
+    (boost_worldline(0.6), boost_tau(0.6)),
+], ids=["rest", "boost"])
+def test_neighbour_start_is_second_order(w, tau):
+    # the start tau_r +- h K_mu + h^2/2 d_mu d_mu tau_r misses the closed
+    # form by O(h^3), the first-order start tau_r +- h K_mu by O(h^2)
+    pts = cloud(200)
+    k = kinematics_arrays(w, pts)
+    assert np.abs(k["tau_r"] - tau(pts)).max() <= 1e-12
+
+    def gaps(h):
+        second = first = 0.0
+        for mu in range(4):
+            plus, minus = _neighbour_tau0(k, mu, h)
+            for sign, start in ((1.0, plus), (-1.0, minus)):
+                X = pts.copy()
+                X[:, mu] += sign * h
+                exact = tau(X)
+                second = max(second, np.abs(start - exact).max())
+                first = max(first, np.abs(k["tau_r"] + sign * h * lower(k["K"])[:, mu]
+                                          - exact).max())
+        return second, first
+
+    (s1, f1), (s2, f2) = gaps(2e-3), gaps(1e-3)
+    assert 7.0 <= s1 / s2 <= 9.0
+    assert 3.5 <= f1 / f2 <= 4.5
+
+
+@pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
+def test_fd_checks_solve_only_the_centre_cold(w, monkeypatch):
+    # grad_tau_check and div_K_fd start their +-h neighbours from the
+    # centre kinematics; every neighbour keeps its warm root
+    cold = []
+    solve = retarded._solve_array
+
+    def counting(w_, X, tol, tau0=None):
+        if tau0 is None:
+            cold.append(X.size // 4)
+        return solve(w_, X, tol, tau0)
+
+    monkeypatch.setattr(retarded, "_solve_array", counting)
+    pts = cloud(30, w)
+    assert grad_tau_check(w, pts, h=1e-4) <= 1e-4
+    assert div_K_fd(w, pts, h=1e-4).shape == (30,)
+    assert cold == [30, 30]
 
 
 @pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
