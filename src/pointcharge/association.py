@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoTrend, ResolutionTooCoarse
+from .errors import NoTrend
 from .fields import box_phi_arrays, box_phi_fd, static_rho
 from .retarded import _tau_simultaneous, kinematics_arrays
 
@@ -68,21 +68,25 @@ def bump_test_function(dimension, center, radius, poly=None):
                         radius=float(radius), poly=poly)
 
 
-def integral_of(phi, n_gauss=40):
+# Gauss-Legendre nodes per axis of integral_of's tensor grid
+N_GAUSS = 40
+
+
+def integral_of(phi):
     """int phi over its support ball by tensor Gauss-Legendre panels; phi
     is evaluated only at the nodes inside the ball, and is 0 at the rest."""
-    x, w = np.polynomial.legendre.leggauss(n_gauss)
+    x, w = np.polynomial.legendre.leggauss(N_GAUSS)
     d = phi.dimension
     axes = [phi.center[i] + phi.radius * x for i in range(d)]
     y2 = [((a - c) / phi.radius) ** 2 for a, c in zip(axes, phi.center)]
     inside = np.nonzero(sum(np.ix_(*y2)) < 1.0)
     pts = np.stack([a[i] for a, i in zip(axes, inside)], axis=-1)
-    vals = np.zeros((n_gauss,) * d)
+    vals = np.zeros((N_GAUSS,) * d)
     vals[inside] = phi(pts if d > 1 else pts[:, 0])
     wgrid = np.ones_like(vals)
     for i in range(d):
         shape = [1] * d
-        shape[i] = n_gauss
+        shape[i] = N_GAUSS
         wgrid = wgrid * (phi.radius * w).reshape(shape)
     return float((vals * wgrid).sum())
 
@@ -100,20 +104,15 @@ def _panel_nodes(edges, n_per_panel):
     return nodes, wts
 
 
-def radial_nodes(eps, r_lo, r_hi, spacing_factor=8.0, n_per_panel=4,
-                 coarse=False):
+def radial_nodes(eps, r_lo, r_hi, n_per_panel=4, coarse=False):
     """Gauss nodes/weights on [r_lo, r_hi]; panel width <= eps/8 unless
     coarse (for regions where the integrand does not vary on scale eps)."""
-    if spacing_factor < 8.0:
-        raise ResolutionTooCoarse(
-            f"radial spacing eps/{spacing_factor:g} exceeds eps/8"
-        )
     if r_hi <= r_lo:
         return np.empty(0), np.empty(0)
     if coarse:
         n = 16
     else:
-        n = max(2, int(np.ceil((r_hi - r_lo) / (eps / spacing_factor))))
+        n = max(2, int(np.ceil((r_hi - r_lo) / (eps / 8.0))))
     edges = np.linspace(r_lo, r_hi, n + 1)
     return _panel_nodes(edges, n_per_panel)
 
@@ -131,9 +130,9 @@ def _angular_grid(n_theta=8, n_phi=8):
     return dirs, np.outer(wt, wp).ravel()
 
 
-def ball_nodes_3d(center, radius, eps, spacing_factor=8.0,
-                  n_theta=12, n_phi=12):
-    """Spherical product grid on a 3D ball, radially refined on scale eps.
+def ball_nodes_3d(center, radius, eps):
+    """Spherical product grid on a 3D ball, radially refined on scale eps,
+    with 12 x 12 angular nodes.
 
     The refined part [0, 3 eps] is laid out in units of eps, where its
     panel count 3/(1/8) = 24 is exact (on the r scale the quotient
@@ -141,21 +140,21 @@ def ball_nodes_3d(center, radius, eps, spacing_factor=8.0,
     """
     center = np.asarray(center, dtype=float)
     core = min(3.0, radius / eps)
-    s1, w1 = radial_nodes(1.0, 0.0, core, spacing_factor, n_per_panel=8)
-    r2, w2 = radial_nodes(eps, core * eps, radius, spacing_factor, coarse=True)
+    s1, w1 = radial_nodes(1.0, 0.0, core, n_per_panel=8)
+    r2, w2 = radial_nodes(eps, core * eps, radius, coarse=True)
     r, wr = np.concatenate([eps * s1, r2]), np.concatenate([eps * w1, w2])
-    dirs, wa = _angular_grid(n_theta, n_phi)
+    dirs, wa = _angular_grid(12, 12)
     pts = center[None, None, :] + r[:, None, None] * dirs[None, :, :]
     wts = (wr * r * r)[:, None] * wa[None, :]
     return pts.reshape(-1, 3), wts.ravel()
 
 
-def pair_static(radial_net, phi, eps, spacing_factor=8.0):
+def pair_static(radial_net, phi, eps):
     """<u, phi> for a radial 3D net u(r) centered at the origin."""
     if phi.dimension != 3:
         raise ValueError("static pairing needs a 3D test function")
     r_max = phi.radius + float(np.linalg.norm(phi.center))
-    pts, wts = ball_nodes_3d(np.zeros(3), r_max, eps, spacing_factor)
+    pts, wts = ball_nodes_3d(np.zeros(3), r_max, eps)
     r = np.linalg.norm(pts, axis=-1)
     return float((radial_net(r) * phi(pts) * wts).sum())
 
@@ -182,27 +181,28 @@ class SliceGrid:
         return self._psi[key]
 
 
-def slice_grid(w, phi, eps, r_lo, r_hi, spacing_factor=8.0, n_time=12,
-               n_theta=8, n_phi=8, coarse=False, tol=1e-12):
+def slice_grid(w, phi, eps, r_lo, r_hi):
     """Build the product grid time x radius x angle restricted to the
-    radial band [r_lo, r_hi] around the track, and solve the kinematics."""
+    radial band [r_lo, r_hi] around the track, and solve the kinematics:
+    12 Gauss times, radial panels of width <= eps/8 with 4 nodes each, and
+    8 x 8 directions."""
     if phi.dimension != 4:
         raise ValueError("spacetime pairing needs a 4D test function")
-    gx, gw = np.polynomial.legendre.leggauss(n_time)
+    gx, gw = np.polynomial.legendre.leggauss(12)
     t_nodes = phi.center[0] + phi.radius * gx
     t_wts = phi.radius * gw
     tau_star = _tau_simultaneous(w, t_nodes)
     track = w.z(tau_star)[..., 1:]
 
-    r, wr = radial_nodes(eps, r_lo, r_hi, spacing_factor, coarse=coarse)
-    dirs, wa = _angular_grid(n_theta, n_phi)
+    r, wr = radial_nodes(eps, r_lo, r_hi)
+    dirs, wa = _angular_grid()
     pts = np.empty((t_nodes.size, r.size, dirs.shape[0], 4))
     pts[..., 0] = t_nodes[:, None, None]
     pts[..., 1:] = (track[:, None, None, :]
                     + r[None, :, None, None] * dirs[None, None, :, :])
     wts = t_wts[:, None, None] * (wr * r * r)[None, :, None] * wa[None, None, :]
     pts = pts.reshape(-1, 4)
-    kin = kinematics_arrays(w, pts, tol)
+    kin = kinematics_arrays(w, pts)
     return SliceGrid(points=pts, weights=wts.ravel(), kin=kin, phi_values=phi(pts))
 
 
@@ -231,13 +231,16 @@ class AssociationResult:
                 f"target={self.target:.6g} order={self.order:.3g}")
 
 
-def weak_limit(values, eps_grid, target, tolerance=1e-3, scale=None,
-               noise=1e-9):
+# differences below NOISE*scale count as converged in weak_limit
+NOISE = 1e-9
+
+
+def weak_limit(values, eps_grid, target, tolerance=1e-3, scale=None):
     """Extrapolate <u_eps, phi> = L + A*eps^p from the tail of the grid.
 
     The measured order p comes from successive differences on the
     (geometric) grid; if the differences have already dropped below the
-    noise floor the last value is taken as the limit.
+    noise floor NOISE*scale the last value is taken as the limit.
     """
     values = np.asarray(values, dtype=float)
     eps_grid = np.asarray(eps_grid, dtype=float)
@@ -247,7 +250,7 @@ def weak_limit(values, eps_grid, target, tolerance=1e-3, scale=None,
         scale = max(abs(target), 1.0)
     d = np.diff(values)
     d1, d2 = d[-2], d[-1]
-    if max(abs(d1), abs(d2)) <= noise * scale:
+    if max(abs(d1), abs(d2)) <= NOISE * scale:
         limit, order = values[-1], np.inf
     else:
         if abs(d2) >= abs(d1):
@@ -278,10 +281,9 @@ def claim_charge_density(fam, phi3, eps_grid, e=1.0, tolerance=1e-3):
                       scale=max(abs(e), abs(target), 1e-3))
 
 
-def _shell_grids(w, phi4, eps_grid, spacing_factor=8.0):
+def _shell_grids(w, phi4, eps_grid):
     return [slice_grid(w, phi4, eps, SHELL_BAND[0] * eps,
-                       min(SHELL_BAND[1] * eps, 2.5 * phi4.radius),
-                       spacing_factor)
+                       min(SHELL_BAND[1] * eps, 2.5 * phi4.radius))
             for eps in eps_grid]
 
 
@@ -295,7 +297,7 @@ def claim_heaviside(w, fam, phi4, eps_grid, tolerance=1e-3, grids=None):
     grids = grids or _shell_grids(w, phi4, eps_grid)
     vals = []
     for eps, g in zip(eps_grid, grids):
-        defect = np.asarray(fam.H(g.kin["xi"], eps)) - 1.0
+        defect = fam.H(g.kin["xi"], eps) - 1.0
         vals.append(target + g.pair(defect))
     return weak_limit(vals, eps_grid, target, tolerance,
                       scale=max(abs(target), 1e-3))
@@ -327,7 +329,7 @@ def claim_box_minus_lw(w, fam, phi4, eps_grid, component=0, e=1.0,
     for eps, g in zip(eps_grid, grids):
         fd = box_phi_fd(w, fam, g.points, eps, e=e, kin=g.kin)[..., component]
         lam = -e * g.kin["zdot"][..., component] / g.kin["xi"]
-        H = np.asarray(fam.H(g.kin["xi"], eps))
+        H = fam.H(g.kin["xi"], eps)
         vals.append(g.pair(fd - lam * H))
         lam_ref = g.pair(lam * H)
     if scale is None:
@@ -335,20 +337,20 @@ def claim_box_minus_lw(w, fam, phi4, eps_grid, component=0, e=1.0,
     return weak_limit(vals, eps_grid, 0.0, tolerance, scale=scale)
 
 
-def psi_sup_values(w, fam, eps_grid, e=1.0, tau=1.0, n=200):
+def psi_sup_values(w, fam, eps_grid, e=1.0):
     """sup over a shell sample of max-component |Psi_eps|, per eps.
 
-    Sample points sit on rays from the worldline point at eigentime tau,
+    Sample points sit on 200 rays from the worldline point at eigentime 1,
     with radii covering the transition shell.
     """
     rng = np.random.default_rng(20260823)
-    dirs = rng.normal(size=(n, 3))
+    dirs = rng.normal(size=(200, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     out = []
-    z = w.z(np.asarray(tau, dtype=float))
+    z = w.z(np.asarray(1.0))
     for eps in eps_grid:
         radii = np.linspace(0.3 * eps, 4.0 * eps, 80)
-        pts = np.empty((n, radii.size, 4))
+        pts = np.empty((dirs.shape[0], radii.size, 4))
         pts[..., 0] = z[0] + 1.5 * eps
         pts[..., 1:] = z[1:] + radii[None, :, None] * dirs[:, None, :]
         _, psi, _ = box_phi_arrays(w, fam, pts, eps, e)
@@ -371,8 +373,8 @@ CLAIM_NAMES = ("charge_density", "heaviside", "psi_0", "psi_1", "psi_2",
                "psi_3", "box_minus_lw")
 
 
-def association_suite(w, fam, eps_grid, e=1.0, phi3=None, phi4=None,
-                      tolerance=1e-3, include_charge=None, claims=None):
+def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
+                      claims=None):
     """Run the four claims; claim (a) only applies to the rest worldline.
 
     The spacetime grids (and their retarded kinematics) are built once per
@@ -386,20 +388,17 @@ def association_suite(w, fam, eps_grid, e=1.0, phi3=None, phi4=None,
     def wanted(name):
         return claims is None or name in claims
 
-    if phi3 is None:
-        phi3 = bump_test_function(3, np.zeros(3), 1.0)
     if phi4 is None:
         # center the support on the worldline at coordinate time t = 3 so
         # that the transition shell actually meets it
         t0 = 3.0
         track = w.z(_tau_simultaneous(w, np.asarray(t0)))
         phi4 = bump_test_function(4, np.concatenate([[t0], track[1:]]), 1.0)
-    if include_charge is None:
-        include_charge = (w.label == "rest")
     results = {}
-    if include_charge and wanted("charge_density"):
+    if w.label == "rest" and wanted("charge_density"):
         if not fam.smooth:
             raise ValueError("claim (a) needs a smooth family for rho")
+        phi3 = bump_test_function(3, np.zeros(3), 1.0)
         results["charge_density"] = claim_charge_density(
             fam, phi3, eps_grid, e, tolerance)
     spacetime = [n for n in CLAIM_NAMES[1:] if wanted(n)]

@@ -42,16 +42,18 @@ def parse_eps_grid(spec):
             start, ratio, count = float(args[0]), float(args[1]), int(args[2])
         except ValueError as exc:
             raise ConfigError(f"bad epsilon_grid {spec!r}: {exc}") from None
-        grid = geometric_grid(start, ratio, count)
+        # an inf/nan or overflowing grid is rejected below, without warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = geometric_grid(start, ratio, count)
     else:
         body = spec.strip("{}")
         try:
             grid = np.array([float(s) for s in body.split(",")])
         except ValueError as exc:
             raise ConfigError(f"bad epsilon_grid {spec!r}: {exc}") from None
-    if grid.size < 1 or np.any(grid <= 0) or np.any(grid > 1):
+    if grid.size < 1 or not np.all((grid > 0) & (grid <= 1)):
         raise ConfigError("epsilon_grid out of (0,1]")
-    if np.any(np.diff(grid) >= 0):
+    if not np.all(np.diff(grid) < 0):
         raise ConfigError("epsilon_grid must be strictly decreasing")
     return grid
 
@@ -109,10 +111,10 @@ def _positive(key, val):
 def load_config(path=None):
     cfg = RunConfig()
     if path is not None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             read = parser.read(path)
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from None
         if not read:
             raise ConfigError(f"config file not found: {path}")
@@ -301,7 +303,9 @@ def cmd_check(cfg, out):
         record(f"retarded kinematics {w.label}", bool(ok),
                f"max |R.R| = {np.abs(k['residual']).max():.2e}")
 
-    eps = float(cfg.grid[0])
+    # Phi is linear in e, so the oracle runs at e = 1 when e = 0 would make
+    # both sides vanish identically
+    eps, e = float(cfg.grid[0]), cfg.e or 1.0
     for w in catalog():
         pts = np.empty((10, 4))
         d = rng.normal(size=(10, 3))
@@ -311,8 +315,8 @@ def cmd_check(cfg, out):
         pts[:, 0] = z[0] + 1.3 * r
         pts[:, 1:] = z[1:] + r[:, None] * d
         if cfg.fam.smooth:
-            _, _, tot = box_phi_arrays(w, cfg.fam, pts, eps, cfg.e)
-            fd = box_phi_fd(w, cfg.fam, pts, eps, e=cfg.e)
+            _, _, tot = box_phi_arrays(w, cfg.fam, pts, eps, e)
+            fd = box_phi_fd(w, cfg.fam, pts, eps, e=e)
             rel = (np.abs(fd - tot).max(axis=-1)
                    / np.maximum(np.abs(tot).max(axis=-1), 1.0))
             record(f"box Phi fd oracle {w.label}", bool(rel.max() <= 1e-4),

@@ -302,27 +302,6 @@ def _fd_derivative(phi, k, x0=0.0, h=None, acc=8):
     return float(w @ vals)
 
 
-@lru_cache(maxsize=None)
-def _fp_constants(k):
-    """d_{k,j}: <tplus^-k, phi> = A_k(phi) + sum_j d_{k,j} phi^(j)(0)/j!
-
-    where A_k is the plain subtraction integral with the Taylor polynomial
-    removed on (0, 1].  Derived from the derivative recursion
-    <tplus^-(k+1), phi> = (1/k)(<tplus^-k, phi'> + phi^(k)(0)/k!).
-    """
-    if k == 1:
-        return ()
-    prev = _fp_constants(k - 1)
-    m = k - 1  # recursion step index
-    d = [Fraction(-1, m)]
-    for j in range(1, m):
-        dj = Fraction(-1, m)
-        if j - 1 < len(prev):
-            dj += Fraction(j, m) * prev[j - 1]
-        d.append(dj)
-    return tuple(d)
-
-
 def _subtraction_integral(phi, k, support_hi, taylor, extra, t0=0.02):
     """int_0^1 (phi - T_k)/t^k + int_1^inf phi/t^k.
 
@@ -349,8 +328,10 @@ def _pair_fp_plus(phi, k, support_hi):
               for j in range(k + n_extra)]
     taylor = [d / _fact(j) for j, d in enumerate(derivs)]
     val = _subtraction_integral(phi, k, support_hi, taylor[:k], taylor[k:])
-    for j, d in enumerate(_fp_constants(k)):
-        val += float(d) * taylor[j]  # taylor[j] = phi^(j)(0)/j!
+    # <tplus^-k, phi> = A_k(phi) + sum_{j<k-1} phi^(j)(0)/(j! (j+1-k)), from
+    # the recursion <tplus^-(k+1), phi> = (<tplus^-k, phi'> + phi^(k)(0)/k!)/k
+    for j in range(k - 1):
+        val += (1.0 / (j + 1 - k)) * taylor[j]  # taylor[j] = phi^(j)(0)/j!
     return val
 
 

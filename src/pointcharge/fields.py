@@ -21,22 +21,22 @@ import numpy as np
 
 from .errors import SmoothnessRequired
 from .minkowski import METRIC
-from .retarded import DEFAULT_TOL, _as_points, _neighbour_tau0, kinematics_arrays
+from .retarded import _as_points, _neighbour_tau0, kinematics_arrays
 
 
 def _phi(fam, kin, eps, e):
-    return 0.5 * e * kin["R"] * np.asarray(fam.H(kin["xi"], eps))[..., None]
+    return 0.5 * e * kin["R"] * fam.H(kin["xi"], eps)[..., None]
 
 
-def phi_arrays(w, fam, X, eps, e=1.0, tol=DEFAULT_TOL, tau0=None):
+def phi_arrays(w, fam, X, eps, e=1.0, tau0=None):
     """Batched Phi; X has shape (..., 4); tau0 as in kinematics_arrays."""
-    return _phi(fam, kinematics_arrays(w, X, tol, tau0), eps, e)
+    return _phi(fam, kinematics_arrays(w, X, tau0), eps, e)
 
 
-def box_phi_arrays(w, fam, X, eps, e=1.0, tol=DEFAULT_TOL, kin=None):
+def box_phi_arrays(w, fam, X, eps, e=1.0, kin=None):
     """Batched analytic d'Alembertian; returns (Lambda, Psi, total)."""
     if kin is None:
-        kin = kinematics_arrays(w, X, tol)
+        kin = kinematics_arrays(w, X)
     xi, kappa = kin["xi"], kin["kappa"]
     need_shell = bool(np.any((xi > eps) & (xi < 2.0 * eps)))
     if need_shell and not fam.smooth:
@@ -44,9 +44,9 @@ def box_phi_arrays(w, fam, X, eps, e=1.0, tol=DEFAULT_TOL, kin=None):
             "xi falls inside the transition shell; H'' of a piecewise family "
             "is not a function"
         )
-    H = np.asarray(fam.H(xi, eps))
-    dH = np.asarray(fam.dH(xi, eps))
-    d2H = np.asarray(fam.d2H(xi, eps)) if need_shell else np.zeros_like(dH)
+    H = fam.H(xi, eps)
+    dH = fam.dH(xi, eps)
+    d2H = fam.d2H(xi, eps) if need_shell else np.zeros_like(dH)
     lam = -e * kin["zdot"] / xi[..., None]
     coeff = e * ((3.0 * xi * kappa - 2.0) * dH + (xi * kappa - 0.5) * xi * d2H)
     psi = coeff[..., None] * kin["K"]
@@ -54,7 +54,7 @@ def box_phi_arrays(w, fam, X, eps, e=1.0, tol=DEFAULT_TOL, kin=None):
     return lam, psi, total
 
 
-def fd_steps(X, xi, eps, shell_factor=40.0):
+def fd_steps(X, xi, eps):
     """Per-point step for the 9-point stencil: eps/40 inside the widened
     shell, 1e-3*|X| far away, and in between small enough that the stencil
     cannot reach back into the transition shell (the light-cone distance
@@ -62,10 +62,10 @@ def fd_steps(X, xi, eps, shell_factor=40.0):
     X = np.asarray(X, dtype=float)
     scale = np.maximum(1.0, np.linalg.norm(X, axis=-1))
     return np.minimum(5e-4 * scale,
-                      np.maximum(eps / shell_factor, (xi - 2.0 * eps) / 20.0))
+                      np.maximum(eps / 40.0, (xi - 2.0 * eps) / 20.0))
 
 
-def box_phi_fd(w, fam, X, eps, h=None, e=1.0, tol=DEFAULT_TOL, kin=None):
+def box_phi_fd(w, fam, X, eps, h=None, e=1.0, kin=None):
     """d'Alembertian of Phi by central second differences (oracle path).
 
     kin holds the kinematics at X (solved here if not given).  Neighbour
@@ -74,7 +74,7 @@ def box_phi_fd(w, fam, X, eps, h=None, e=1.0, tol=DEFAULT_TOL, kin=None):
     """
     pts, _ = _as_points(X)
     if kin is None:
-        kin = kinematics_arrays(w, pts, tol)
+        kin = kinematics_arrays(w, pts)
     if h is None:
         h = fd_steps(pts, kin["xi"], eps)
     h = np.asarray(h, dtype=float) * np.ones(pts.shape[:-1])
@@ -84,8 +84,8 @@ def box_phi_fd(w, fam, X, eps, h=None, e=1.0, tol=DEFAULT_TOL, kin=None):
         shift = np.zeros_like(pts)
         shift[..., mu] = h
         tau_plus, tau_minus = _neighbour_tau0(kin, mu, h)
-        plus = phi_arrays(w, fam, pts + shift, eps, e, tol, tau_plus)
-        minus = phi_arrays(w, fam, pts - shift, eps, e, tol, tau_minus)
+        plus = phi_arrays(w, fam, pts + shift, eps, e, tau_plus)
+        minus = phi_arrays(w, fam, pts - shift, eps, e, tau_minus)
         total += METRIC[mu] * (plus - 2.0 * center + minus) / (h * h)[..., None]
     return total
 
@@ -102,19 +102,19 @@ class StaticField:
 def static_phi(fam, r, eps, e=1.0):
     """Regularized Coulomb potential e*H_eps(r)/r (vectorized in r)."""
     r = np.asarray(r, dtype=float)
-    return e * np.asarray(fam.H(r, eps)) / r
+    return e * fam.H(r, eps) / r
 
 
 def static_E_radial(fam, r, eps, e=1.0):
     """Radial component of E = -grad phi."""
     r = np.asarray(r, dtype=float)
-    return e * (np.asarray(fam.H(r, eps)) / (r * r) - np.asarray(fam.dH(r, eps)) / r)
+    return e * (fam.H(r, eps) / (r * r) - fam.dH(r, eps) / r)
 
 
 def static_rho(fam, r, eps, e=1.0):
     """Charge density from 4*pi*rho = div E = -e H''(r)/r."""
     r = np.asarray(r, dtype=float)
-    return -e * np.asarray(fam.d2H(r, eps)) / (4.0 * np.pi * r)
+    return -e * fam.d2H(r, eps) / (4.0 * np.pi * r)
 
 
 def static_field(fam, x, eps, e=1.0):

@@ -80,8 +80,8 @@ def boost_worldline(v):
 
 def hyperbolic_worldline(a):
     """Uniform proper acceleration a in the (x0, x1) plane."""
-    if a == 0:
-        raise ConfigError("hyperbolic worldline needs a != 0")
+    if not (np.isfinite(a) and a != 0):
+        raise ConfigError(f"hyperbolic worldline needs a finite a != 0, got {a}")
     return Worldline(
         label="hyperbolic",
         z=lambda tau: _fill(tau, np.sinh(a * tau) / a, np.cosh(a * tau) / a, 0.0, 0.0),
@@ -165,8 +165,10 @@ class WorldlineReport:
         return "\n".join(lines)
 
 
-def validate_worldline(w, tau_grid, tol=1e-10):
-    """Check eigentime normalization, orthogonality and future-direction."""
+def validate_worldline(w, tau_grid):
+    """Check eigentime normalization and orthogonality, each to 1e-10, and
+    future-direction."""
+    tol = 1e-10
     tau = np.asarray(tau_grid, dtype=float)
     if tau.size == 0:
         raise ValueError("tau_grid must be nonempty")

@@ -103,10 +103,10 @@ def _tau_simultaneous(w, X0):
     return tau.reshape(X0.shape)
 
 
-def _newton(w, X, tau, lo, hi, tol, scale):
+def _newton(w, X, tau, lo, hi, scale):
     """_rtsafe on -g(tau) = -R.R, whose derivative is 2*xi, for X of shape
-    (n, 4).  A point converges when |g| <= tol*scale and the step is at
-    most tol*max(1, |tau|), at an iterate with R0 > 0 and xi > 0: the
+    (n, 4).  A point converges when |g| <= DEFAULT_TOL*scale and the step is
+    at most DEFAULT_TOL*max(1, |tau|), at an iterate with R0 > 0 and xi > 0: the
     light cone of X meets the worldline once in its past, so that
     certifies the retarded root."""
     def fdf(idx, t):
@@ -114,10 +114,10 @@ def _newton(w, X, tau, lo, hi, tol, scale):
         xi = inner(w.zdot(t), R)
         return -inner(R, R), 2.0 * xi, (R[:, 0] > 0) & (xi > 0)
 
-    return _rtsafe(fdf, tau, lo, hi, tol * scale, tol)
+    return _rtsafe(fdf, tau, lo, hi, DEFAULT_TOL * scale, DEFAULT_TOL)
 
 
-def _solve_array(w, X, tol, tau0=None):
+def _solve_array(w, X, tau0=None):
     """tau_r for points X of shape (..., 4).
 
     Without tau0 every point is bracketed between a past point with g > 0
@@ -132,9 +132,9 @@ def _solve_array(w, X, tol, tau0=None):
     if tau0 is not None:
         inf = np.full(X.shape[0], np.inf)
         tau, ok = _newton(w, X, np.broadcast_to(tau0, shape).ravel(), -inf, inf,
-                          tol, scale)
+                          scale)
         if not ok.all():
-            tau[~ok] = _solve_array(w, X[~ok], tol)
+            tau[~ok] = _solve_array(w, X[~ok])
         return tau.reshape(shape)
 
     hi = _tau_simultaneous(w, X[:, 0])
@@ -145,56 +145,51 @@ def _solve_array(w, X, tol, tau0=None):
     # lab-time guess X0 - |x - z(X0)|, exact at rest; clipped, since it can
     # overshoot into overflow territory for accelerated worldlines
     guess = X[:, 0] - np.linalg.norm(X[:, 1:] - w.z(X[:, 0])[:, 1:], axis=-1)
-    tau, ok = _newton(w, X, np.clip(guess, lo, hi), lo, hi, tol, scale)
+    tau, ok = _newton(w, X, np.clip(guess, lo, hi), lo, hi, scale)
     if not ok.all():
         g = np.abs(_g(w, X[~ok], tau[~ok]))
         raise NoConvergence(MAX_ITER, float(g.max()))
     return tau.reshape(shape)
 
 
-def retarded_time(w, X, tol=DEFAULT_TOL):
+def retarded_time(w, X):
     """Retarded proper time tau_r(X) for worldline w.
 
     Newton iteration on g(tau) = R.R using dg/dtau = -2*xi, with a
     bisection fallback whenever the Newton step leaves the bracket.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     pts, scalar = _as_points(X)
-    tau = _solve_array(w, pts, tol)
+    tau = _solve_array(w, pts)
     return float(tau) if scalar else tau
 
 
-def retarded_time_bisection(w, X, tol=1e-12, bracket_width=None):
+def retarded_time_bisection(w, X):
     """Independent bisection oracle for tau_r; no Newton steps involved.
 
-    By default the lower bracket end is found by doubling steps down from
-    the simultaneous point (R.R evaluated very deep in the past of a
-    strongly accelerated worldline cancels catastrophically in floats, so
-    the bracket should be no deeper than necessary).  Pass bracket_width
-    to use the fixed bracket [hi - width, hi] instead.
+    The lower bracket end is found by doubling steps down from the
+    simultaneous point (R.R evaluated very deep in the past of a strongly
+    accelerated worldline cancels catastrophically in floats, so the
+    bracket should be no deeper than necessary).
     """
     pts, scalar = _as_points(X)
-    X0 = pts[..., 0]
-    hi = _tau_simultaneous(w, X0)
-    step = 1.0 if bracket_width is None else bracket_width
-    lo = _past_end(w, pts, hi, step)
+    hi = _tau_simultaneous(w, pts[..., 0])
+    lo = _past_end(w, pts, hi, 1.0)
     for _ in range(200):
         tau = 0.5 * (lo + hi)
         g = _g(w, pts, tau)
         lo = np.where(g > 0, tau, lo)
         hi = np.where(g <= 0, tau, hi)
-        if np.all(hi - lo <= tol):
+        if np.all(hi - lo <= DEFAULT_TOL):
             break
     tau = 0.5 * (lo + hi)
     return float(tau) if scalar else tau
 
 
-def kinematics_arrays(w, X, tol=DEFAULT_TOL, tau0=None):
+def kinematics_arrays(w, X, tau0=None):
     """Batched kinematics; returns a dict of arrays keyed by quantity.
     tau0, broadcast to the points, sets only where the retarded solve starts."""
     pts, _ = _as_points(X)
-    tau = _solve_array(w, pts, tol, tau0)
+    tau = _solve_array(w, pts, tau0)
     R = pts - w.z(tau)
     zdot = w.zdot(tau)
     zddot = w.zddot(tau)
@@ -223,46 +218,46 @@ def _neighbour_tau0(kin, mu, h):
     return kin["tau_r"] + h * k + curve, kin["tau_r"] - h * k + curve
 
 
-def grad_tau_check(w, X, h=1e-4, tol=DEFAULT_TOL):
+def grad_tau_check(w, X, h=1e-4):
     """Max componentwise gap between central differences of tau_r and K.
 
     The analytic gradient with respect to the coordinates X^mu is the
     lowered K vector; the finite-difference error is O(h^2).
     """
     pts, _ = _as_points(X)
-    k = kinematics_arrays(w, pts, tol)
+    k = kinematics_arrays(w, pts)
     K_low = lower(k["K"])
     worst = 0.0
     for mu in range(4):
         e = np.zeros(4)
         e[mu] = h
         plus, minus = _neighbour_tau0(k, mu, h)
-        fd = (_solve_array(w, pts + e, tol, plus)
-              - _solve_array(w, pts - e, tol, minus)) / (2 * h)
+        fd = (_solve_array(w, pts + e, plus)
+              - _solve_array(w, pts - e, minus)) / (2 * h)
         worst = max(worst, float(np.abs(fd - K_low[..., mu]).max()))
     return worst
 
 
-def grad_xi(w, X, tol=DEFAULT_TOL):
+def grad_xi(w, X):
     """Analytic gradient of the retarded distance.
 
     Returned contravariant, G = Zdot + (xi*kappa - 1) K, so that
     d(xi)/dX^mu equals the lowered components of G.  Never zero.
     """
-    k = kinematics_arrays(w, X, tol)
+    k = kinematics_arrays(w, X)
     return k["zdot"] + (k["xi"] * k["kappa"] - 1.0)[..., None] * k["K"]
 
 
-def div_K_fd(w, X, h=1e-4, tol=DEFAULT_TOL):
+def div_K_fd(w, X, h=1e-4):
     """Coordinate divergence sum_mu dK^mu/dX^mu by central differences."""
     pts, _ = _as_points(X)
-    k = kinematics_arrays(w, pts, tol)
+    k = kinematics_arrays(w, pts)
     total = 0.0
     for mu in range(4):
         e = np.zeros(4)
         e[mu] = h
         plus, minus = _neighbour_tau0(k, mu, h)
-        Kp = kinematics_arrays(w, pts + e, tol, plus)["K"][..., mu]
-        Km = kinematics_arrays(w, pts - e, tol, minus)["K"][..., mu]
+        Kp = kinematics_arrays(w, pts + e, plus)["K"][..., mu]
+        Km = kinematics_arrays(w, pts - e, minus)["K"][..., mu]
         total = total + (Kp - Km) / (2 * h)
     return total

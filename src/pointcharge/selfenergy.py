@@ -88,8 +88,9 @@ class SelfEnergyReport:
         return "\n".join(lines)
 
 
-def divergence_bound_check(fam, eps_grid, e=1.0, mu=1.0, rtol=1e-9):
-    """Verify the divergence lower bounds on every grid point.
+def divergence_bound_check(fam, eps_grid, e=1.0, mu=1.0):
+    """Verify the divergence lower bounds on every grid point, up to a
+    relative 1e-9.
 
     a_eps = (2/e^2) U_ele^eps = m0/eps must satisfy a_eps >= 1/(8 eps^2 c_eps)
     and a_eps >= c0/eps with c0 = 1/(8 sup_eps(eps c_eps)); c_eps >= 1/eps
@@ -103,6 +104,7 @@ def divergence_bound_check(fam, eps_grid, e=1.0, mu=1.0, rtol=1e-9):
     a = 2.0 * ue1
     c0 = 1.0 / (8.0 * float(np.max(eps_grid * c)))
     bound = c0 / eps_grid
+    rtol = 1e-9
     violations = []
     for i, t in enumerate(eps_grid):
         if not np.isfinite([ue[i], um[i], c[i], bound[i]]).all():

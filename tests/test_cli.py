@@ -1,10 +1,13 @@
 import io
 import json
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pointcharge.cli import load_config, parse_eps_grid, run
+from pointcharge.cli import RunConfig, load_config, parse_eps_grid, run
 from pointcharge.errors import ConfigError
 
 
@@ -26,6 +29,7 @@ def test_parse_eps_grid_explicit():
 
 @pytest.mark.parametrize("bad", [
     "geometric(1.5, 0.5, 4)", "{1.5, 0.5}", "{0.1, -0.2}",
+    "geometric(nan, 0.5, 4)", "{nan, 0.05, 0.02}",
 ])
 def test_parse_eps_grid_out_of_range(bad):
     with pytest.raises(ConfigError, match=r"epsilon_grid out of \(0,1\]"):
@@ -221,6 +225,12 @@ def test_zero_charge_prints_verdicts(tmp_path, capsys, command):
     status, text = invoke(["-c", str(cfg), command])
     assert status in (0, 1)
     assert text and "Traceback" not in capsys.readouterr().err
+    # Phi is linear in e, so the box Phi oracle runs at e = 1 and compares
+    # non-zero fields
+    oracle = [line for line in text.splitlines() if "oracle" in line]
+    assert len(oracle) == (4 if command == "check" else 0)
+    assert all(float(line.split("max rel = ")[1].rstrip(")")) > 0
+               for line in oracle)
 
 
 def test_distalg_verify_unparsable_exits_2(capsys):
@@ -269,3 +279,73 @@ def test_non_positive_config_mc2_exits_2(tmp_path, capsys, value):
     cfg = tmp_path / "run.ini"
     cfg.write_text(f"[run]\nmc2 = {value}\n")
     assert_input_error(invoke(["-c", str(cfg), "renormalize"])[0], capsys)
+
+
+@pytest.mark.parametrize("body, command", [
+    ("epsilon_grid = geometric(nan, 0.5, 4)", "selfenergy"),
+    ("epsilon_grid = {nan, 0.05, 0.02}", "selfenergy"),
+    ("epsilon_grid = geometric(0.1, 1e300, 4)", "selfenergy"),
+    ("worldline = hyperbolic(nan)", "kinematics"),
+    ("worldline = hyperbolic(inf)", "kinematics"),
+    ("worldline = boost(50%)", "kinematics"),
+    ("e = 1%", "selfenergy"),
+])
+@pytest.mark.filterwarnings("error")  # the one-line reason is all of stderr
+def test_malformed_run_value_exits_2(tmp_path, capsys, body, command):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\n{body}\n")
+    assert_input_error(invoke(["-c", str(cfg), command])[0], capsys)
+
+
+def test_undecodable_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(b"[run]\ne = 1\xff\n")
+    assert_input_error(invoke(["-c", str(cfg), "selfenergy"])[0], capsys)
+
+
+# ---------------------------------------------------------------------------
+# property test over the [run] grammar: load_config returns a RunConfig or
+# raises ConfigError, never anything else
+
+STRAY = st.text(alphabet=string.ascii_letters + string.digits
+                + string.punctuation + " ", max_size=3)
+NUMBER = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+ARG = st.one_of(NUMBER, NUMBER.map(lambda s: s + "x"), STRAY)
+
+
+def _call(name, args):
+    return f"{name}({', '.join(args)})"
+
+
+WORLDLINE = st.one_of(
+    st.just("rest"),
+    st.builds(_call, st.just("boost"), st.lists(ARG, min_size=1, max_size=1)),
+    st.builds(_call, st.just("hyperbolic"), st.lists(ARG, min_size=1, max_size=1)),
+    st.builds(_call, st.sampled_from(["circular", "boost", "hyperbolic"]),
+              st.lists(ARG, min_size=0, max_size=3)),
+    STRAY,
+).flatmap(lambda s: st.sampled_from([s, s + ")", "(" + s]))
+EPSILON_GRID = st.one_of(
+    st.builds(lambda a, b, n: f"geometric({a}, {b}, {n})",
+              ARG, ARG, st.integers(0, 64).map(str) | STRAY),
+    st.lists(ARG, max_size=6).map(lambda xs: "{" + ", ".join(xs) + "}"),
+)
+NUMERIC_KEYS = ("e", "mu", "mc2", "tolerance", "tf_radius", "max_delta_order")
+
+
+@given(
+    worldline=st.none() | WORLDLINE,
+    epsilon_grid=st.none() | EPSILON_GRID,
+    numbers=st.dictionaries(st.sampled_from(NUMERIC_KEYS), ARG | STRAY),
+)
+@settings(max_examples=60, deadline=None)
+def test_load_config_returns_or_raises_config_error(
+        tmp_path_factory, worldline, epsilon_grid, numbers):
+    run_keys = dict(numbers, worldline=worldline, epsilon_grid=epsilon_grid)
+    lines = [f"{k} = {v}" for k, v in run_keys.items() if v is not None]
+    cfg = tmp_path_factory.mktemp("grammar") / "run.ini"
+    cfg.write_text("[run]\n" + "\n".join(lines) + "\n")
+    try:
+        assert isinstance(load_config(str(cfg)), RunConfig)
+    except ConfigError:
+        pass

@@ -1,3 +1,4 @@
+import string
 from fractions import Fraction
 
 import numpy as np
@@ -258,3 +259,35 @@ def test_format_parse_round_trip(picks):
     for atom, c in picks:
         u = u + DistExpr.atom(atom, c)
     assert parse_expr(format_expr(u)) == u
+
+
+# property test over the expression syntax: parse_expr returns a DistExpr
+# or raises ValueError (ZeroDivisionError for a zero denominator)
+
+INT = st.integers(-3, 20).map(str)
+ATOM_TEXT = st.one_of(
+    st.sampled_from(["1", "t", "theta", "delta", "0"]),
+    st.builds("t^{}".format, INT),
+    st.builds("tplus^-{}".format, INT),
+    st.builds("tminus^-{}".format, INT),
+    st.builds("delta^({})".format, INT),
+    st.builds("{}/{}".format, INT, INT),
+    st.text(alphabet=string.ascii_letters + string.digits + string.punctuation,
+            max_size=4),
+)
+COEF = st.one_of(st.just(""), st.builds("{}*".format, INT),
+                 st.builds("{}/{} * ".format, INT, INT))
+TERM = st.builds(lambda c, a, stray: c + a + stray, COEF, ATOM_TEXT,
+                 st.sampled_from(["", " ", "*", "^", ")"]))
+
+
+@given(signs=st.lists(st.sampled_from(["", "+", "-", " - ", "+-"]),
+                      min_size=1, max_size=4),
+       terms=st.lists(TERM, min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_parse_expr_returns_or_raises_value_error(signs, terms):
+    text = "".join(s + t for s, t in zip(signs, terms))
+    try:
+        assert isinstance(parse_expr(text), DistExpr)
+    except (ValueError, ZeroDivisionError):
+        pass

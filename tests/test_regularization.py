@@ -75,6 +75,13 @@ def test_d2H_matches_fd_of_dH():
     assert np.abs(fd - BUMP.d2H(r, eps)).max() < 1e-4
 
 
+@pytest.mark.parametrize("r", [0.15, [0.05, 0.15, 0.25]], ids=["scalar", "array"])
+@pytest.mark.parametrize("name", ["H", "dH", "d2H"])
+def test_family_returns_arrays_of_the_input_shape(name, r):
+    out = getattr(BUMP, name)(r, 0.1)
+    assert isinstance(out, np.ndarray) and out.shape == np.shape(r)
+
+
 def test_boxcar_second_derivative_refused():
     with pytest.raises(SmoothnessRequired):
         BOX.d2H(0.15, 0.1)

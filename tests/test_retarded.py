@@ -128,10 +128,10 @@ def test_fd_checks_solve_only_the_centre_cold(w, monkeypatch):
     cold = []
     solve = retarded._solve_array
 
-    def counting(w_, X, tol, tau0=None):
+    def counting(w_, X, tau0=None):
         if tau0 is None:
             cold.append(X.size // 4)
-        return solve(w_, X, tol, tau0)
+        return solve(w_, X, tau0)
 
     monkeypatch.setattr(retarded, "_solve_array", counting)
     pts = cloud(30, w)
