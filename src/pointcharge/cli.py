@@ -18,7 +18,7 @@ import numpy as np
 
 from . import distalg
 from .association import CLAIM_NAMES, association_suite, bump_test_function
-from .errors import ConfigError, OutOfRange, PointChargeError
+from .errors import ConfigError, InvalidMollifier, OutOfRange, PointChargeError
 from .fields import box_phi_arrays, box_phi_fd, phi_arrays
 from .minkowski import catalog, inner, parse_worldline, validate_worldline
 from .regularization import family_check, geometric_grid, make_family, \
@@ -29,6 +29,10 @@ from .selfenergy import _energies, divergence_bound_check, mass_renormalize
 
 def _fmt(x):
     return f"{float(x):.17g}"
+
+
+# most values a geometric(start, ratio, count) epsilon grid may hold
+MAX_GRID_COUNT = 64
 
 
 def parse_eps_grid(spec):
@@ -42,6 +46,10 @@ def parse_eps_grid(spec):
             start, ratio, count = float(args[0]), float(args[1]), int(args[2])
         except ValueError as exc:
             raise ConfigError(f"bad epsilon_grid {spec!r}: {exc}") from None
+        # checked before geometric_grid allocates count floats
+        if not 1 <= count <= MAX_GRID_COUNT:
+            raise ConfigError(f"geometric count must be in 1..{MAX_GRID_COUNT}, "
+                              f"got {count}")
         # an inf/nan or overflowing grid is rejected below, without warnings
         with np.errstate(over="ignore", invalid="ignore"):
             grid = geometric_grid(start, ratio, count)
@@ -85,7 +93,10 @@ class RunConfig:
 
     def resolve(self):
         self.w = parse_worldline(self.worldline)
-        self.fam = make_family(parse_mollifier(self.mollifier))
+        try:
+            self.fam = make_family(parse_mollifier(self.mollifier))
+        except InvalidMollifier as exc:
+            raise ConfigError(str(exc)) from None
         self.grid = parse_eps_grid(self.epsilon_grid)
         return self
 

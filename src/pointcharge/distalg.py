@@ -375,8 +375,11 @@ def pair_expr(u, phi, support=(-8.0, 8.0)):
 # `t`, `t^N`, `1`; terms joined with + and -, optional rational coefficient
 # followed by `*`.
 
+# a rational coefficient, and the only form a bare constant may take
+_COEF = r"-?\d+(?:/\d+)?"
+_CONST_RE = re.compile(_COEF)
 _ATOM_RE = re.compile(
-    r"^(?:(?P<coef>-?\d+(?:/\d+)?)\s*\*\s*)?(?P<atom>"
+    rf"^(?:(?P<coef>{_COEF})\s*\*\s*)?(?P<atom>"
     r"theta|tplus\^-\d+|tminus\^-\d+|delta(?:\^\(\d+\))?|t(?:\^\d+)?|1)$"
 )
 
@@ -426,12 +429,11 @@ def parse_expr(text):
     for sign, term in terms:
         m = _ATOM_RE.match(term)
         if not m:
-            # bare rational constant
-            try:
-                c = Fraction(term)
-            except ValueError:
-                raise ValueError(f"cannot parse term {term!r}") from None
-            atom, coef = mono(0), c
+            # bare rational constant; no exponent or decimal form, so the
+            # text bounds the size of the Fraction
+            if not _CONST_RE.fullmatch(term):
+                raise ValueError(f"cannot parse term {term!r}")
+            atom, coef = mono(0), Fraction(term)
         else:
             atom = _atom_from_text(m.group("atom"))
             coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)

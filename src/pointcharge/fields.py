@@ -20,8 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SmoothnessRequired
-from .minkowski import METRIC
-from .retarded import _as_points, _neighbour_tau0, kinematics_arrays
+from .minkowski import METRIC, inner
+from .retarded import _as_points, _neighbour_tau0, _solve_array, kinematics_arrays
+
+# points per block of the finite-difference stencil: small enough that a
+# block's (n, 4) arrays stay in cache, large enough to amortize the Python
+# loop; every operation is per point, so the result does not depend on it
+BLOCK = 8192
 
 
 def _phi(fam, kin, eps, e):
@@ -29,8 +34,14 @@ def _phi(fam, kin, eps, e):
 
 
 def phi_arrays(w, fam, X, eps, e=1.0, tau0=None):
-    """Batched Phi; X has shape (..., 4); tau0 as in kinematics_arrays."""
-    return _phi(fam, kinematics_arrays(w, X, tau0), eps, e)
+    """Batched Phi; X has shape (..., 4); tau0 as in kinematics_arrays.
+
+    Forms only R and xi at the retarded time, the two quantities Phi reads.
+    """
+    pts, _ = _as_points(X)
+    tau = _solve_array(w, pts, tau0)
+    R = pts - w.z(tau)
+    return _phi(fam, {"R": R, "xi": inner(w.zdot(tau), R)}, eps, e)
 
 
 def box_phi_arrays(w, fam, X, eps, e=1.0, kin=None):
@@ -70,24 +81,33 @@ def box_phi_fd(w, fam, X, eps, h=None, e=1.0, kin=None):
 
     kin holds the kinematics at X (solved here if not given).  Neighbour
     X +- h e_mu starts its solve from the second-order Taylor expansion of
-    tau_r about X; the accepted root passes the cold solve's tests.
+    tau_r about X; the accepted root passes the cold solve's tests.  The
+    points are processed BLOCK at a time.
     """
     pts, _ = _as_points(X)
     if kin is None:
         kin = kinematics_arrays(w, pts)
     if h is None:
         h = fd_steps(pts, kin["xi"], eps)
-    h = np.asarray(h, dtype=float) * np.ones(pts.shape[:-1])
-    center = _phi(fam, kin, eps, e)
-    total = np.zeros_like(center)
-    for mu in range(4):
-        shift = np.zeros_like(pts)
-        shift[..., mu] = h
-        tau_plus, tau_minus = _neighbour_tau0(kin, mu, h)
-        plus = phi_arrays(w, fam, pts + shift, eps, e, tau_plus)
-        minus = phi_arrays(w, fam, pts - shift, eps, e, tau_minus)
-        total += METRIC[mu] * (plus - 2.0 * center + minus) / (h * h)[..., None]
-    return total
+    shape = pts.shape[:-1]
+    h = (np.asarray(h, dtype=float) * np.ones(shape)).ravel()
+    pts = pts.reshape(-1, 4)
+    kin = {k: np.reshape(v, (pts.shape[0],) + np.shape(v)[len(shape):])
+           for k, v in kin.items()}
+    out = np.zeros_like(pts)
+    for start in range(0, pts.shape[0], BLOCK):
+        b = slice(start, start + BLOCK)
+        x, hb, total = pts[b], h[b], out[b]
+        kb = {k: v[b] for k, v in kin.items()}
+        center = _phi(fam, kb, eps, e)
+        for mu in range(4):
+            shift = np.zeros_like(x)
+            shift[:, mu] = hb
+            tau_plus, tau_minus = _neighbour_tau0(kb, mu, hb)
+            plus = phi_arrays(w, fam, x + shift, eps, e, tau_plus)
+            minus = phi_arrays(w, fam, x - shift, eps, e, tau_minus)
+            total += METRIC[mu] * (plus - 2.0 * center + minus) / (hb * hb)[:, None]
+    return out.reshape(shape + (4,))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 import io
 import json
 import string
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointcharge import cli
 from pointcharge.cli import RunConfig, load_config, parse_eps_grid, run
 from pointcharge.errors import ConfigError
 
@@ -34,6 +36,14 @@ def test_parse_eps_grid_explicit():
 def test_parse_eps_grid_out_of_range(bad):
     with pytest.raises(ConfigError, match=r"epsilon_grid out of \(0,1\]"):
         parse_eps_grid(bad)
+
+
+def test_parse_eps_grid_geometric_count_bounds():
+    assert parse_eps_grid(f"geometric(0.1, 0.5, {cli.MAX_GRID_COUNT})").size \
+        == cli.MAX_GRID_COUNT
+    for count in (0, -3, cli.MAX_GRID_COUNT + 1):
+        with pytest.raises(ConfigError, match="geometric count"):
+            parse_eps_grid(f"geometric(0.1, 0.5, {count})")
 
 
 def test_parse_eps_grid_must_decrease():
@@ -236,6 +246,32 @@ def test_zero_charge_prints_verdicts(tmp_path, capsys, command):
 def test_distalg_verify_unparsable_exits_2(capsys):
     assert_input_error(invoke(["distalg", "verify", "foo"])[0], capsys)
     assert_input_error(invoke(["distalg", "verify", "1/0"])[0], capsys)
+
+
+@pytest.mark.parametrize("expr", ["1e999999999", "1e5000"])
+def test_distalg_verify_exponent_constant_exits_2_at_once(capsys, expr):
+    # a bare constant takes the coefficient grammar, so no power of ten is
+    # built before the term is refused
+    start = time.perf_counter()
+    assert_input_error(invoke(["distalg", "verify", expr])[0], capsys)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_unknown_mollifier_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nmollifier = junk\n")
+    assert_input_error(invoke(["-c", str(cfg), "selfenergy"])[0], capsys)
+
+
+def test_huge_geometric_count_exits_2_without_allocating(tmp_path, capsys,
+                                                         monkeypatch):
+    def refuse(*args):
+        raise AssertionError("geometric_grid called before the count check")
+
+    monkeypatch.setattr(cli, "geometric_grid", refuse)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\nepsilon_grid = geometric(0.1, 0.5, {10**10})\n")
+    assert_input_error(invoke(["-c", str(cfg), "selfenergy"])[0], capsys)
 
 
 @pytest.mark.parametrize("value", ["-1", "1.5", "three"])

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from pointcharge import fields
 from pointcharge.errors import SmoothnessRequired
 from pointcharge.fields import (
+    _phi,
     box_phi_arrays,
     box_phi_fd,
     fd_steps,
@@ -19,7 +21,7 @@ from pointcharge.regularization import (
     bump_mollifier,
     make_family,
 )
-from pointcharge.retarded import kinematics_arrays
+from pointcharge.retarded import _neighbour_tau0, kinematics_arrays
 
 BUMP = make_family(bump_mollifier())
 BOX = make_family(boxcar_mollifier())
@@ -156,6 +158,41 @@ def test_warm_stencil_matches_closed_form_stencil_at_rest():
         return 0.5 * R * BUMP.H(r, eps)[:, None]
 
     assert rel_gap(box_phi_fd(w, BUMP, pts, eps), stencil(closed, pts, h)) <= 1e-6
+
+
+@pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
+def test_stencil_blocks_do_not_change_the_result(w, monkeypatch):
+    # 40 points are one block by default; blocks of 7 leave a ragged tail
+    eps = 0.05
+    pts = np.concatenate([shell_points(w, eps, 20), outside_points(w, eps, 20)])
+    whole = box_phi_fd(w, BUMP, pts, eps)
+    monkeypatch.setattr(fields, "BLOCK", 7)
+    assert np.array_equal(box_phi_fd(w, BUMP, pts, eps), whole)
+
+
+def test_stencil_keeps_the_leading_shape():
+    w = catalog()[1]
+    eps = 0.05
+    pts = outside_points(w, eps, 20)
+    flat = box_phi_fd(w, BUMP, pts, eps, h=eps / 40.0)
+    grid = box_phi_fd(w, BUMP, pts.reshape(2, 10, 4), eps, h=eps / 40.0)
+    assert grid.shape == (2, 10, 4)
+    assert np.array_equal(grid, flat.reshape(2, 10, 4))
+    single = box_phi_fd(w, BUMP, pts[3], eps, h=eps / 40.0)
+    assert single.shape == (4,) and np.array_equal(single, flat[3])
+
+
+@pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
+def test_phi_arrays_matches_full_kinematics(w):
+    # phi_arrays forms R and xi alone, with the same float operations as
+    # kinematics_arrays, cold and from the stencil's warm starts
+    eps, e = 0.05, 1.5
+    pts = np.concatenate([shell_points(w, eps, 10), outside_points(w, eps, 10)])
+    kin = kinematics_arrays(w, pts)
+    plus, _ = _neighbour_tau0(kin, 2, 1e-3)
+    for tau0 in (None, plus):
+        assert np.array_equal(phi_arrays(w, BUMP, pts, eps, e, tau0),
+                              _phi(BUMP, kinematics_arrays(w, pts, tau0), eps, e))
 
 
 def test_second_derivative_coefficient_sign():
