@@ -233,6 +233,8 @@ class AssociationResult:
 
 # differences below NOISE*scale count as converged in weak_limit
 NOISE = 1e-9
+# fewest grid values weak_limit extrapolates from
+MIN_LIMIT_POINTS = 4
 
 
 def weak_limit(values, eps_grid, target, tolerance=1e-3, scale=None):
@@ -244,8 +246,8 @@ def weak_limit(values, eps_grid, target, tolerance=1e-3, scale=None):
     """
     values = np.asarray(values, dtype=float)
     eps_grid = np.asarray(eps_grid, dtype=float)
-    if values.size < 4:
-        raise ValueError("need at least 4 grid points")
+    if values.size < MIN_LIMIT_POINTS:
+        raise ValueError(f"need at least {MIN_LIMIT_POINTS} grid points")
     if scale is None:
         scale = max(abs(target), 1.0)
     d = np.diff(values)

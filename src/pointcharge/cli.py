@@ -5,7 +5,8 @@ all keys live under [run] except observer points ([points]) and the
 test-function geometry ([testfunction]).  Every numeric output is printed
 with 17 significant digits so repeated runs are byte-identical.
 
-Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config/parse error.
+Exit codes: 0 all verdicts pass, 1 a verdict failed or a well-formed input
+has no answer, 2 malformed input; `run` alone maps errors to codes.
 """
 
 import argparse
@@ -17,14 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distalg
-from .association import CLAIM_NAMES, association_suite, bump_test_function
-from .errors import ConfigError, InvalidMollifier, OutOfRange, PointChargeError
+from .association import CLAIM_NAMES, MIN_LIMIT_POINTS, association_suite, \
+    bump_test_function
+from .errors import ConfigError, InvalidMollifier, PointChargeError, \
+    UnsupportedAtom
 from .fields import box_phi_arrays, box_phi_fd, phi_arrays
 from .minkowski import catalog, inner, parse_worldline, validate_worldline
 from .regularization import family_check, geometric_grid, make_family, \
     parse_mollifier
 from .retarded import kinematics_arrays, retarded_time, retarded_time_bisection
-from .selfenergy import _energies, divergence_bound_check, mass_renormalize
+from .selfenergy import MIN_BOUND_POINTS, _energies, divergence_bound_check, \
+    mass_renormalize
 
 
 def _fmt(x):
@@ -33,6 +37,8 @@ def _fmt(x):
 
 # most values a geometric(start, ratio, count) epsilon grid may hold
 MAX_GRID_COUNT = 64
+# largest max_delta_order; distalg solve's exact N + 3 column system costs ~N^2
+MAX_DELTA_ORDER = 64
 
 
 def parse_eps_grid(spec):
@@ -93,10 +99,7 @@ class RunConfig:
 
     def resolve(self):
         self.w = parse_worldline(self.worldline)
-        try:
-            self.fam = make_family(parse_mollifier(self.mollifier))
-        except InvalidMollifier as exc:
-            raise ConfigError(str(exc)) from None
+        self.fam = make_family(parse_mollifier(self.mollifier))
         self.grid = parse_eps_grid(self.epsilon_grid)
         return self
 
@@ -138,9 +141,11 @@ def load_config(path=None):
                 setattr(cfg, key, _number(key, run[key]))
         if "max_delta_order" in run:
             text = run["max_delta_order"].strip()
-            if not text.isdecimal():
-                raise ConfigError(f"max_delta_order must be an integer >= 0, got {text!r}")
-            cfg.max_delta_order = int(text)
+            # float, not int: int() refuses a string of over 4300 digits
+            if not (text.isdecimal() and float(text) <= MAX_DELTA_ORDER):
+                raise ConfigError(f"max_delta_order must be an integer in "
+                                  f"0..{MAX_DELTA_ORDER}, got {text!r}")
+            cfg.max_delta_order = int(float(text))
         if parser.has_section("points"):
             pts = []
             for key, val in parser.items("points"):
@@ -165,10 +170,16 @@ def load_config(path=None):
 
 
 # ---------------------------------------------------------------------------
-# subcommands (each returns the process exit status)
+# subcommands (each returns 0 or 1 and leaves every error to `run`)
 
 
-def cmd_kinematics(cfg, out):
+def _need_grid(cfg, command, count):
+    if cfg.grid.size < count:
+        raise ConfigError(f"{command} needs at least {count} epsilon_grid "
+                          f"values, got {cfg.grid.size}")
+
+
+def cmd_kinematics(cfg, out, args):
     pts = np.array(cfg.points, dtype=float)
     k = kinematics_arrays(cfg.w, pts)
     for i in range(pts.shape[0]):
@@ -191,7 +202,7 @@ FIELDS_HEADER = ("X0,X1,X2,X3,eps,"
                  "BoxPhi0,BoxPhi1,BoxPhi2,BoxPhi3")
 
 
-def cmd_fields_eval(cfg, out):
+def cmd_fields_eval(cfg, out, args):
     pts = np.array(cfg.points, dtype=float)
     out.write(FIELDS_HEADER + "\n")
     for eps in cfg.grid:
@@ -205,16 +216,17 @@ def cmd_fields_eval(cfg, out):
     return 0
 
 
-def cmd_associate(cfg, out, claim=None):
+def cmd_associate(cfg, out, args):
     phi4 = None
     if cfg.tf_center is not None:
         phi4 = bump_test_function(4, np.array(cfg.tf_center), cfg.tf_radius)
-    if claim is not None and claim not in CLAIM_NAMES:
-        raise ConfigError(f"unknown claim {claim!r}; "
+    if args.claim is not None and args.claim not in CLAIM_NAMES:
+        raise ConfigError(f"unknown claim {args.claim!r}; "
                           f"choose from {list(CLAIM_NAMES)}")
+    _need_grid(cfg, "associate", MIN_LIMIT_POINTS)
     report = association_suite(cfg.w, cfg.fam, cfg.grid, cfg.e, phi4=phi4,
                                tolerance=cfg.tolerance,
-                               claims=None if claim is None else (claim,))
+                               claims=None if args.claim is None else (args.claim,))
     ok = True
     for name, res in report.results.items():
         rec = {
@@ -231,7 +243,8 @@ def cmd_associate(cfg, out, claim=None):
     return 0 if ok else 1
 
 
-def cmd_selfenergy(cfg, out):
+def cmd_selfenergy(cfg, out, args):
+    _need_grid(cfg, "selfenergy", MIN_BOUND_POINTS)
     rep = divergence_bound_check(cfg.fam, cfg.grid, cfg.e, cfg.mu)
     out.write("eps,U_ele,U_mag,eps_Uele,eps3_Umag,c_eps,bound,pass\n")
     for i, eps in enumerate(rep.eps):
@@ -244,13 +257,9 @@ def cmd_selfenergy(cfg, out):
     return 0 if rep.passed else 1
 
 
-def cmd_renormalize(cfg, out, mc2=None):
-    target = cfg.mc2 if mc2 is None else _positive("--mc2", mc2)
-    try:
-        eps0 = mass_renormalize(cfg.fam, cfg.e, cfg.mu, target)
-    except OutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_renormalize(cfg, out, args):
+    target = cfg.mc2 if args.mc2 is None else _positive("--mc2", args.mc2)
+    eps0 = mass_renormalize(cfg.fam, cfg.e, cfg.mu, target)
     ue, um, _ = _energies(cfg.fam, cfg.e, cfg.mu, eps0)
     residual = float(ue + um - target)
     out.write(json.dumps({"eps0": eps0, "residual": residual},
@@ -258,7 +267,7 @@ def cmd_renormalize(cfg, out, mc2=None):
     return 0
 
 
-def cmd_distalg_solve(cfg, out):
+def cmd_distalg_solve(cfg, out, args):
     particular, homogeneous = distalg.solve_euler_delta(cfg.max_delta_order)
     out.write(f"particular: {distalg.format_expr(particular)}\n")
     for h in homogeneous:
@@ -266,18 +275,19 @@ def cmd_distalg_solve(cfg, out):
     return 0
 
 
-def cmd_distalg_verify(cfg, out, expr_text):
+def cmd_distalg_verify(cfg, out, args):
     try:
-        u = distalg.parse_expr(expr_text)
+        u = distalg.parse_expr(args.expr)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad expression {expr_text!r}: {exc}") from None
+        raise ConfigError(f"bad expression {args.expr!r}: {exc}") from None
     result = distalg.euler_apply(u)
     out.write(f"{distalg.format_expr(result)}\n")
     return 0
 
 
-def cmd_check(cfg, out):
+def cmd_check(cfg, out, args):
     """Run every module's invariant suite and print one line per suite."""
+    _need_grid(cfg, "check", MIN_BOUND_POINTS)
     rng = np.random.default_rng(20260823)
     tau_grid = np.linspace(-3.0, 3.0, 601)
     verdicts = []
@@ -353,6 +363,7 @@ def cmd_check(cfg, out):
 
 
 def build_parser():
+    """The parser; each subcommand sets `func` to the cmd_* that runs it."""
     p = argparse.ArgumentParser(
         prog="pointcharge",
         description="Regularized point charges: kinematics, fields, "
@@ -361,54 +372,46 @@ def build_parser():
     p.add_argument("-c", "--config", default=None,
                    help="ini-style config file (defaults apply if omitted)")
     sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("kinematics", help="retarded kinematics at the "
-                                      "configured points (JSON lines)")
+
+    def command(group, name, func, help):
+        parser = group.add_parser(name, help=help)
+        parser.set_defaults(func=func)
+        return parser
+
+    command(sub, "kinematics", cmd_kinematics,
+            "retarded kinematics at the configured points (JSON lines)")
     fields = sub.add_parser("fields", help="field evaluation")
     fields_sub = fields.add_subparsers(dest="fields_command", required=True)
-    fields_sub.add_parser("eval", help="Phi, Lambda, Psi, box Phi as CSV")
-    assoc = sub.add_parser("associate", help="weak-limit claims (JSON lines)")
-    assoc.add_argument("--claim", default=None,
-                       help="run a single claim by name")
-    sub.add_parser("selfenergy", help="self-energy scaling table (CSV)")
-    ren = sub.add_parser("renormalize", help="solve for eps0 at a target mc^2")
+    command(fields_sub, "eval", cmd_fields_eval,
+            "Phi, Lambda, Psi, box Phi as CSV")
+    assoc = command(sub, "associate", cmd_associate, "weak-limit claims (JSON lines)")
+    assoc.add_argument("--claim", default=None, help="run a single claim by name")
+    command(sub, "selfenergy", cmd_selfenergy, "self-energy scaling table (CSV)")
+    ren = command(sub, "renormalize", cmd_renormalize,
+                  "solve for eps0 at a target mc^2")
     ren.add_argument("--mc2", type=float, default=None)
     da = sub.add_parser("distalg", help="distribution algebra")
     da_sub = da.add_subparsers(dest="distalg_command", required=True)
-    da_sub.add_parser("solve", help="solve t*u' + u = delta")
-    verify = da_sub.add_parser("verify", help="apply the Euler operator")
+    command(da_sub, "solve", cmd_distalg_solve, "solve t*u' + u = delta")
+    verify = command(da_sub, "verify", cmd_distalg_verify,
+                     "apply the Euler operator")
     verify.add_argument("expr", help="expression, e.g. 'tplus^-1 + delta^(0)'")
-    sub.add_parser("check", help="run the full invariant suite")
+    command(sub, "check", cmd_check, "run the full invariant suite")
     return p
+
+
+# malformed input; any other PointChargeError means no answer exists
+INPUT_ERRORS = (ConfigError, InvalidMollifier, UnsupportedAtom)
 
 
 def run(argv=None, out=None):
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.command == "kinematics":
-            return cmd_kinematics(cfg, out)
-        if args.command == "fields":
-            return cmd_fields_eval(cfg, out)
-        if args.command == "associate":
-            return cmd_associate(cfg, out, claim=args.claim)
-        if args.command == "selfenergy":
-            return cmd_selfenergy(cfg, out)
-        if args.command == "renormalize":
-            return cmd_renormalize(cfg, out, mc2=args.mc2)
-        if args.command == "distalg":
-            if args.distalg_command == "solve":
-                return cmd_distalg_solve(cfg, out)
-            return cmd_distalg_verify(cfg, out, args.expr)
-        if args.command == "check":
-            return cmd_check(cfg, out)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.func(load_config(args.config), out, args)
     except PointChargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, INPUT_ERRORS) else 1
 
 
 def main():

@@ -15,8 +15,6 @@ All components are stored contravariant; the d'Alembertian acts on the
 coordinates as d0^2 - d1^2 - d2^2 - d3^2.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SmoothnessRequired
@@ -110,15 +108,6 @@ def box_phi_fd(w, fam, X, eps, h=None, e=1.0, kin=None):
     return out.reshape(shape + (4,))
 
 
-@dataclass(frozen=True)
-class StaticField:
-    x: np.ndarray
-    phi: float
-    E: np.ndarray
-    rho: float
-    eps: float
-
-
 def static_phi(fam, r, eps, e=1.0):
     """Regularized Coulomb potential e*H_eps(r)/r (vectorized in r)."""
     r = np.asarray(r, dtype=float)
@@ -135,17 +124,3 @@ def static_rho(fam, r, eps, e=1.0):
     """Charge density from 4*pi*rho = div E = -e H''(r)/r."""
     r = np.asarray(r, dtype=float)
     return -e * fam.d2H(r, eps) / (4.0 * np.pi * r)
-
-
-def static_field(fam, x, eps, e=1.0):
-    """phi, E and rho of the charge at rest, at a single spatial point."""
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r <= 0.0:
-        raise ValueError("static field needs |x| > 0")
-    phi = float(static_phi(fam, r, eps, e))
-    E = float(static_E_radial(fam, r, eps, e)) * x / r
-    rho = float(static_rho(fam, r, eps, e)) if fam.smooth else None
-    if rho is None:
-        raise SmoothnessRequired("rho needs H''; use a smooth family")
-    return StaticField(x=x, phi=phi, E=E, rho=rho, eps=eps)

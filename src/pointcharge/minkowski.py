@@ -6,7 +6,7 @@ Worldlines are parametrized by eigentime, so zdot . zdot = 1 and
 zdot . zddot = 0 identically.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class Worldline:
     z: callable
     zdot: callable
     zddot: callable
-    params: dict = field(default_factory=dict)
 
 
 def _fill(tau, *comps):
@@ -74,7 +73,6 @@ def boost_worldline(v):
         z=lambda tau: _fill(tau, g * tau, g * v * tau, 0.0, 0.0),
         zdot=lambda tau: _fill(tau, g, g * v, 0.0, 0.0),
         zddot=lambda tau: _fill(tau, 0.0, 0.0, 0.0, 0.0),
-        params={"v": v},
     )
 
 
@@ -87,7 +85,6 @@ def hyperbolic_worldline(a):
         z=lambda tau: _fill(tau, np.sinh(a * tau) / a, np.cosh(a * tau) / a, 0.0, 0.0),
         zdot=lambda tau: _fill(tau, np.cosh(a * tau), np.sinh(a * tau), 0.0, 0.0),
         zddot=lambda tau: _fill(tau, a * np.sinh(a * tau), a * np.cosh(a * tau), 0.0, 0.0),
-        params={"a": a},
     )
 
 
@@ -107,7 +104,6 @@ def circular_worldline(r, omega):
         zdot=lambda tau: _fill(tau, g, -r * w * np.sin(w * tau), r * w * np.cos(w * tau), 0.0),
         zddot=lambda tau: _fill(tau, 0.0, -r * w * w * np.cos(w * tau),
                                 -r * w * w * np.sin(w * tau), 0.0),
-        params={"r": r, "omega": omega},
     )
 
 

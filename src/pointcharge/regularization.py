@@ -17,12 +17,10 @@ from .errors import DegenerateNet, InvalidMollifier, SmoothnessRequired
 
 @dataclass(frozen=True)
 class Mollifier:
-    """Nonnegative unit-mass kernel supported in [s_lo, s_hi] = [1, 2]."""
+    """Nonnegative unit-mass kernel supported in [1, 2]."""
 
     chi: callable
     chi_prime: callable  # None for the piecewise kind
-    s_lo: float = 1.0
-    s_hi: float = 2.0
     smooth: bool = True
     label: str = "mollifier"
 
@@ -120,10 +118,10 @@ class HeavisideFamily:
 
 def make_family(chi: Mollifier) -> HeavisideFamily:
     """Build the Heaviside family; validates the mollifier invariants."""
-    total, _ = quad(chi.chi, chi.s_lo, chi.s_hi, epsabs=1e-13, limit=200)
+    total, _ = quad(chi.chi, 1.0, 2.0, epsabs=1e-13, limit=200)
     if abs(total - 1.0) > 1e-10:
         raise InvalidMollifier(f"mollifier mass is {total!r}, expected 1")
-    probe = np.linspace(chi.s_lo, chi.s_hi, 2001)
+    probe = np.linspace(1.0, 2.0, 2001)
     if np.any(chi.chi(probe) < 0):
         raise InvalidMollifier("mollifier takes negative values")
     outside = np.concatenate([np.linspace(-1, 0.999, 100), np.linspace(2.001, 4, 100)])

@@ -20,6 +20,9 @@ from scipy.optimize import brentq
 from .errors import OutOfRange
 from .regularization import GeneralizedNet
 
+# fewest grid values divergence_bound_check accepts
+MIN_BOUND_POINTS = 3
+
 
 def _energies(fam, e, mu, eps):
     """(U_ele, U_mag, c_eps) at eps in (0, 1] and e, floats or arrays that
@@ -97,8 +100,8 @@ def divergence_bound_check(fam, eps_grid, e=1.0, mu=1.0):
     holds for any admissible family since int H' = 1 over a width-eps shell.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
-    if eps_grid.size < 3:
-        raise ValueError("need at least 3 grid points")
+    if eps_grid.size < MIN_BOUND_POINTS:
+        raise ValueError(f"need at least {MIN_BOUND_POINTS} grid points")
     # a_eps = 2 U_ele at e = 1 (row 1), so e = 0 needs no division by e
     (ue, ue1), um, c = _energies(fam, np.array([[e], [1.0]]), mu, eps_grid)
     a = 2.0 * ue1

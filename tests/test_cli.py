@@ -200,15 +200,43 @@ def test_associate_single_claim_json():
     assert len(rec["eps"]) == len(rec["pairing"]) == 6
 
 
-def test_associate_unknown_claim_exits_2(capsys):
-    status, _ = invoke(["associate", "--claim", "bogus"])
-    assert status == 2
-
-
 def assert_input_error(status, capsys):
     assert status == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+# (the [run] section of the config, the subcommand, its exit code): 2 for
+# malformed input, 1 for a well-formed input with no answer
+EXIT_CODES = [
+    ("", ["distalg", "verify", "delta^(8)"], 2),
+    ("", ["distalg", "verify", "tplus^-8"], 2),
+    ("", ["distalg", "verify", "tminus^-5000"], 2),
+    ("epsilon_grid = {0.1, 0.05, 0.025}", ["associate"], 2),
+    ("epsilon_grid = {0.1, 0.05}", ["selfenergy"], 2),
+    ("epsilon_grid = {0.1, 0.05}", ["check"], 2),
+    ("max_delta_order = 65", ["distalg", "solve"], 2),
+    ("mollifier = junk", ["selfenergy"], 2),
+    ("", ["associate", "--claim", "bogus"], 2),
+    ("", ["distalg", "verify", "delta^(7)"], 0),
+    ("max_delta_order = 64", ["distalg", "solve"], 0),
+    ("", ["renormalize", "--mc2", "0.5"], 1),
+]
+
+
+@pytest.mark.parametrize("run_keys, argv, code", EXIT_CODES,
+                         ids=[" ".join(filter(None, [keys] + argv))
+                              for keys, argv, _ in EXIT_CODES])
+def test_exit_code(tmp_path, capsys, run_keys, argv, code):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\n{run_keys}\n")
+    status, _ = invoke(["-c", str(cfg)] + argv)
+    err = capsys.readouterr().err
+    assert status == code, err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("key", ["e", "mu", "mc2", "tolerance", "tf_radius"])
@@ -257,12 +285,6 @@ def test_distalg_verify_exponent_constant_exits_2_at_once(capsys, expr):
     assert time.perf_counter() - start < 1.0
 
 
-def test_unknown_mollifier_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text("[run]\nmollifier = junk\n")
-    assert_input_error(invoke(["-c", str(cfg), "selfenergy"])[0], capsys)
-
-
 def test_huge_geometric_count_exits_2_without_allocating(tmp_path, capsys,
                                                          monkeypatch):
     def refuse(*args):
@@ -279,6 +301,18 @@ def test_bad_max_delta_order_exits_2(tmp_path, capsys, value):
     cfg = tmp_path / "run.ini"
     cfg.write_text(f"[run]\nmax_delta_order = {value}\n")
     assert_input_error(invoke(["-c", str(cfg), "distalg", "solve"])[0], capsys)
+
+
+def test_load_config_caps_max_delta_order(tmp_path):
+    # load_config never runs the solve, so an uncapped order fails here at
+    # once instead of row-reducing an exact system of ~N^2 cost
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\nmax_delta_order = {cli.MAX_DELTA_ORDER}\n")
+    assert load_config(str(cfg)).max_delta_order == cli.MAX_DELTA_ORDER
+    for value in (cli.MAX_DELTA_ORDER + 1, 10**5, "9" * 5000):
+        cfg.write_text(f"[run]\nmax_delta_order = {value}\n")
+        with pytest.raises(ConfigError, match="max_delta_order"):
+            load_config(str(cfg))
 
 
 def test_non_numeric_point_exits_2(tmp_path, capsys):

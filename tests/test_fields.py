@@ -11,7 +11,6 @@ from pointcharge.fields import (
     fd_steps,
     phi_arrays,
     static_E_radial,
-    static_field,
     static_phi,
     static_rho,
 )
@@ -223,6 +222,10 @@ def test_static_coulomb_tail():
     r = np.linspace(0.25, 2.0, 40)
     assert np.allclose(static_phi(BUMP, r, eps, e), e / r, rtol=1e-12)
     assert np.allclose(static_E_radial(BUMP, r, eps, e), e / r ** 2, rtol=1e-12)
+    # outside the shell there is no charge; rho needs H'', which boxcar lacks
+    assert np.all(static_rho(BUMP, r, eps, e) == 0)
+    with pytest.raises(SmoothnessRequired):
+        static_rho(BOX, r, eps, e)
     # inside the core the potential vanishes
     assert np.all(static_phi(BUMP, np.linspace(0.01, 0.09, 9), eps, e) == 0)
 
@@ -234,10 +237,3 @@ def test_static_charge_normalization():
                     eps, 2 * eps, epsabs=0.0, epsrel=1e-12, limit=200)
     assert total == pytest.approx(e, rel=1e-10)
 
-
-def test_static_field_struct():
-    f = static_field(BUMP, (0.3, 0.0, 0.0), 0.1, 1.0)
-    assert f.phi == pytest.approx(1.0 / 0.3)
-    assert f.rho == 0.0
-    with pytest.raises(SmoothnessRequired):
-        static_field(BOX, (0.3, 0.0, 0.0), 0.1, 1.0)
