@@ -222,12 +222,17 @@ def test_static_coulomb_tail():
     r = np.linspace(0.25, 2.0, 40)
     assert np.allclose(static_phi(BUMP, r, eps, e), e / r, rtol=1e-12)
     assert np.allclose(static_E_radial(BUMP, r, eps, e), e / r ** 2, rtol=1e-12)
-    # outside the shell there is no charge; rho needs H'', which boxcar lacks
-    assert np.all(static_rho(BUMP, r, eps, e) == 0)
-    with pytest.raises(SmoothnessRequired):
-        static_rho(BOX, r, eps, e)
     # inside the core the potential vanishes
     assert np.all(static_phi(BUMP, np.linspace(0.01, 0.09, 9), eps, e) == 0)
+
+
+def test_static_field_struct():
+    r = np.array([0.3])
+    assert static_phi(BUMP, r, 0.1, 1.0)[0] == pytest.approx(1.0 / 0.3)
+    # outside the shell there is no charge; rho needs H'', which boxcar lacks
+    assert static_rho(BUMP, r, 0.1, 1.0)[0] == 0.0
+    with pytest.raises(SmoothnessRequired):
+        static_rho(BOX, r, 0.1, 1.0)
 
 
 def test_static_charge_normalization():
