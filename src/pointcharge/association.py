@@ -16,7 +16,7 @@ what keeps the suite fast; for the catalog worldlines and test geometry
 xi and r agree up to a factor well inside (1/4, 4).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,17 +104,13 @@ def _panel_nodes(edges, n_per_panel):
     return nodes, wts
 
 
-def radial_nodes(eps, r_lo, r_hi, n_per_panel=4, coarse=False):
-    """Gauss nodes/weights on [r_lo, r_hi]; panel width <= eps/8 unless
-    coarse (for regions where the integrand does not vary on scale eps)."""
+def radial_nodes(eps, r_lo, r_hi):
+    """Gauss nodes/weights on [r_lo, r_hi]: panels of width <= eps/8 with
+    4 nodes each."""
     if r_hi <= r_lo:
         return np.empty(0), np.empty(0)
-    if coarse:
-        n = 16
-    else:
-        n = max(2, int(np.ceil((r_hi - r_lo) / (eps / 8.0))))
-    edges = np.linspace(r_lo, r_hi, n + 1)
-    return _panel_nodes(edges, n_per_panel)
+    n = max(2, int(np.ceil((r_hi - r_lo) / (eps / 8.0))))
+    return _panel_nodes(np.linspace(r_lo, r_hi, n + 1), 4)
 
 
 def _angular_grid(n_theta=8, n_phi=8):
@@ -137,11 +133,17 @@ def ball_nodes_3d(center, radius, eps):
     The refined part [0, 3 eps] is laid out in units of eps, where its
     panel count 3/(1/8) = 24 is exact (on the r scale the quotient
     3eps/(eps/8) rounds up to 25 at some eps); each panel has 8 nodes.
+    The rest of the ball, where the integrand does not vary on scale eps,
+    gets 16 panels of 4 nodes.
     """
     center = np.asarray(center, dtype=float)
     core = min(3.0, radius / eps)
-    s1, w1 = radial_nodes(1.0, 0.0, core, n_per_panel=8)
-    r2, w2 = radial_nodes(eps, core * eps, radius, coarse=True)
+    n_core = max(2, int(np.ceil(core * 8.0)))
+    s1, w1 = _panel_nodes(np.linspace(0.0, core, n_core + 1), 8)
+    if radius > core * eps:
+        r2, w2 = _panel_nodes(np.linspace(core * eps, radius, 17), 4)
+    else:
+        r2, w2 = np.empty(0), np.empty(0)
     r, wr = np.concatenate([eps * s1, r2]), np.concatenate([eps * w1, w2])
     dirs, wa = _angular_grid(12, 12)
     pts = center[None, None, :] + r[:, None, None] * dirs[None, :, :]
@@ -161,24 +163,16 @@ def pair_static(radial_net, phi, eps):
 
 @dataclass(frozen=True)
 class SliceGrid:
-    """Spacetime quadrature nodes around the worldline track, with retarded
-    kinematics, phi and (once asked for) Psi shared by its integrands."""
+    """Spacetime quadrature nodes around the worldline track, with the
+    retarded kinematics and phi shared by its integrands."""
 
     points: np.ndarray      # (n, 4)
     weights: np.ndarray     # (n,)
     kin: dict
     phi_values: np.ndarray  # (n,), the test function the grid was built for
-    _psi: dict = field(default_factory=dict, repr=False, compare=False)
 
     def pair(self, values):
         return float((values * self.phi_values * self.weights).sum())
-
-    def psi(self, w, fam, eps, e):
-        key = (fam, eps, e)
-        if key not in self._psi:
-            self._psi[key] = box_phi_arrays(w, fam, self.points, eps, e,
-                                            kin=self.kin)[1]
-        return self._psi[key]
 
 
 def slice_grid(w, phi, eps, r_lo, r_hi):
@@ -283,60 +277,35 @@ def claim_charge_density(fam, phi3, eps_grid, e=1.0, tolerance=1e-3):
                       scale=max(abs(e), abs(target), 1e-3))
 
 
-def _shell_grids(w, phi4, eps_grid):
-    return [slice_grid(w, phi4, eps, SHELL_BAND[0] * eps,
-                       min(SHELL_BAND[1] * eps, 2.5 * phi4.radius))
-            for eps in eps_grid]
+def claim_heaviside(g, fam, eps, target):
+    """(b) on one band grid: <H_eps(xi), phi> = target + <H_eps - 1, phi>,
+    with target = int phi; H - 1 is supported in xi < 2*eps, so the band
+    captures the defect exactly."""
+    defect = fam.H(g.kin["xi"], eps) - 1.0
+    return target + g.pair(defect)
 
 
-def claim_heaviside(w, fam, phi4, eps_grid, tolerance=1e-3, grids=None):
-    """(b) <H_eps(xi), phi> -> int phi.
-
-    H - 1 is supported in xi < 2*eps, so the pairing is int phi plus a
-    band integral of (H - 1)*phi.
-    """
-    target = integral_of(phi4)
-    grids = grids or _shell_grids(w, phi4, eps_grid)
-    vals = []
-    for eps, g in zip(eps_grid, grids):
-        defect = fam.H(g.kin["xi"], eps) - 1.0
-        vals.append(target + g.pair(defect))
-    return weak_limit(vals, eps_grid, target, tolerance,
-                      scale=max(abs(target), 1e-3))
+def claim_psi(w, fam, g, eps, e):
+    """(c) on one band grid: the pairings <Psi_eps_a, phi> of the four
+    components a (Psi is supported in the transition shell, so the band
+    captures it exactly).  Psi is computed once for all four."""
+    psi = box_phi_arrays(w, fam, g.points, eps, e, kin=g.kin)[1]
+    return [g.pair(psi[..., a]) for a in range(4)]
 
 
-def claim_psi(w, fam, phi4, eps_grid, component=0, e=1.0, tolerance=1e-3,
-              scale=1.0, grids=None):
-    """(c) <Psi_eps_a, phi> -> 0 for one component a (Psi is supported in
-    the transition shell, so the band grid captures it exactly)."""
-    grids = grids or _shell_grids(w, phi4, eps_grid)
-    vals = []
-    for eps, g in zip(eps_grid, grids):
-        vals.append(g.pair(g.psi(w, fam, eps, e)[..., component]))
-    return weak_limit(vals, eps_grid, 0.0, tolerance, scale=scale)
-
-
-def claim_box_minus_lw(w, fam, phi4, eps_grid, component=0, e=1.0,
-                       tolerance=1e-3, scale=None, grids=None):
-    """(d) <boxPhi_fd_a - Lambda_a H_eps(xi), phi> -> 0.
+def claim_box_minus_lw(w, fam, g, eps, e):
+    """(d) on one band grid: (<boxPhi_fd_0 - Lambda_0 H_eps(xi), phi>,
+    <Lambda_0 H_eps(xi), phi>); the second value sets the claim's scale.
 
     Uses the finite-difference d'Alembertian, so the claim does not lean
     on the analytic Psi formula that claim (c) already exercises.  Outside
     the shell band the integrand is pure stencil truncation error, bounded
     by the far-field step choice, and is omitted.
     """
-    grids = grids or _shell_grids(w, phi4, eps_grid)
-    vals = []
-    lam_ref = None
-    for eps, g in zip(eps_grid, grids):
-        fd = box_phi_fd(w, fam, g.points, eps, e=e, kin=g.kin)[..., component]
-        lam = -e * g.kin["zdot"][..., component] / g.kin["xi"]
-        H = fam.H(g.kin["xi"], eps)
-        vals.append(g.pair(fd - lam * H))
-        lam_ref = g.pair(lam * H)
-    if scale is None:
-        scale = max(abs(lam_ref), 1e-3)
-    return weak_limit(vals, eps_grid, 0.0, tolerance, scale=scale)
+    fd = box_phi_fd(w, fam, g.points, eps, e=e, kin=g.kin)[..., 0]
+    lam = -e * g.kin["zdot"][..., 0] / g.kin["xi"]
+    H = fam.H(g.kin["xi"], eps)
+    return g.pair(fd - lam * H), g.pair(lam * H)
 
 
 def psi_sup_values(w, fam, eps_grid, e=1.0):
@@ -379,9 +348,11 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
                       claims=None):
     """Run the four claims; claim (a) only applies to the rest worldline.
 
-    The spacetime grids (and their retarded kinematics) are built once per
-    eps and shared across claims (b)-(d).  Pass a subset of CLAIM_NAMES as
-    `claims` to restrict the run."""
+    Claims (b)-(d) make one pass over eps: each band grid (with its
+    retarded kinematics and phi values) is built once, paired by every
+    wanted claim, and dropped before the next eps.  weak_limit then runs
+    once per claim.  Pass a subset of CLAIM_NAMES as `claims` to restrict
+    the run."""
     if claims is not None:
         unknown = set(claims) - set(CLAIM_NAMES)
         if unknown:
@@ -398,23 +369,33 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
         phi4 = bump_test_function(4, np.concatenate([[t0], track[1:]]), 1.0)
     results = {}
     if w.label == "rest" and wanted("charge_density"):
-        if not fam.smooth:
-            raise ValueError("claim (a) needs a smooth family for rho")
         phi3 = bump_test_function(3, np.zeros(3), 1.0)
         results["charge_density"] = claim_charge_density(
             fam, phi3, eps_grid, e, tolerance)
     spacetime = [n for n in CLAIM_NAMES[1:] if wanted(n)]
-    if spacetime:
-        grids = _shell_grids(w, phi4, eps_grid)
+    psi_names = [f"psi_{a}" for a in range(4)]
+    target = integral_of(phi4) if wanted("heaviside") else None
+    vals = {n: [] for n in CLAIM_NAMES[1:]}
+    for eps in eps_grid if spacetime else ():
+        g = slice_grid(w, phi4, eps, SHELL_BAND[0] * eps,
+                       min(SHELL_BAND[1] * eps, 2.5 * phi4.radius))
         if wanted("heaviside"):
-            results["heaviside"] = claim_heaviside(
-                w, fam, phi4, eps_grid, tolerance, grids=grids)
-        for comp in range(4):
-            if wanted(f"psi_{comp}"):
-                results[f"psi_{comp}"] = claim_psi(
-                    w, fam, phi4, eps_grid, comp, e, tolerance, grids=grids)
+            vals["heaviside"].append(claim_heaviside(g, fam, eps, target))
+        if any(map(wanted, psi_names)):
+            for name, v in zip(psi_names, claim_psi(w, fam, g, eps, e)):
+                vals[name].append(v)
         if wanted("box_minus_lw"):
-            results["box_minus_lw"] = claim_box_minus_lw(
-                w, fam, phi4, eps_grid, 0, e, tolerance, grids=grids)
+            v, lam_ref = claim_box_minus_lw(w, fam, g, eps, e)
+            vals["box_minus_lw"].append(v)
+        del g   # free this grid before the next one is built
+    for name in spacetime:
+        if name == "heaviside":
+            limit_at, scale = target, max(abs(target), 1e-3)
+        elif name == "box_minus_lw":
+            limit_at, scale = 0.0, max(abs(lam_ref), 1e-3)
+        else:
+            limit_at, scale = 0.0, 1.0
+        results[name] = weak_limit(vals[name], eps_grid, limit_at, tolerance,
+                                   scale=scale)
     return SuiteReport(results=results,
                        passed=all(r.passed for r in results.values()))

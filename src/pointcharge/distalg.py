@@ -14,7 +14,7 @@ positive axis removes.
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from math import factorial
 
 import numpy as np
 from scipy.integrate import quad
@@ -125,28 +125,20 @@ def _diff_atom(atom, max_order):
         _check_order(k + 1, max_order)
         return DistExpr({
             fp_plus(k + 1): -k,
-            delta(k): Fraction((-1) ** k, _fact(k)),
+            delta(k): Fraction((-1) ** k, factorial(k)),
         })
     if kind == "fp-":
         k = atom[1]
         _check_order(k + 1, max_order)
         return DistExpr({
             fp_minus(k + 1): -k,
-            delta(k): Fraction((-1) ** (k + 1), _fact(k)),
+            delta(k): Fraction((-1) ** (k + 1), factorial(k)),
         })
     if kind == "delta":
         k = atom[1]
         _check_order(k + 1, max_order)
         return DistExpr.atom(delta(k + 1))
     raise UnsupportedAtom(f"unknown atom {atom!r}")
-
-
-@lru_cache(maxsize=None)
-def _fact(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def _mul_t_atom(atom):
@@ -296,7 +288,7 @@ def _fd_derivative(phi, k, x0=0.0, h=None, acc=8):
     n = offsets.size
     V = np.vander(offsets.astype(float), n, increasing=True).T
     rhs = np.zeros(n)
-    rhs[k] = _fact(k)
+    rhs[k] = factorial(k)
     w = np.linalg.solve(V, rhs) / h ** k
     vals = np.array([float(phi(x0 + o * h)) for o in offsets])
     return float(w @ vals)
@@ -326,7 +318,7 @@ def _pair_fp_plus(phi, k, support_hi):
     n_extra = 3
     derivs = [_fd_derivative(phi, j, acc=8 if j <= 4 else 10)
               for j in range(k + n_extra)]
-    taylor = [d / _fact(j) for j, d in enumerate(derivs)]
+    taylor = [d / factorial(j) for j, d in enumerate(derivs)]
     val = _subtraction_integral(phi, k, support_hi, taylor[:k], taylor[k:])
     # <tplus^-k, phi> = A_k(phi) + sum_{j<k-1} phi^(j)(0)/(j! (j+1-k)), from
     # the recursion <tplus^-(k+1), phi> = (<tplus^-k, phi'> + phi^(k)(0)/k!)/k

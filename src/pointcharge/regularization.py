@@ -6,7 +6,7 @@ construction is pure scaling: H_eps(r) = H_1(r/eps).
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -90,6 +90,18 @@ class HeavisideFamily:
     @property
     def smooth(self):
         return self.mollifier.smooth
+
+    @cached_property
+    def moments(self):
+        """(m0, m2, max chi): m0 = int chi^2 and m2 = int chi^2/s^2 over
+        [1, 2] by quad, and max chi on 20001 samples of [1, 2]; computed
+        once per family."""
+        chi = self.mollifier.chi
+        m0, _ = quad(lambda s: chi(s) ** 2, 1.0, 2.0,
+                     epsabs=0.0, epsrel=1e-13, limit=200)
+        m2, _ = quad(lambda s: chi(s) ** 2 / (s * s), 1.0, 2.0,
+                     epsabs=0.0, epsrel=1e-13, limit=200)
+        return m0, m2, float(np.max(chi(np.linspace(1.0, 2.0, 20001))))
 
     def H(self, r, eps):
         """H_eps(r); exactly 0 below eps and exactly 1 above 2*eps."""

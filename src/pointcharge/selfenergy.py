@@ -26,17 +26,11 @@ MIN_BOUND_POINTS = 3
 
 def _energies(fam, e, mu, eps):
     """(U_ele, U_mag, c_eps) at eps in (0, 1] and e, floats or arrays that
-    broadcast, from the moments m0 = int chi^2 and m2 = int chi^2/s^2 over
-    [1, 2] (by quad) and max chi (on 20001 samples of [1, 2])."""
+    broadcast, from the family's moments m0, m2 and max chi."""
     eps = np.asarray(eps, dtype=float)
     if not np.all((eps > 0.0) & (eps <= 1.0)):
         raise ValueError("eps must lie in (0, 1]")
-    chi = fam.mollifier.chi
-    m0, _ = quad(lambda s: chi(s) ** 2, 1.0, 2.0,
-                 epsabs=0.0, epsrel=1e-13, limit=200)
-    m2, _ = quad(lambda s: chi(s) ** 2 / (s * s), 1.0, 2.0,
-                 epsabs=0.0, epsrel=1e-13, limit=200)
-    chi_max = float(np.max(chi(np.linspace(1.0, 2.0, 20001))))
+    m0, m2, chi_max = fam.moments
     return 0.5 * e * e * m0 / eps, (mu * mu / 3.0) * m2 / eps ** 3, chi_max / eps
 
 

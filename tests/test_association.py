@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,7 +9,6 @@ from pointcharge.association import (
     association_suite,
     bump_test_function,
     claim_charge_density,
-    claim_heaviside,
     integral_of,
     psi_sup_values,
     radial_nodes,
@@ -138,7 +139,8 @@ def test_charge_density_limit_does_not_depend_on_grid_start(start):
 def test_heaviside_pairs_to_lebesgue():
     w = rest_worldline()
     phi4 = bump_test_function(4, np.array([3.0, 0.0, 0.0, 0.0]), 1.0)
-    res = claim_heaviside(w, BUMP, phi4, SHORT)
+    rep = association_suite(w, BUMP, SHORT, phi4=phi4, claims=("heaviside",))
+    res = rep.results["heaviside"]
     assert res.passed
     assert res.target == pytest.approx(integral_of(phi4))
 
@@ -175,6 +177,24 @@ def test_suite_evaluates_phi_and_psi_once_per_grid(monkeypatch):
     assert phi_calls.count((196608, 4)) == SHORT.size
     assert len(phi_calls) == SHORT.size + 1
     assert len(psi_calls) == SHORT.size
+
+
+def test_suite_frees_each_grid_before_the_next(monkeypatch):
+    built = []
+    slice_grid = association.slice_grid
+
+    def tracking_slice_grid(*args, **kwargs):
+        alive = [i for i, ref in enumerate(built) if ref() is not None]
+        assert not alive, f"grids {alive} still alive at build {len(built)}"
+        g = slice_grid(*args, **kwargs)
+        built.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(association, "slice_grid", tracking_slice_grid)
+    rep = association_suite(rest_worldline(), BUMP, SHORT,
+                            claims=("heaviside", "psi_0"))
+    assert rep.passed, str(rep)
+    assert len(built) == SHORT.size
 
 
 def test_full_suite_boost():

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import string
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from pointcharge import cli
+from pointcharge import cli, regularization, selfenergy
 from pointcharge.cli import RunConfig, load_config, parse_eps_grid, run
 from pointcharge.errors import ConfigError
 
@@ -138,6 +140,22 @@ def test_renormalize_json():
     assert abs(rec["residual"]) <= 1e-10 * 25.0
 
 
+@pytest.mark.parametrize("mollifier", ["bump", "boxcar"])
+def test_renormalize_computes_the_moments_once(monkeypatch, mollifier):
+    # m0 and m2 take one quad each; the printed residual reuses them
+    cfg = RunConfig(mollifier=mollifier).resolve()
+    calls = []
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    for mod in (regularization, selfenergy):
+        monkeypatch.setattr(mod, "quad", counting_quad)
+    cli.cmd_renormalize(cfg, io.StringIO(), argparse.Namespace(mc2=None))
+    assert calls == [(1.0, 2.0)] * 2
+
+
 def test_renormalize_out_of_range_exits_1(capsys):
     # a positive target below U(eps = 1) is a verdict, not an input error
     for flag in ("0.1", "1e-9"):
@@ -221,6 +239,8 @@ EXIT_CODES = [
     ("", ["distalg", "verify", "delta^(7)"], 0),
     ("max_delta_order = 64", ["distalg", "solve"], 0),
     ("", ["renormalize", "--mc2", "0.5"], 1),
+    ("mollifier = boxcar", ["associate"], 1),
+    ("mollifier = boxcar", ["associate", "--claim", "heaviside"], 0),
 ]
 
 
