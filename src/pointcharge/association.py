@@ -6,16 +6,19 @@ The four association claims verified here:
   (c) <Psi_eps_a, phi>        -> 0               (4D, each component)
   (d) <boxPhi_fd_a - Lambda_a H_eps(xi), phi> -> 0   (4D)
 
-Pairings use Lebesgue measure with no metric weight.  The 4D quadrature
-slices the test ball in time and integrates each slice in spherical
-coordinates centered on the worldline's spatial track; the radial panels
-resolve the eps scale (width <= eps/8) wherever the integrand varies on
-it.  Integrands supported in the transition shell xi in [eps, 2*eps] are
-only integrated over the radial band that can meet the shell, which is
-what keeps the suite fast; for the catalog worldlines and test geometry
-xi and r agree up to a factor well inside (1/4, 4).
+Pairings use Lebesgue measure with no metric weight.  Claim (a) and the
+target of claim (b) pair radial integrands against a radial bump, so they
+are 1D radial integrals: claim (a) over the shell r in [eps, 2*eps] where
+rho_eps lives, the target int phi over [0, radius].  Claims (b)-(d) pair
+integrands supported near the transition shell xi in [eps, 2*eps]: the 4D
+quadrature slices the test ball at Gauss times and integrates each slice
+in spherical coordinates around the worldline's simultaneous track point,
+over the lab-frame band r in [0.05*eps, 8*eps] with radial panels of width
+<= eps/8.  The suite builds one time slice at a time, pairs it with every
+claim and sums the pairings over the slices.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,27 +71,17 @@ def bump_test_function(dimension, center, radius, poly=None):
                         radius=float(radius), poly=poly)
 
 
-# Gauss-Legendre nodes per axis of integral_of's tensor grid
-N_GAUSS = 40
-
-
 def integral_of(phi):
-    """int phi over its support ball by tensor Gauss-Legendre panels; phi
-    is evaluated only at the nodes inside the ball, and is 0 at the rest."""
-    x, w = np.polynomial.legendre.leggauss(N_GAUSS)
+    """int phi over its support ball, as |S^(d-1)| radius^d times
+    int_0^1 exp(-1/(1-s^2)) s^(d-1) ds on 32 panels of 16 Gauss-Legendre
+    nodes; only a bump without a poly factor is radial."""
+    if phi.poly is not None:
+        raise ValueError("integral_of needs a bump without a poly factor")
     d = phi.dimension
-    axes = [phi.center[i] + phi.radius * x for i in range(d)]
-    y2 = [((a - c) / phi.radius) ** 2 for a, c in zip(axes, phi.center)]
-    inside = np.nonzero(sum(np.ix_(*y2)) < 1.0)
-    pts = np.stack([a[i] for a, i in zip(axes, inside)], axis=-1)
-    vals = np.zeros((N_GAUSS,) * d)
-    vals[inside] = phi(pts if d > 1 else pts[:, 0])
-    wgrid = np.ones_like(vals)
-    for i in range(d):
-        shape = [1] * d
-        shape[i] = N_GAUSS
-        wgrid = wgrid * (phi.radius * w).reshape(shape)
-    return float((vals * wgrid).sum())
+    s, ws = _panel_nodes(np.linspace(0.0, 1.0, 33), 16)
+    sphere = 2.0 * np.pi ** (d / 2) / math.gamma(d / 2)
+    profile = np.exp(-1.0 / (1.0 - s * s)) * s ** (d - 1)
+    return float(sphere * phi.radius ** d * (profile * ws).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -113,52 +106,18 @@ def radial_nodes(eps, r_lo, r_hi):
     return _panel_nodes(np.linspace(r_lo, r_hi, n + 1), 4)
 
 
-def _angular_grid(n_theta=8, n_phi=8):
-    ct, wt = np.polynomial.legendre.leggauss(n_theta)   # cos(theta)
-    ph = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    wp = np.full(n_phi, 2.0 * np.pi / n_phi)
+def _angular_grid():
+    """8 x 8 directions: Gauss-Legendre in cos(theta), uniform in phi."""
+    ct, wt = np.polynomial.legendre.leggauss(8)
+    ph = 2.0 * np.pi * np.arange(8) / 8
+    wp = np.full(8, 2.0 * np.pi / 8)
     st = np.sqrt(1.0 - ct * ct)
     dirs = np.stack([
         np.outer(st, np.cos(ph)),
         np.outer(st, np.sin(ph)),
-        np.outer(ct, np.ones(n_phi)),
+        np.outer(ct, np.ones(8)),
     ], axis=-1).reshape(-1, 3)
     return dirs, np.outer(wt, wp).ravel()
-
-
-def ball_nodes_3d(center, radius, eps):
-    """Spherical product grid on a 3D ball, radially refined on scale eps,
-    with 12 x 12 angular nodes.
-
-    The refined part [0, 3 eps] is laid out in units of eps, where its
-    panel count 3/(1/8) = 24 is exact (on the r scale the quotient
-    3eps/(eps/8) rounds up to 25 at some eps); each panel has 8 nodes.
-    The rest of the ball, where the integrand does not vary on scale eps,
-    gets 16 panels of 4 nodes.
-    """
-    center = np.asarray(center, dtype=float)
-    core = min(3.0, radius / eps)
-    n_core = max(2, int(np.ceil(core * 8.0)))
-    s1, w1 = _panel_nodes(np.linspace(0.0, core, n_core + 1), 8)
-    if radius > core * eps:
-        r2, w2 = _panel_nodes(np.linspace(core * eps, radius, 17), 4)
-    else:
-        r2, w2 = np.empty(0), np.empty(0)
-    r, wr = np.concatenate([eps * s1, r2]), np.concatenate([eps * w1, w2])
-    dirs, wa = _angular_grid(12, 12)
-    pts = center[None, None, :] + r[:, None, None] * dirs[None, :, :]
-    wts = (wr * r * r)[:, None] * wa[None, :]
-    return pts.reshape(-1, 3), wts.ravel()
-
-
-def pair_static(radial_net, phi, eps):
-    """<u, phi> for a radial 3D net u(r) centered at the origin."""
-    if phi.dimension != 3:
-        raise ValueError("static pairing needs a 3D test function")
-    r_max = phi.radius + float(np.linalg.norm(phi.center))
-    pts, wts = ball_nodes_3d(np.zeros(3), r_max, eps)
-    r = np.linalg.norm(pts, axis=-1)
-    return float((radial_net(r) * phi(pts) * wts).sum())
 
 
 @dataclass(frozen=True)
@@ -175,26 +134,20 @@ class SliceGrid:
         return float((values * self.phi_values * self.weights).sum())
 
 
-def slice_grid(w, phi, eps, r_lo, r_hi):
-    """Build the product grid time x radius x angle restricted to the
-    radial band [r_lo, r_hi] around the track, and solve the kinematics:
-    12 Gauss times, radial panels of width <= eps/8 with 4 nodes each, and
-    8 x 8 directions."""
+def slice_grid(w, phi, eps, t, t_weight, r_lo, r_hi):
+    """Build the time slice at coordinate time t (Gauss weight t_weight) of
+    the product grid time x radius x angle, restricted to the radial band
+    [r_lo, r_hi] around the track, and solve the kinematics: radial panels
+    of width <= eps/8 with 4 nodes each, and 8 x 8 directions."""
     if phi.dimension != 4:
         raise ValueError("spacetime pairing needs a 4D test function")
-    gx, gw = np.polynomial.legendre.leggauss(12)
-    t_nodes = phi.center[0] + phi.radius * gx
-    t_wts = phi.radius * gw
-    tau_star = _tau_simultaneous(w, t_nodes)
-    track = w.z(tau_star)[..., 1:]
-
+    track = w.z(_tau_simultaneous(w, np.asarray(t)))[1:]
     r, wr = radial_nodes(eps, r_lo, r_hi)
     dirs, wa = _angular_grid()
-    pts = np.empty((t_nodes.size, r.size, dirs.shape[0], 4))
-    pts[..., 0] = t_nodes[:, None, None]
-    pts[..., 1:] = (track[:, None, None, :]
-                    + r[None, :, None, None] * dirs[None, None, :, :])
-    wts = t_wts[:, None, None] * (wr * r * r)[None, :, None] * wa[None, None, :]
+    pts = np.empty((r.size, dirs.shape[0], 4))
+    pts[..., 0] = t
+    pts[..., 1:] = track + r[:, None, None] * dirs[None, :, :]
+    wts = t_weight * (wr * r * r)[:, None] * wa[None, :]
     pts = pts.reshape(-1, 4)
     kin = kinematics_arrays(w, pts)
     return SliceGrid(points=pts, weights=wts.ravel(), kin=kin, phi_values=phi(pts))
@@ -269,24 +222,36 @@ def weak_limit(values, eps_grid, target, tolerance=1e-3, scale=None):
 
 
 def claim_charge_density(fam, phi3, eps_grid, e=1.0, tolerance=1e-3):
-    """(a) <rho_eps, phi> -> e*phi(0) for the charge at rest."""
-    vals = [pair_static(lambda r: static_rho(fam, r, eps, e), phi3, eps)
-            for eps in eps_grid]
+    """(a) <rho_eps, phi> -> e*phi(0) for the charge at rest.
+
+    rho_eps and a bump centered on the charge are both radial, so the
+    pairing is 4 pi int_eps^2eps rho_eps(r) phi3(r) r^2 dr, on 8 panels of
+    8 Gauss nodes over the shell [eps, 2 eps] where rho_eps lives."""
+    if (phi3.dimension != 3 or phi3.poly is not None
+            or np.any(phi3.center != 0.0)):
+        raise ValueError("claim (a) needs a 3D bump centered on the charge, "
+                         "without a poly factor")
+    s, ws = _panel_nodes(np.linspace(1.0, 2.0, 9), 8)
+    vals = []
+    for eps in eps_grid:
+        r = eps * s
+        on_axis = r[:, None] * np.array([0.0, 0.0, 1.0])
+        rho_phi = static_rho(fam, r, eps, e) * phi3(on_axis)
+        vals.append(4.0 * np.pi * float((rho_phi * r * r * eps * ws).sum()))
     target = e * float(phi3(np.zeros(3)))
     return weak_limit(vals, eps_grid, target, tolerance,
                       scale=max(abs(e), abs(target), 1e-3))
 
 
-def claim_heaviside(g, fam, eps, target):
-    """(b) on one band grid: <H_eps(xi), phi> = target + <H_eps - 1, phi>,
-    with target = int phi; H - 1 is supported in xi < 2*eps, so the band
-    captures the defect exactly."""
-    defect = fam.H(g.kin["xi"], eps) - 1.0
-    return target + g.pair(defect)
+def claim_heaviside(g, fam, eps):
+    """(b) on one time slice: the defect <H_eps(xi) - 1, phi> of
+    <H_eps(xi), phi> from int phi; H - 1 is supported in xi < 2*eps, so
+    the band captures it exactly."""
+    return g.pair(fam.H(g.kin["xi"], eps) - 1.0)
 
 
 def claim_psi(w, fam, g, eps, e):
-    """(c) on one band grid: the pairings <Psi_eps_a, phi> of the four
+    """(c) on one time slice: the pairings <Psi_eps_a, phi> of the four
     components a (Psi is supported in the transition shell, so the band
     captures it exactly).  Psi is computed once for all four."""
     psi = box_phi_arrays(w, fam, g.points, eps, e, kin=g.kin)[1]
@@ -294,7 +259,7 @@ def claim_psi(w, fam, g, eps, e):
 
 
 def claim_box_minus_lw(w, fam, g, eps, e):
-    """(d) on one band grid: (<boxPhi_fd_0 - Lambda_0 H_eps(xi), phi>,
+    """(d) on one time slice: (<boxPhi_fd_0 - Lambda_0 H_eps(xi), phi>,
     <Lambda_0 H_eps(xi), phi>); the second value sets the claim's scale.
 
     Uses the finite-difference d'Alembertian, so the claim does not lean
@@ -348,11 +313,12 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
                       claims=None):
     """Run the four claims; claim (a) only applies to the rest worldline.
 
-    Claims (b)-(d) make one pass over eps: each band grid (with its
-    retarded kinematics and phi values) is built once, paired by every
-    wanted claim, and dropped before the next eps.  weak_limit then runs
-    once per claim.  Pass a subset of CLAIM_NAMES as `claims` to restrict
-    the run."""
+    Claims (b)-(d) make one pass over eps and, per eps, over the 12 Gauss
+    times of phi4's support: each time slice (with its retarded kinematics
+    and phi values) is built once, paired by every wanted claim, and
+    dropped before the next slice.  Each claim sums its pairings over the
+    slices; weak_limit then runs once per claim.  Pass a subset of
+    CLAIM_NAMES as `claims` to restrict the run."""
     if claims is not None:
         unknown = set(claims) - set(CLAIM_NAMES)
         if unknown:
@@ -375,22 +341,31 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
     spacetime = [n for n in CLAIM_NAMES[1:] if wanted(n)]
     psi_names = [f"psi_{a}" for a in range(4)]
     target = integral_of(phi4) if wanted("heaviside") else None
+    gx, gw = np.polynomial.legendre.leggauss(12)
+    times = list(zip(phi4.center[0] + phi4.radius * gx, phi4.radius * gw))
     vals = {n: [] for n in CLAIM_NAMES[1:]}
     for eps in eps_grid if spacetime else ():
-        g = slice_grid(w, phi4, eps, SHELL_BAND[0] * eps,
-                       min(SHELL_BAND[1] * eps, 2.5 * phi4.radius))
-        if wanted("heaviside"):
-            vals["heaviside"].append(claim_heaviside(g, fam, eps, target))
-        if any(map(wanted, psi_names)):
-            for name, v in zip(psi_names, claim_psi(w, fam, g, eps, e)):
-                vals[name].append(v)
-        if wanted("box_minus_lw"):
-            v, lam_ref = claim_box_minus_lw(w, fam, g, eps, e)
-            vals["box_minus_lw"].append(v)
-        del g   # free this grid before the next one is built
+        band = (SHELL_BAND[0] * eps, min(SHELL_BAND[1] * eps, 2.5 * phi4.radius))
+        sums = dict.fromkeys(vals, 0.0)
+        lam_ref = 0.0
+        for t, t_weight in times:
+            g = slice_grid(w, phi4, eps, t, t_weight, *band)
+            if wanted("heaviside"):
+                sums["heaviside"] += claim_heaviside(g, fam, eps)
+            if any(map(wanted, psi_names)):
+                for name, v in zip(psi_names, claim_psi(w, fam, g, eps, e)):
+                    sums[name] += v
+            if wanted("box_minus_lw"):
+                v, lam = claim_box_minus_lw(w, fam, g, eps, e)
+                sums["box_minus_lw"] += v
+                lam_ref += lam
+            del g   # free this slice before the next one is built
+        for name in spacetime:
+            vals[name].append(sums[name])
     for name in spacetime:
         if name == "heaviside":
             limit_at, scale = target, max(abs(target), 1e-3)
+            vals[name] = [target + v for v in vals[name]]
         elif name == "box_minus_lw":
             limit_at, scale = 0.0, max(abs(lam_ref), 1e-3)
         else:

@@ -26,7 +26,7 @@ from .fields import box_phi_arrays, box_phi_fd, phi_arrays
 from .minkowski import catalog, inner, parse_worldline, validate_worldline
 from .regularization import family_check, geometric_grid, make_family, \
     parse_mollifier
-from .retarded import kinematics_arrays, retarded_time, retarded_time_bisection
+from .retarded import kinematics_arrays, retarded_time_bisection
 from .selfenergy import MIN_BOUND_POINTS, _energies, divergence_bound_check, \
     mass_renormalize
 
@@ -132,11 +132,22 @@ def load_config(path=None):
             raise ConfigError(f"cannot parse config {path}: {exc}") from None
         if not read:
             raise ConfigError(f"config file not found: {path}")
+        text_keys = ("worldline", "mollifier", "epsilon_grid")
+        number_keys = ("e", "mu", "mc2", "tolerance")
+        # [points] names its points freely; the other sections have fixed keys
+        keys = {"run": text_keys + number_keys + ("max_delta_order",),
+                "points": None, "testfunction": ("center", "radius")}
+        for name in parser.sections():
+            if name not in keys:
+                raise ConfigError(f"unknown config section [{name}]")
+            for key in parser[name] if keys[name] is not None else ():
+                if key not in keys[name]:
+                    raise ConfigError(f"unknown key {key!r} in [{name}]")
         run = parser["run"] if parser.has_section("run") else {}
-        for key in ("worldline", "mollifier", "epsilon_grid"):
+        for key in text_keys:
             if key in run:
                 setattr(cfg, key, run[key])
-        for key in ("e", "mu", "mc2", "tolerance", "tf_radius"):
+        for key in number_keys:
             if key in run:
                 setattr(cfg, key, _number(key, run[key]))
         if "max_delta_order" in run:
@@ -312,13 +323,12 @@ def cmd_check(cfg, out, args):
         pts[:, 0] = rng.uniform(2.5, 5.0, size=50)
         if w.label == "hyperbolic":
             pts[:, 1] = np.abs(pts[:, 1]) + 1.0  # stay inside the horizon
-        tau = retarded_time(w, pts)
-        tau_b = retarded_time_bisection(w, pts)
         k = kinematics_arrays(w, pts)
+        tau_b = retarded_time_bisection(w, pts)
         x2 = np.maximum(np.einsum("ij,ij->i", pts, pts), 1.0)
         ok = (np.abs(k["residual"]) <= 1e-9 * x2).all() \
-            and np.abs(tau - tau_b).max() <= 1e-10 \
-            and (np.abs(inner(k["K"], w.zdot(tau)) - 1.0) <= 1e-9).all() \
+            and np.abs(k["tau_r"] - tau_b).max() <= 1e-10 \
+            and (np.abs(inner(k["K"], k["zdot"]) - 1.0) <= 1e-9).all() \
             and (np.abs(inner(k["K"], k["K"])) <= 1e-9).all() \
             and (k["xi"] > 0).all()
         record(f"retarded kinematics {w.label}", bool(ok),

@@ -31,10 +31,6 @@ class DegenerateNet(PointChargeError):
     """A seminorm value vanished; the net is negligible at machine precision."""
 
 
-class ResolutionTooCoarse(PointChargeError):
-    """Quadrature spacing does not resolve the epsilon shell."""
-
-
 class NoTrend(PointChargeError):
     """Pairing values show no decreasing trend toward the target."""
 

@@ -21,12 +21,6 @@ from .errors import SmoothnessRequired
 from .minkowski import METRIC, inner
 from .retarded import _as_points, _neighbour_tau0, _solve_array, kinematics_arrays
 
-# points per block of the finite-difference stencil: small enough that a
-# block's (n, 4) arrays stay in cache, large enough to amortize the Python
-# loop; every operation is per point, so the result does not depend on it
-BLOCK = 8192
-
-
 def _phi(fam, kin, eps, e):
     return 0.5 * e * kin["R"] * fam.H(kin["xi"], eps)[..., None]
 
@@ -79,33 +73,24 @@ def box_phi_fd(w, fam, X, eps, h=None, e=1.0, kin=None):
 
     kin holds the kinematics at X (solved here if not given).  Neighbour
     X +- h e_mu starts its solve from the second-order Taylor expansion of
-    tau_r about X; the accepted root passes the cold solve's tests.  The
-    points are processed BLOCK at a time.
+    tau_r about X; the accepted root passes the cold solve's tests.
     """
     pts, _ = _as_points(X)
     if kin is None:
         kin = kinematics_arrays(w, pts)
     if h is None:
         h = fd_steps(pts, kin["xi"], eps)
-    shape = pts.shape[:-1]
-    h = (np.asarray(h, dtype=float) * np.ones(shape)).ravel()
-    pts = pts.reshape(-1, 4)
-    kin = {k: np.reshape(v, (pts.shape[0],) + np.shape(v)[len(shape):])
-           for k, v in kin.items()}
-    out = np.zeros_like(pts)
-    for start in range(0, pts.shape[0], BLOCK):
-        b = slice(start, start + BLOCK)
-        x, hb, total = pts[b], h[b], out[b]
-        kb = {k: v[b] for k, v in kin.items()}
-        center = _phi(fam, kb, eps, e)
-        for mu in range(4):
-            shift = np.zeros_like(x)
-            shift[:, mu] = hb
-            tau_plus, tau_minus = _neighbour_tau0(kb, mu, hb)
-            plus = phi_arrays(w, fam, x + shift, eps, e, tau_plus)
-            minus = phi_arrays(w, fam, x - shift, eps, e, tau_minus)
-            total += METRIC[mu] * (plus - 2.0 * center + minus) / (hb * hb)[:, None]
-    return out.reshape(shape + (4,))
+    h = np.asarray(h, dtype=float) * np.ones(pts.shape[:-1])
+    center = _phi(fam, kin, eps, e)
+    total = np.zeros_like(pts)
+    for mu in range(4):
+        shift = np.zeros_like(pts)
+        shift[..., mu] = h
+        tau_plus, tau_minus = _neighbour_tau0(kin, mu, h)
+        plus = phi_arrays(w, fam, pts + shift, eps, e, tau_plus)
+        minus = phi_arrays(w, fam, pts - shift, eps, e, tau_minus)
+        total += METRIC[mu] * (plus - 2.0 * center + minus) / (h * h)[..., None]
+    return total
 
 
 def static_phi(fam, r, eps, e=1.0):

@@ -224,8 +224,8 @@ def assert_input_error(status, capsys):
     assert err.startswith("error:") and err.count("\n") == 1, err
 
 
-# (the [run] section of the config, the subcommand, its exit code): 2 for
-# malformed input, 1 for a well-formed input with no answer
+# (the config body after its [run] header, the subcommand, its exit code):
+# 2 for malformed input, 1 for a well-formed input with no answer
 EXIT_CODES = [
     ("", ["distalg", "verify", "delta^(8)"], 2),
     ("", ["distalg", "verify", "tplus^-8"], 2),
@@ -235,6 +235,10 @@ EXIT_CODES = [
     ("epsilon_grid = {0.1, 0.05}", ["check"], 2),
     ("max_delta_order = 65", ["distalg", "solve"], 2),
     ("mollifier = junk", ["selfenergy"], 2),
+    ("epsilon-grid = geometric(0.1, 0.5, 6)", ["selfenergy"], 2),
+    ("worldlin = rest", ["kinematics"], 2),
+    ("[testfunction]\ncentre = 3.0, 0.0, 0.0, 0.0",
+     ["associate", "--claim", "heaviside"], 2),
     ("", ["associate", "--claim", "bogus"], 2),
     ("", ["distalg", "verify", "delta^(7)"], 0),
     ("max_delta_order = 64", ["distalg", "solve"], 0),

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pointcharge import fields
 from pointcharge.errors import SmoothnessRequired
 from pointcharge.fields import (
     _phi,
@@ -157,16 +156,6 @@ def test_warm_stencil_matches_closed_form_stencil_at_rest():
         return 0.5 * R * BUMP.H(r, eps)[:, None]
 
     assert rel_gap(box_phi_fd(w, BUMP, pts, eps), stencil(closed, pts, h)) <= 1e-6
-
-
-@pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
-def test_stencil_blocks_do_not_change_the_result(w, monkeypatch):
-    # 40 points are one block by default; blocks of 7 leave a ragged tail
-    eps = 0.05
-    pts = np.concatenate([shell_points(w, eps, 20), outside_points(w, eps, 20)])
-    whole = box_phi_fd(w, BUMP, pts, eps)
-    monkeypatch.setattr(fields, "BLOCK", 7)
-    assert np.array_equal(box_phi_fd(w, BUMP, pts, eps), whole)
 
 
 def test_stencil_keeps_the_leading_shape():
