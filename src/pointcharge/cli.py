@@ -174,8 +174,10 @@ def load_config(path=None):
                 if len(cfg.tf_center) != 4:
                     raise ConfigError("testfunction center needs 4 components")
             if "radius" in tf:
-                cfg.tf_radius = _number("testfunction radius", tf["radius"])
-    for key in ("mc2", "tolerance", "tf_radius"):
+                cfg.tf_radius = _positive(
+                    "testfunction radius",
+                    _number("testfunction radius", tf["radius"]))
+    for key in ("mc2", "tolerance"):
         _positive(key, getattr(cfg, key))
     return cfg.resolve()
 

@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import factorial
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ClosureViolation, UnsupportedAtom
 
@@ -298,8 +297,11 @@ def _subtraction_integral(phi, k, support_hi, taylor, extra, t0=0.02):
     """int_0^1 (phi - T_k)/t^k + int_1^inf phi/t^k.
 
     Evaluating phi - T_k in floats cancels catastrophically near 0, so the
-    piece on [0, t0] uses the next Taylor coefficients instead.
+    piece on [0, t0] uses the next Taylor coefficients instead.  Needs
+    scipy, from the `test` extra.
     """
+    from scipy.integrate import quad
+
     def mid(t):
         poly = sum(c * t ** j for j, c in enumerate(taylor))
         return (float(phi(t)) - poly) / t ** k
@@ -329,7 +331,11 @@ def _pair_fp_plus(phi, k, support_hi):
 
 def numeric_pairing(atom, phi, support=(-8.0, 8.0)):
     """<atom, phi> by quadrature / finite parts; phi smooth with compact
-    support inside the given interval."""
+    support inside the given interval.  A numeric oracle for the exact
+    algebra that no subcommand calls; it needs scipy, from the `test`
+    extra."""
+    from scipy.integrate import quad
+
     lo, hi = support
     kind = atom[0]
     if kind == "mono":

@@ -9,10 +9,31 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .errors import DegenerateNet, InvalidMollifier, SmoothnessRequired
+
+# the mollifier integrals use GAUSS_PANELS equal panels of GAUSS_NODES
+# Gauss-Legendre nodes; H_1 is a cubic Hermite interpolant on H1_CELLS
+# equal cells of [1, 2], its knot values integrated by the same nodes
+GAUSS_PANELS = 64
+GAUSS_NODES = 16
+H1_CELLS = 4000
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
+
+
+def _panel_integrals(f, a, b, panels):
+    """int f over each of `panels` equal cells of [a, b], GAUSS_NODES
+    Gauss-Legendre nodes per cell; f must take an array."""
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return half[:, 0] * (f(mid + half * _GL_X) @ _GL_W)
+
+
+def gauss_integral(f, a, b):
+    """int_a^b f by the composite rule: GAUSS_PANELS panels of GAUSS_NODES
+    Gauss-Legendre nodes."""
+    return float(np.sum(_panel_integrals(f, a, b, GAUSS_PANELS)))
 
 
 @dataclass(frozen=True)
@@ -27,9 +48,8 @@ class Mollifier:
 
 @lru_cache(maxsize=1)
 def _bump_norm():
-    val, _ = quad(lambda u: np.exp(-1.0 / (1.0 - u * u)), -1.0, 1.0,
-                  epsabs=1e-14, epsrel=1e-14)
-    return 2.0 / val
+    return 2.0 / gauss_integral(lambda u: np.exp(-1.0 / (1.0 - u * u)),
+                                -1.0, 1.0)
 
 
 def bump_mollifier():
@@ -94,13 +114,11 @@ class HeavisideFamily:
     @cached_property
     def moments(self):
         """(m0, m2, max chi): m0 = int chi^2 and m2 = int chi^2/s^2 over
-        [1, 2] by quad, and max chi on 20001 samples of [1, 2]; computed
-        once per family."""
+        [1, 2] by gauss_integral, and max chi on 20001 samples of [1, 2];
+        computed once per family."""
         chi = self.mollifier.chi
-        m0, _ = quad(lambda s: chi(s) ** 2, 1.0, 2.0,
-                     epsabs=0.0, epsrel=1e-13, limit=200)
-        m2, _ = quad(lambda s: chi(s) ** 2 / (s * s), 1.0, 2.0,
-                     epsabs=0.0, epsrel=1e-13, limit=200)
+        m0 = gauss_integral(lambda s: chi(s) ** 2, 1.0, 2.0)
+        m2 = gauss_integral(lambda s: chi(s) ** 2 / (s * s), 1.0, 2.0)
         return m0, m2, float(np.max(chi(np.linspace(1.0, 2.0, 20001))))
 
     def H(self, r, eps):
@@ -128,9 +146,36 @@ class HeavisideFamily:
         return np.asarray(self.mollifier.chi_prime(r / eps) / (eps * eps))
 
 
+def _hermite_h1(chi):
+    """H_1(t) = int_1^t chi as a cubic Hermite interpolant on H1_CELLS
+    cells: knot values are the cumulative cell integrals, knot slopes are
+    H_1' = chi, and everything is divided by the total so H_1(2) = 1."""
+    xs = np.linspace(1.0, 2.0, H1_CELLS + 1)
+    h = np.diff(xs)
+    cells = _panel_integrals(chi, 1.0, 2.0, H1_CELLS)
+    cum = np.concatenate([[0.0], np.cumsum(cells)])
+    y, d = cum / cum[-1], chi(xs) / cum[-1]
+    # power form in t - xs[i] on cell i; the mean slope comes from the
+    # cell's own integral, not from a difference of two cumulative sums
+    slope = cells / cum[-1] / h
+    coef = np.stack([y[:-1], d[:-1],
+                     (3.0 * slope - 2.0 * d[:-1] - d[1:]) / h,
+                     (d[:-1] + d[1:] - 2.0 * slope) / (h * h)], axis=1)
+
+    def h1(t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(((t - 1.0) * H1_CELLS).astype(np.intp), 0, H1_CELLS - 1)
+        u = t - xs[i]
+        c = coef[i]
+        return c[..., 0] + u * (c[..., 1] + u * (c[..., 2] + u * c[..., 3]))
+
+    return h1
+
+
 def make_family(chi: Mollifier) -> HeavisideFamily:
-    """Build the Heaviside family; validates the mollifier invariants."""
-    total, _ = quad(chi.chi, 1.0, 2.0, epsabs=1e-13, limit=200)
+    """Build the Heaviside family; validates the mollifier invariants (unit
+    mass by gauss_integral to 1e-10, nonnegativity, support in [1, 2])."""
+    total = gauss_integral(chi.chi, 1.0, 2.0)
     if abs(total - 1.0) > 1e-10:
         raise InvalidMollifier(f"mollifier mass is {total!r}, expected 1")
     probe = np.linspace(1.0, 2.0, 2001)
@@ -141,10 +186,7 @@ def make_family(chi: Mollifier) -> HeavisideFamily:
         raise InvalidMollifier("mollifier support exceeds [1, 2]")
 
     if chi.smooth:
-        xs = np.linspace(1.0, 2.0, 4001)
-        anti = CubicSpline(xs, chi.chi(xs)).antiderivative()
-        scale = 1.0 / float(anti(2.0))  # remove the ~1e-13 spline mass defect
-        h1 = lambda t: scale * anti(t)
+        h1 = _hermite_h1(chi.chi)
     else:
         h1 = lambda t: np.clip(np.asarray(t, dtype=float) - 1.0, 0.0, 1.0)
     return HeavisideFamily(mollifier=chi, _h1=h1)

@@ -14,11 +14,10 @@ quantifies the divergence; a_eps = (2/e^2) U_ele^eps = m0/eps.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import OutOfRange
 from .regularization import GeneralizedNet
+from .retarded import _rtsafe
 
 # fewest grid values divergence_bound_check accepts
 MIN_BOUND_POINTS = 3
@@ -42,21 +41,6 @@ def u_ele(fam, e, eps):
 def u_mag(fam, mu, eps):
     """Magnetic-dipole self-energy (mu^2/3) int H'^2/r^2 dr = mu^2 m2/(3 eps^3)."""
     return float(_energies(fam, 0.0, mu, eps)[1])
-
-
-def u_ele_from_field(fam, e, eps):
-    """(1/8pi) int |E|^2 over R^3 by radial quadrature; cross-checks u_ele.
-
-    E = e*(H/r^2 - H'/r) r-hat, so the integral is
-    (1/2) int_0^inf (H/r^2 - H'/r)^2 r^2 dr; the integrand vanishes below
-    eps and equals e^2/r^2 above 2*eps, leaving the analytic tail
-    e^2/(4*eps) beyond the shell.
-    """
-    def f(r):
-        return (fam.H(r, eps) / r - fam.dH(r, eps)) ** 2
-    val, _ = quad(f, eps, 2.0 * eps, epsabs=0.0, epsrel=1e-12, limit=200)
-    tail = 1.0 / (2.0 * eps)
-    return 0.5 * e * e * (val + tail)
 
 
 def sup_dh(fam, eps):
@@ -133,6 +117,9 @@ def mass_renormalize(fam, e, mu, target_mc2):
     strictly on (0, 1] unless A = B = 0, so a unique solution exists iff
     T = target_mc2 >= A + B.  It lies in [max(A/T, (B/T)^(1/3)), 1]: at
     either candidate x, T x^3 - A x^2 - B <= 0, i.e. the total is >= T.
+    On that bracket g(t) = T t^3 - A t^2 - B increases (g' = t(3Tt - 2A)
+    > 0 for t > 2A/(3T)), so retarded._rtsafe's safeguarded Newton on g
+    finds the root.
     """
     if not (np.isfinite(target_mc2) and target_mc2 > 0):
         raise OutOfRange("target mc^2 must be finite and positive")
@@ -148,11 +135,19 @@ def mass_renormalize(fam, e, mu, target_mc2):
     def f(t):
         return a / t + b / t ** 3 - target_mc2
 
+    def gdg(idx, t):
+        return (target_mc2 * t ** 3 - a * t * t - b,
+                t * (3.0 * target_mc2 * t - 2.0 * a), True)
+
     lo = max(a / target_mc2, (b / target_mc2) ** (1.0 / 3.0))
     # f(lo) <= 0 only by rounding, when one term alone makes lo the root;
-    # xtol scales with lo, since U ~ eps^-3 magnifies an absolute error
-    eps0 = lo if f(lo) <= 0.0 else brentq(f, lo, 1.0, xtol=1e-15 * lo,
-                                          rtol=8.9e-16)
+    # the step tolerance scales with lo, since U ~ eps^-3 magnifies an
+    # absolute error
+    eps0 = lo
+    if f(lo) > 0.0:
+        tau, _ = _rtsafe(gdg, np.array([lo]), np.array([lo]), np.array([1.0]),
+                         np.inf, 1e-15 * lo)
+        eps0 = float(tau[0])
     if not abs(f(eps0)) <= 1e-10 * target_mc2:
         raise OutOfRange(f"|U(eps0) - target| = {abs(f(eps0)):.3e} exceeds "
                          f"1e-10 * target at eps0 = {eps0:.17g}")

@@ -1,16 +1,19 @@
 import argparse
 import io
 import json
+import os
 import string
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
-from pointcharge import cli, regularization, selfenergy
+from pointcharge import cli, regularization
 from pointcharge.cli import RunConfig, load_config, parse_eps_grid, run
 from pointcharge.errors import ConfigError
 
@@ -142,16 +145,16 @@ def test_renormalize_json():
 
 @pytest.mark.parametrize("mollifier", ["bump", "boxcar"])
 def test_renormalize_computes_the_moments_once(monkeypatch, mollifier):
-    # m0 and m2 take one quad each; the printed residual reuses them
+    # m0 and m2 take one Gauss rule each; the printed residual reuses them
     cfg = RunConfig(mollifier=mollifier).resolve()
     calls = []
+    gauss_integral = regularization.gauss_integral
 
-    def counting_quad(*args, **kwargs):
-        calls.append(args[1:3])
-        return quad(*args, **kwargs)
+    def counting_gauss(f, a, b):
+        calls.append((a, b))
+        return gauss_integral(f, a, b)
 
-    for mod in (regularization, selfenergy):
-        monkeypatch.setattr(mod, "quad", counting_quad)
+    monkeypatch.setattr(regularization, "gauss_integral", counting_gauss)
     cli.cmd_renormalize(cfg, io.StringIO(), argparse.Namespace(mc2=None))
     assert calls == [(1.0, 2.0)] * 2
 
@@ -207,6 +210,42 @@ def test_byte_identical_reruns(argv):
     assert first == second
 
 
+# runs each argv of argv[1] (a JSON list) through cli.run with scipy blocked,
+# so that importing any scipy module raises ImportError; prints the
+# (exit code, stdout) pairs as JSON
+NO_SCIPY = """
+import io, json, sys
+sys.modules["scipy"] = None
+from pointcharge.cli import run
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    results.append((run(argv, out=out), out.getvalue()))
+print(json.dumps(results))
+"""
+
+
+def test_subcommands_run_without_scipy(tmp_path):
+    # scipy is a test-only dependency: no subcommand may import it
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nepsilon_grid = geometric(0.1, 0.5, 4)\n")
+    argvs = [["kinematics"], ["fields", "eval"], ["selfenergy"],
+             ["renormalize"], ["distalg", "solve"],
+             ["distalg", "verify", "tplus^-1"], ["check"],
+             ["-c", str(cfg), "associate"]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    blocked = json.loads(proc.stdout)
+    assert len(blocked) == len(argvs)
+    for argv, (status, text) in zip(argvs, blocked):
+        assert (status, text) == (0, invoke(argv)[1]), argv
+
+
 def test_associate_single_claim_json():
     status, text = invoke(["associate", "--claim", "charge_density"])
     assert status == 0
@@ -239,6 +278,7 @@ EXIT_CODES = [
     ("worldlin = rest", ["kinematics"], 2),
     ("[testfunction]\ncentre = 3.0, 0.0, 0.0, 0.0",
      ["associate", "--claim", "heaviside"], 2),
+    ("[testfunction]\nradius = -1", ["selfenergy"], 2),
     ("", ["associate", "--claim", "bogus"], 2),
     ("", ["distalg", "verify", "delta^(7)"], 0),
     ("max_delta_order = 64", ["distalg", "solve"], 0),
@@ -263,12 +303,28 @@ def test_exit_code(tmp_path, capsys, run_keys, argv, code):
         assert err.startswith("error:") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("key", ["e", "mu", "mc2", "tolerance", "tf_radius"])
+# each numeric RunConfig field and the config line that sets it
+CONFIG_LINES = {"e": "[run]\ne", "mu": "[run]\nmu", "mc2": "[run]\nmc2",
+                "tolerance": "[run]\ntolerance",
+                "tf_radius": "[testfunction]\nradius"}
+
+
+@pytest.mark.parametrize("key", list(CONFIG_LINES))
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_run_value_exits_2(tmp_path, capsys, key, value):
     cfg = tmp_path / "run.ini"
-    cfg.write_text(f"[run]\n{key} = {value}\n")
+    cfg.write_text(f"{CONFIG_LINES[key]} = {value}\n")
     assert_input_error(invoke(["-c", str(cfg), "selfenergy"])[0], capsys)
+
+
+def test_bad_testfunction_radius_names_the_config_key(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    for value, reason in (("nan", "must be a finite number, got 'nan'"),
+                          ("-1", "must be finite and positive, got -1.0")):
+        cfg.write_text(f"[testfunction]\nradius = {value}\n")
+        assert invoke(["-c", str(cfg), "selfenergy"])[0] == 2
+        assert capsys.readouterr().err == \
+            f"error: testfunction radius {reason}\n"
 
 
 def test_nan_charge_prints_no_true_row(tmp_path, capsys):
@@ -424,19 +480,22 @@ EPSILON_GRID = st.one_of(
               ARG, ARG, st.integers(0, 64).map(str) | STRAY),
     st.lists(ARG, max_size=6).map(lambda xs: "{" + ", ".join(xs) + "}"),
 )
-NUMERIC_KEYS = ("e", "mu", "mc2", "tolerance", "tf_radius", "max_delta_order")
+NUMERIC_KEYS = ("e", "mu", "mc2", "tolerance", "max_delta_order")
 
 
 @given(
     worldline=st.none() | WORLDLINE,
     epsilon_grid=st.none() | EPSILON_GRID,
     numbers=st.dictionaries(st.sampled_from(NUMERIC_KEYS), ARG | STRAY),
+    radius=st.none() | ARG | STRAY,
 )
 @settings(max_examples=60, deadline=None)
 def test_load_config_returns_or_raises_config_error(
-        tmp_path_factory, worldline, epsilon_grid, numbers):
+        tmp_path_factory, worldline, epsilon_grid, numbers, radius):
     run_keys = dict(numbers, worldline=worldline, epsilon_grid=epsilon_grid)
     lines = [f"{k} = {v}" for k, v in run_keys.items() if v is not None]
+    if radius is not None:
+        lines += ["[testfunction]", f"radius = {radius}"]
     cfg = tmp_path_factory.mktemp("grammar") / "run.ini"
     cfg.write_text("[run]\n" + "\n".join(lines) + "\n")
     try:

@@ -10,6 +10,7 @@ from pointcharge.errors import (
 from pointcharge.regularization import (
     GeneralizedNet,
     Mollifier,
+    _bump_norm,
     boxcar_mollifier,
     bump_mollifier,
     family_check,
@@ -49,6 +50,25 @@ def test_pure_scaling():
     r = np.linspace(0.0, 0.3, 400)
     for eps in (0.1, 0.05, 0.003125):
         assert np.allclose(BUMP.H(r, eps), BUMP.H(r / eps, 1.0), atol=1e-12)
+
+
+def test_bump_norm_matches_quad():
+    # the composite Gauss rule against scipy's adaptive quadrature
+    val, _ = quad(lambda u: np.exp(-1.0 / (1.0 - u * u)), -1.0, 1.0,
+                  epsabs=0.0, epsrel=1e-13, limit=200)
+    assert _bump_norm() == pytest.approx(2.0 / val, rel=1e-14, abs=0.0)
+
+
+def test_h1_matches_quad_of_chi():
+    # H_1(t) = int_1^t chi; the Hermite interpolant against quad, which
+    # integrates chi itself from the nearer end of [1, 2]
+    chi = BUMP.mollifier.chi
+    t = np.random.default_rng(11).uniform(1.0, 2.0, 200)
+    ref = np.array([quad(chi, 1.0, ti, epsabs=0.0, epsrel=1e-13,
+                         limit=200)[0] if ti < 1.5 else
+                    1.0 - quad(chi, ti, 2.0, epsabs=0.0, epsrel=1e-13,
+                               limit=200)[0] for ti in t])
+    assert np.abs(BUMP.H(t, 1.0) - ref).max() <= 1e-13
 
 
 def test_dH_is_scaled_mollifier():

@@ -17,7 +17,6 @@ from pointcharge.selfenergy import (
     mass_renormalize,
     sup_dh,
     u_ele,
-    u_ele_from_field,
     u_mag,
 )
 
@@ -33,6 +32,21 @@ def int_dh_sq(fam, eps, weight=None):
         else (lambda r: fam.dH(r, eps) ** 2 * weight(r))
     val, _ = quad(f, eps, 2.0 * eps, epsabs=0.0, epsrel=1e-13, limit=200)
     return val
+
+
+def u_ele_from_field(fam, e, eps):
+    """(1/8pi) int |E|^2 over R^3 by radial quadrature; cross-checks u_ele.
+
+    E = e*(H/r^2 - H'/r) r-hat, so the integral is
+    (1/2) int_0^inf (H/r^2 - H'/r)^2 r^2 dr; the integrand vanishes below
+    eps and equals e^2/r^2 above 2*eps, leaving the analytic tail
+    e^2/(4*eps) beyond the shell.
+    """
+    def f(r):
+        return (fam.H(r, eps) / r - fam.dH(r, eps)) ** 2
+    val, _ = quad(f, eps, 2.0 * eps, epsabs=0.0, epsrel=1e-12, limit=200)
+    tail = 1.0 / (2.0 * eps)
+    return 0.5 * e * e * (val + tail)
 
 
 def chi_moments(fam):
