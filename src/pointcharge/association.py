@@ -14,8 +14,11 @@ integrands supported near the transition shell xi in [eps, 2*eps]: the 4D
 quadrature slices the test ball at Gauss times and integrates each slice
 in spherical coordinates around the worldline's simultaneous track point,
 over the lab-frame band r in [0.05*eps, 8*eps] with radial panels of width
-<= eps/8.  The suite builds one time slice at a time, pairs it with every
-claim and sums the pairings over the slices.
+<= eps/8.  The band leaves out the inner ball r < 0.05*eps, where
+H_eps(xi) - 1 = -1, so claim (b)'s pairing misses the defect -int phi over
+that ball: it scales as eps^3 (2.3e-7 at eps = 0.1 and 4.5e-10 at
+eps = 0.0125 on the default rest config).  The suite builds one time slice
+at a time, pairs it with every claim and sums the pairings over the slices.
 """
 
 import math
@@ -245,8 +248,10 @@ def claim_charge_density(fam, phi3, eps_grid, e=1.0, tolerance=1e-3):
 
 def claim_heaviside(g, fam, eps):
     """(b) on one time slice: the defect <H_eps(xi) - 1, phi> of
-    <H_eps(xi), phi> from int phi; H - 1 is supported in xi < 2*eps, so
-    the band captures it exactly."""
+    <H_eps(xi), phi> from int phi; H - 1 is supported in xi < 2*eps, and
+    the band captures all of it but the inner ball r < 0.05*eps, whose
+    defect -int phi scales as eps^3 (2.3e-7 at eps = 0.1 on the default
+    rest config)."""
     return g.pair(fam.H(g.kin["xi"], eps) - 1.0)
 
 

@@ -14,6 +14,7 @@ import configparser
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -24,8 +25,7 @@ from .errors import ConfigError, InvalidMollifier, PointChargeError, \
     UnsupportedAtom
 from .fields import box_phi_arrays, box_phi_fd, phi_arrays
 from .minkowski import catalog, inner, parse_worldline, validate_worldline
-from .regularization import family_check, geometric_grid, make_family, \
-    parse_mollifier
+from .regularization import family, family_check, geometric_grid
 from .retarded import kinematics_arrays, retarded_time_bisection
 from .selfenergy import MIN_BOUND_POINTS, _energies, divergence_bound_check, \
     mass_renormalize
@@ -99,7 +99,7 @@ class RunConfig:
 
     def resolve(self):
         self.w = parse_worldline(self.worldline)
-        self.fam = make_family(parse_mollifier(self.mollifier))
+        self.fam = family(self.mollifier)
         self.grid = parse_eps_grid(self.epsilon_grid)
         return self
 
@@ -374,8 +374,11 @@ def cmd_check(cfg, out, args):
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser():
-    """The parser; each subcommand sets `func` to the cmd_* that runs it."""
+    """The parser, built once per process and reused by every `run`; each
+    subcommand sets `func` to the cmd_* that runs it, bound when the parser
+    is first built."""
     p = argparse.ArgumentParser(
         prog="pointcharge",
         description="Regularized point charges: kinematics, fields, "

@@ -14,6 +14,7 @@ positive axis removes.
 
 import re
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import numpy as np
@@ -282,15 +283,25 @@ def _fd_derivative(phi, k, x0=0.0, h=None, acc=8):
         return float(phi(x0))
     if h is None:
         h = _fd_step(k)
+    offsets, w = _fd_weights(k, acc)
+    vals = np.array([float(phi(x0 + o * h)) for o in offsets])
+    return float((w / h ** k) @ vals)
+
+
+@cache
+def _fd_weights(k, acc):
+    """(offsets, weights) of the central stencil for the k-th derivative at
+    unit step, order acc: the Vandermonde solve, done once per (k, acc).
+    Both arrays are read-only, as every caller shares them."""
     half = (k + acc - 1) // 2
     offsets = np.arange(-half, half + 1)
     n = offsets.size
     V = np.vander(offsets.astype(float), n, increasing=True).T
     rhs = np.zeros(n)
     rhs[k] = factorial(k)
-    w = np.linalg.solve(V, rhs) / h ** k
-    vals = np.array([float(phi(x0 + o * h)) for o in offsets])
-    return float(w @ vals)
+    w = np.linalg.solve(V, rhs)
+    offsets.flags.writeable = w.flags.writeable = False
+    return offsets, w
 
 
 def _subtraction_integral(phi, k, support_hi, taylor, extra, t0=0.02):

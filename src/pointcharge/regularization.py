@@ -6,7 +6,7 @@ construction is pure scaling: H_eps(r) = H_1(r/eps).
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -115,7 +115,8 @@ class HeavisideFamily:
     def moments(self):
         """(m0, m2, max chi): m0 = int chi^2 and m2 = int chi^2/s^2 over
         [1, 2] by gauss_integral, and max chi on 20001 samples of [1, 2];
-        computed once per family."""
+        computed once per family, so once per process per mollifier for
+        the families that `family` builds."""
         chi = self.mollifier.chi
         m0 = gauss_integral(lambda s: chi(s) ** 2, 1.0, 2.0)
         m2 = gauss_integral(lambda s: chi(s) ** 2 / (s * s), 1.0, 2.0)
@@ -190,6 +191,19 @@ def make_family(chi: Mollifier) -> HeavisideFamily:
     else:
         h1 = lambda t: np.clip(np.asarray(t, dtype=float) - 1.0, 0.0, 1.0)
     return HeavisideFamily(mollifier=chi, _h1=h1)
+
+
+def family(spec):
+    """The Heaviside family of the mollifier named by spec ('bump' or
+    'boxcar', surrounding blanks ignored), built once per process; a bad
+    spec raises InvalidMollifier on every call."""
+    return _family(spec.strip())
+
+
+@cache
+def _family(spec):
+    # HeavisideFamily is frozen, so every caller can share one instance
+    return make_family(parse_mollifier(spec))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from pointcharge import cli, regularization
 from pointcharge.cli import RunConfig, load_config, parse_eps_grid, run
-from pointcharge.errors import ConfigError
+from pointcharge.errors import ConfigError, InvalidMollifier
 
 
 def invoke(argv):
@@ -143,10 +144,20 @@ def test_renormalize_json():
     assert abs(rec["residual"]) <= 1e-10 * 25.0
 
 
+def fresh_family_cache(monkeypatch):
+    """An empty family cache for one test; the process-wide one returns
+    when the test ends."""
+    monkeypatch.setattr(regularization, "_family",
+                        functools.cache(regularization._family.__wrapped__))
+
+
 @pytest.mark.parametrize("mollifier", ["bump", "boxcar"])
 def test_renormalize_computes_the_moments_once(monkeypatch, mollifier):
-    # m0 and m2 take one Gauss rule each; the printed residual reuses them
-    cfg = RunConfig(mollifier=mollifier).resolve()
+    # m0 and m2 take one Gauss rule each, once per process per mollifier:
+    # the printed residual and every later call reuse them
+    fresh_family_cache(monkeypatch)
+    cfgs = [RunConfig(mollifier=mollifier).resolve() for _ in range(2)]
+    assert cfgs[0].fam is cfgs[1].fam
     calls = []
     gauss_integral = regularization.gauss_integral
 
@@ -155,8 +166,82 @@ def test_renormalize_computes_the_moments_once(monkeypatch, mollifier):
         return gauss_integral(f, a, b)
 
     monkeypatch.setattr(regularization, "gauss_integral", counting_gauss)
-    cli.cmd_renormalize(cfg, io.StringIO(), argparse.Namespace(mc2=None))
+    for cfg in cfgs:
+        cli.cmd_renormalize(cfg, io.StringIO(), argparse.Namespace(mc2=None))
     assert calls == [(1.0, 2.0)] * 2
+
+
+def test_parser_is_built_once(monkeypatch):
+    builds = []
+    build = cli.build_parser.__wrapped__
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", functools.cache(counting_build))
+    assert invoke(["distalg", "solve"])[0] == 0
+    assert invoke(["renormalize", "--mc2", "30"])[0] == 0
+    assert len(builds) == 1
+
+
+def test_family_is_built_once_per_mollifier(monkeypatch):
+    fresh_family_cache(monkeypatch)
+    built = []
+    make_family = regularization.make_family
+
+    def counting_make_family(chi):
+        built.append(chi.label)
+        return make_family(chi)
+
+    monkeypatch.setattr(regularization, "make_family", counting_make_family)
+    fams = [regularization.family(spec) for spec in ("bump", "boxcar", " bump ")]
+    fams += [RunConfig(mollifier=spec).resolve().fam
+             for spec in ("boxcar", "bump")]
+    assert built == ["bump", "boxcar"]
+    assert fams[0] is fams[2] is fams[4] and fams[1] is fams[3]
+    assert fams[0].mollifier.label == "bump"
+    assert fams[1].mollifier.label == "boxcar"
+    # a bad spec is not cached: it raises on every call
+    for _ in range(2):
+        with pytest.raises(InvalidMollifier):
+            regularization.family("gauss")
+    assert built == ["bump", "boxcar"]
+
+
+def test_in_process_runs_match_fresh_processes(tmp_path, capsys):
+    # one process, warm caches, bump and boxcar interleaved with a malformed
+    # config and an argparse error; each run must print what a fresh
+    # `python -m pointcharge` prints and exit with its code
+    boxcar = tmp_path / "boxcar.ini"
+    boxcar.write_text("[run]\nmollifier = boxcar\n")
+    junk = tmp_path / "junk.ini"
+    junk.write_text("[run]\nmollifier = junk\n")
+    argvs = [["selfenergy"],
+             ["renormalize", "--mc2", "1000"],
+             ["-c", str(junk), "selfenergy"],
+             ["-c", str(boxcar), "selfenergy"],
+             ["renormalize", "--mc2"],
+             ["-c", str(boxcar), "renormalize", "--mc2", "1000"],
+             ["distalg", "solve"],
+             ["-c", str(boxcar), "renormalize", "--mc2", "3e5"],
+             ["selfenergy"]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    codes = []
+    for argv in argvs:
+        try:
+            status, text = invoke(argv)
+        except SystemExit as exc:
+            status, text = exc.code, ""
+        capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "pointcharge"] + argv,
+                               capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert (status, text) == (fresh.returncode, fresh.stdout), argv
+        codes.append(status)
+    assert codes == [0, 0, 2, 0, 2, 0, 0, 0, 0]
 
 
 def test_renormalize_out_of_range_exits_1(capsys):

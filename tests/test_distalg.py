@@ -1,5 +1,6 @@
 import string
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from pointcharge.distalg import (
     THETA,
     THETA_MINUS,
     DistExpr,
+    _fd_derivative,
+    _fd_step,
     delta,
     differentiate,
     euler_apply,
@@ -291,3 +294,21 @@ def test_parse_expr_returns_or_raises_value_error(signs, terms):
         assert isinstance(parse_expr(text), DistExpr)
     except (ValueError, ZeroDivisionError):
         pass
+
+
+@pytest.mark.parametrize("acc", [8, 10])
+def test_fd_derivative_matches_an_uncached_solve(acc):
+    # the cached unit-step weights, divided by h^k at the call site, give
+    # the same bits as solving the Vandermonde system at every call
+    phi = bump_test_function(1, np.array([0.3]), 1.5)
+    for k in range(7):
+        h = _fd_step(k)
+        half = (k + acc - 1) // 2
+        offsets = np.arange(-half, half + 1)
+        V = np.vander(offsets.astype(float), offsets.size, increasing=True).T
+        rhs = np.zeros(offsets.size)
+        rhs[k] = factorial(k)
+        w = np.linalg.solve(V, rhs) / h ** k
+        vals = np.array([float(phi(0.0 + o * h)) for o in offsets])
+        expected = float(phi(0.0)) if k == 0 else float(w @ vals)
+        assert _fd_derivative(phi, k, acc=acc) == expected, k
