@@ -2,8 +2,8 @@
 
 Submodules:
   minkowski       four-vectors, metric, eigentime worldline catalog
-  retarded        retarded-time solver and light-cone kinematics
-  regularization  mollifiers and smoothed Heaviside families H_eps
+  retarded        retarded-time solver, light-cone kinematics, stencil neighbours
+  regularization  Gauss panel rule, bump profile, mollifiers, Heaviside families
   fields          generating function Phi and its d'Alembertian split
   association     weak-limit pairings against test functions
   selfenergy      rest-frame self-energies, divergence bounds, renormalization

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import NoTrend
 from .fields import box_phi_arrays, box_phi_fd, static_rho
+from .regularization import bump, gauss_panels
 from .retarded import _tau_simultaneous, kinematics_arrays
 
 
@@ -46,22 +47,17 @@ class TestFunction:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        squeeze = self.dimension == 1 and x.ndim == 0
-        if squeeze:
-            x = x[None]
         if self.dimension == 1:
             y = (x - self.center[0]) / self.radius
             rho2 = y * y
         else:
             y = (x - self.center) / self.radius
             rho2 = (y * y).sum(axis=-1)
-        out = np.zeros_like(rho2)
+        out = bump(rho2)
         mask = rho2 < 1.0
-        if np.any(mask):
-            out[mask] = np.exp(-1.0 / (1.0 - rho2[mask]))
-            if self.poly is not None:
-                out[mask] *= self.poly(y[mask] if self.dimension == 1 else y[mask, :])
-        return float(out[0]) if squeeze else out
+        if self.poly is not None and np.any(mask):
+            out[mask] *= self.poly(y[mask])
+        return float(out) if self.dimension == 1 and x.ndim == 0 else out
 
 
 def bump_test_function(dimension, center, radius, poly=None):
@@ -74,6 +70,15 @@ def bump_test_function(dimension, center, radius, poly=None):
                         radius=float(radius), poly=poly)
 
 
+def track_test_function(w, radius=1.0):
+    """The default 4D bump of the association suite: centred on the
+    worldline at coordinate time t = 3, so that the transition shell
+    actually meets its support."""
+    t0 = 3.0
+    track = w.z(_tau_simultaneous(w, np.asarray(t0)))
+    return bump_test_function(4, np.concatenate([[t0], track[1:]]), radius)
+
+
 def integral_of(phi):
     """int phi over its support ball, as |S^(d-1)| radius^d times
     int_0^1 exp(-1/(1-s^2)) s^(d-1) ds on 32 panels of 16 Gauss-Legendre
@@ -81,23 +86,15 @@ def integral_of(phi):
     if phi.poly is not None:
         raise ValueError("integral_of needs a bump without a poly factor")
     d = phi.dimension
-    s, ws = _panel_nodes(np.linspace(0.0, 1.0, 33), 16)
+    s, half, w = gauss_panels(np.linspace(0.0, 1.0, 33), 16)
+    s, ws = s.ravel(), (half * w).ravel()
     sphere = 2.0 * np.pi ** (d / 2) / math.gamma(d / 2)
-    profile = np.exp(-1.0 / (1.0 - s * s)) * s ** (d - 1)
+    profile = bump(s * s) * s ** (d - 1)
     return float(sphere * phi.radius ** d * (profile * ws).sum())
 
 
 # ---------------------------------------------------------------------------
 # quadrature grids
-
-
-def _panel_nodes(edges, n_per_panel):
-    gx, gw = np.polynomial.legendre.leggauss(n_per_panel)
-    a, b = edges[:-1], edges[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    wts = (half[:, None] * gw[None, :]).ravel()
-    return nodes, wts
 
 
 def radial_nodes(eps, r_lo, r_hi):
@@ -106,12 +103,13 @@ def radial_nodes(eps, r_lo, r_hi):
     if r_hi <= r_lo:
         return np.empty(0), np.empty(0)
     n = max(2, int(np.ceil((r_hi - r_lo) / (eps / 8.0))))
-    return _panel_nodes(np.linspace(r_lo, r_hi, n + 1), 4)
+    r, half, w = gauss_panels(np.linspace(r_lo, r_hi, n + 1), 4)
+    return r.ravel(), (half * w).ravel()
 
 
 def _angular_grid():
     """8 x 8 directions: Gauss-Legendre in cos(theta), uniform in phi."""
-    ct, wt = np.polynomial.legendre.leggauss(8)
+    (ct,), _, wt = gauss_panels((-1.0, 1.0), 8)
     ph = 2.0 * np.pi * np.arange(8) / 8
     wp = np.full(8, 2.0 * np.pi / 8)
     st = np.sqrt(1.0 - ct * ct)
@@ -234,7 +232,8 @@ def claim_charge_density(fam, phi3, eps_grid, e=1.0, tolerance=1e-3):
             or np.any(phi3.center != 0.0)):
         raise ValueError("claim (a) needs a 3D bump centered on the charge, "
                          "without a poly factor")
-    s, ws = _panel_nodes(np.linspace(1.0, 2.0, 9), 8)
+    s, half, w = gauss_panels(np.linspace(1.0, 2.0, 9), 8)
+    s, ws = s.ravel(), (half * w).ravel()
     vals = []
     for eps in eps_grid:
         r = eps * s
@@ -333,11 +332,7 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
         return claims is None or name in claims
 
     if phi4 is None:
-        # center the support on the worldline at coordinate time t = 3 so
-        # that the transition shell actually meets it
-        t0 = 3.0
-        track = w.z(_tau_simultaneous(w, np.asarray(t0)))
-        phi4 = bump_test_function(4, np.concatenate([[t0], track[1:]]), 1.0)
+        phi4 = track_test_function(w)
     results = {}
     if w.label == "rest" and wanted("charge_density"):
         phi3 = bump_test_function(3, np.zeros(3), 1.0)
@@ -346,7 +341,7 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
     spacetime = [n for n in CLAIM_NAMES[1:] if wanted(n)]
     psi_names = [f"psi_{a}" for a in range(4)]
     target = integral_of(phi4) if wanted("heaviside") else None
-    gx, gw = np.polynomial.legendre.leggauss(12)
+    (gx,), _, gw = gauss_panels((-1.0, 1.0), 12)
     times = list(zip(phi4.center[0] + phi4.radius * gx, phi4.radius * gw))
     vals = {n: [] for n in CLAIM_NAMES[1:]}
     for eps in eps_grid if spacetime else ():

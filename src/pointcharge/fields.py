@@ -18,22 +18,17 @@ coordinates as d0^2 - d1^2 - d2^2 - d3^2.
 import numpy as np
 
 from .errors import SmoothnessRequired
-from .minkowski import METRIC, inner
-from .retarded import _as_points, _neighbour_tau0, _solve_array, kinematics_arrays
+from .minkowski import METRIC
+from .retarded import _as_points, kinematics_arrays, neighbours
 
 def _phi(fam, kin, eps, e):
     return 0.5 * e * kin["R"] * fam.H(kin["xi"], eps)[..., None]
 
 
 def phi_arrays(w, fam, X, eps, e=1.0, tau0=None):
-    """Batched Phi; X has shape (..., 4); tau0 as in kinematics_arrays.
-
-    Forms only R and xi at the retarded time, the two quantities Phi reads.
-    """
-    pts, _ = _as_points(X)
-    tau = _solve_array(w, pts, tau0)
-    R = pts - w.z(tau)
-    return _phi(fam, {"R": R, "xi": inner(w.zdot(tau), R)}, eps, e)
+    """Batched Phi from kinematics_arrays at X of shape (..., 4); tau0 as
+    in kinematics_arrays."""
+    return _phi(fam, kinematics_arrays(w, X, tau0), eps, e)
 
 
 def box_phi_arrays(w, fam, X, eps, e=1.0, kin=None):
@@ -83,12 +78,9 @@ def box_phi_fd(w, fam, X, eps, h=None, e=1.0, kin=None):
     h = np.asarray(h, dtype=float) * np.ones(pts.shape[:-1])
     center = _phi(fam, kin, eps, e)
     total = np.zeros_like(pts)
-    for mu in range(4):
-        shift = np.zeros_like(pts)
-        shift[..., mu] = h
-        tau_plus, tau_minus = _neighbour_tau0(kin, mu, h)
-        plus = phi_arrays(w, fam, pts + shift, eps, e, tau_plus)
-        minus = phi_arrays(w, fam, pts - shift, eps, e, tau_minus)
+    for mu, Xp, tau_plus, Xm, tau_minus in neighbours(pts, kin, h):
+        plus = phi_arrays(w, fam, Xp, eps, e, tau_plus)
+        minus = phi_arrays(w, fam, Xm, eps, e, tau_minus)
         total += METRIC[mu] * (plus - 2.0 * center + minus) / (h * h)[..., None]
     return total
 

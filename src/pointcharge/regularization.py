@@ -18,38 +18,61 @@ from .errors import DegenerateNet, InvalidMollifier, SmoothnessRequired
 GAUSS_PANELS = 64
 GAUSS_NODES = 16
 H1_CELLS = 4000
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
 
 
-def _panel_integrals(f, a, b, panels):
-    """int f over each of `panels` equal cells of [a, b], GAUSS_NODES
-    Gauss-Legendre nodes per cell; f must take an array."""
-    edges = np.linspace(a, b, panels + 1)
+@cache
+def _legendre(n):
+    # built once per n; every rule of n nodes shares the read-only table
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_panels(edges, n):
+    """Composite Gauss-Legendre rule, n nodes per cell of `edges`: nodes
+    (cells, n), half-widths (cells, 1) and unit weights (n,); the integral
+    over cell i is half[i] * (f(nodes[i]) @ w)."""
+    x, w = _legendre(n)
+    edges = np.asarray(edges, dtype=float)
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    return half[:, 0] * (f(mid + half * _GL_X) @ _GL_W)
+    return mid + half * x, half, w
 
 
 def gauss_integral(f, a, b):
     """int_a^b f by the composite rule: GAUSS_PANELS panels of GAUSS_NODES
-    Gauss-Legendre nodes."""
-    return float(np.sum(_panel_integrals(f, a, b, GAUSS_PANELS)))
+    Gauss-Legendre nodes; f must take an array."""
+    x, half, w = gauss_panels(np.linspace(a, b, GAUSS_PANELS + 1), GAUSS_NODES)
+    return float(np.sum(half[:, 0] * (f(x) @ w)))
+
+
+def bump(u2):
+    """The bump profile exp(-1/(1 - u2)) of a squared scaled coordinate u2,
+    exactly 0 where u2 >= 1."""
+    u2 = np.asarray(u2, dtype=float)
+    out = np.zeros_like(u2)
+    mask = u2 < 1.0
+    out[mask] = np.exp(-1.0 / (1.0 - u2[mask]))
+    return out
 
 
 @dataclass(frozen=True)
 class Mollifier:
-    """Nonnegative unit-mass kernel supported in [1, 2]."""
+    """Nonnegative unit-mass kernel supported in [1, 2]; smooth exactly
+    when it has a derivative chi_prime (None for the piecewise kind)."""
 
     chi: callable
-    chi_prime: callable  # None for the piecewise kind
-    smooth: bool = True
+    chi_prime: callable
     label: str = "mollifier"
+
+    @property
+    def smooth(self):
+        return self.chi_prime is not None
 
 
 @lru_cache(maxsize=1)
 def _bump_norm():
-    return 2.0 / gauss_integral(lambda u: np.exp(-1.0 / (1.0 - u * u)),
-                                -1.0, 1.0)
+    return 2.0 / gauss_integral(lambda u: bump(u * u), -1.0, 1.0)
 
 
 def bump_mollifier():
@@ -57,26 +80,21 @@ def bump_mollifier():
     c = _bump_norm()
 
     def chi(s):
-        s = np.asarray(s, dtype=float)
-        u = 2.0 * s - 3.0
-        out = np.zeros_like(u)
-        mask = np.abs(u) < 1.0
-        um = u[mask]
-        out[mask] = c * np.exp(-1.0 / (1.0 - um * um))
-        return out
+        u = 2.0 * np.asarray(s, dtype=float) - 3.0
+        return c * bump(u * u)
 
     def chi_prime(s):
-        s = np.asarray(s, dtype=float)
-        u = 2.0 * s - 3.0
+        u = 2.0 * np.asarray(s, dtype=float) - 3.0
         out = np.zeros_like(u)
+        # masked before dividing by w = 1 - u^2, which is 0 at s = 1, 2
         mask = np.abs(u) < 1.0
         um = u[mask]
         w = 1.0 - um * um
         # d/ds = 2 d/du; d/du exp(-1/w) = exp(-1/w) * (-2u/w^2)
-        out[mask] = c * np.exp(-1.0 / w) * (-2.0 * um / (w * w)) * 2.0
+        out[mask] = c * bump(um * um) * (-2.0 * um / (w * w)) * 2.0
         return out
 
-    return Mollifier(chi=chi, chi_prime=chi_prime, smooth=True, label="bump")
+    return Mollifier(chi=chi, chi_prime=chi_prime, label="bump")
 
 
 def boxcar_mollifier():
@@ -86,7 +104,7 @@ def boxcar_mollifier():
         s = np.asarray(s, dtype=float)
         return np.where((s >= 1.0) & (s <= 2.0), 1.0, 0.0)
 
-    return Mollifier(chi=chi, chi_prime=None, smooth=False, label="boxcar")
+    return Mollifier(chi=chi, chi_prime=None, label="boxcar")
 
 
 def parse_mollifier(spec):
@@ -153,7 +171,8 @@ def _hermite_h1(chi):
     H_1' = chi, and everything is divided by the total so H_1(2) = 1."""
     xs = np.linspace(1.0, 2.0, H1_CELLS + 1)
     h = np.diff(xs)
-    cells = _panel_integrals(chi, 1.0, 2.0, H1_CELLS)
+    x, half, w = gauss_panels(xs, GAUSS_NODES)
+    cells = half[:, 0] * (chi(x) @ w)
     cum = np.concatenate([[0.0], np.cumsum(cells)])
     y, d = cum / cum[-1], chi(xs) / cum[-1]
     # power form in t - xs[i] on cell i; the mean slope comes from the

@@ -218,6 +218,17 @@ def _neighbour_tau0(kin, mu, h):
     return kin["tau_r"] + h * k + curve, kin["tau_r"] - h * k + curve
 
 
+def neighbours(X, kin, h):
+    """For mu = 0..3, (mu, X + h e_mu, start, X - h e_mu, start): the
+    central-difference neighbours of X (..., 4), solved by the caller from
+    the starts of _neighbour_tau0; h is one step or one per point."""
+    for mu in range(4):
+        shift = np.zeros_like(X)
+        shift[..., mu] = h
+        tau_plus, tau_minus = _neighbour_tau0(kin, mu, h)
+        yield mu, X + shift, tau_plus, X - shift, tau_minus
+
+
 def grad_tau_check(w, X, h=1e-4):
     """Max componentwise gap between central differences of tau_r and K.
 
@@ -228,12 +239,9 @@ def grad_tau_check(w, X, h=1e-4):
     k = kinematics_arrays(w, pts)
     K_low = lower(k["K"])
     worst = 0.0
-    for mu in range(4):
-        e = np.zeros(4)
-        e[mu] = h
-        plus, minus = _neighbour_tau0(k, mu, h)
-        fd = (_solve_array(w, pts + e, plus)
-              - _solve_array(w, pts - e, minus)) / (2 * h)
+    for mu, Xp, tau_plus, Xm, tau_minus in neighbours(pts, k, h):
+        fd = (_solve_array(w, Xp, tau_plus)
+              - _solve_array(w, Xm, tau_minus)) / (2 * h)
         worst = max(worst, float(np.abs(fd - K_low[..., mu]).max()))
     return worst
 
@@ -253,11 +261,8 @@ def div_K_fd(w, X, h=1e-4):
     pts, _ = _as_points(X)
     k = kinematics_arrays(w, pts)
     total = 0.0
-    for mu in range(4):
-        e = np.zeros(4)
-        e[mu] = h
-        plus, minus = _neighbour_tau0(k, mu, h)
-        Kp = kinematics_arrays(w, pts + e, plus)["K"][..., mu]
-        Km = kinematics_arrays(w, pts - e, minus)["K"][..., mu]
+    for mu, Xp, tau_plus, Xm, tau_minus in neighbours(pts, k, h):
+        Kp = kinematics_arrays(w, Xp, tau_plus)["K"][..., mu]
+        Km = kinematics_arrays(w, Xm, tau_minus)["K"][..., mu]
         total = total + (Kp - Km) / (2 * h)
     return total

@@ -59,6 +59,7 @@ class SelfEnergyReport:
     c0: float
     lower_bound: np.ndarray    # c0/eps, must bound a_eps from below
     violations: tuple
+    row_passed: np.ndarray     # one verdict per eps: no violation there
     passed: bool
 
     def __str__(self):
@@ -80,27 +81,30 @@ def divergence_bound_check(fam, eps_grid, e=1.0, mu=1.0):
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.size < MIN_BOUND_POINTS:
         raise ValueError(f"need at least {MIN_BOUND_POINTS} grid points")
-    # a_eps = 2 U_ele at e = 1 (row 1), so e = 0 needs no division by e
-    (ue, ue1), um, c = _energies(fam, np.array([[e], [1.0]]), mu, eps_grid)
+    # a_eps = 2 U_ele at e = 1 (row 1), so e = 0 needs no division by e;
+    # an energy that overflows fails its row as non-finite
+    with np.errstate(over="ignore"):
+        (ue, ue1), um, c = _energies(fam, np.array([[e], [1.0]]), mu, eps_grid)
     a = 2.0 * ue1
     c0 = 1.0 / (8.0 * float(np.max(eps_grid * c)))
     bound = c0 / eps_grid
     rtol = 1e-9
-    violations = []
-    for i, t in enumerate(eps_grid):
-        if not np.isfinite([ue[i], um[i], c[i], bound[i]]).all():
-            violations.append(f"non-finite value at eps={t:g}")
-        if c[i] < (1.0 - rtol) / t:
-            violations.append(f"c_eps < 1/eps at eps={t:g}")
-        if a[i] < (1.0 - rtol) / (8.0 * t * t * c[i]):
-            violations.append(f"a_eps < 1/(8 eps^2 c_eps) at eps={t:g}")
-        if a[i] < (1.0 - rtol) * bound[i]:
-            violations.append(f"a_eps < c0/eps at eps={t:g}")
+    # each bound's failures, one per eps; a row passes when none fails
+    failed = {
+        "non-finite value": ~np.isfinite([ue, um, c, bound]).all(axis=0),
+        "c_eps < 1/eps": c < (1.0 - rtol) / eps_grid,
+        "a_eps < 1/(8 eps^2 c_eps)":
+            a < (1.0 - rtol) / (8.0 * eps_grid * eps_grid * c),
+        "a_eps < c0/eps": a < (1.0 - rtol) * bound,
+    }
+    violations = tuple(f"{name} at eps={t:g}" for i, t in enumerate(eps_grid)
+                       for name, rows in failed.items() if rows[i])
     return SelfEnergyReport(
         eps=eps_grid, U_ele=ue, U_mag=um,
         eps_U_ele=eps_grid * ue, eps3_U_mag=eps_grid ** 3 * um,
-        c_eps=c, c0=c0, lower_bound=bound,
-        violations=tuple(violations), passed=not violations,
+        c_eps=c, c0=c0, lower_bound=bound, violations=violations,
+        row_passed=~np.any(list(failed.values()), axis=0),
+        passed=not violations,
     )
 
 

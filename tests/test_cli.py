@@ -412,6 +412,37 @@ def test_bad_testfunction_radius_names_the_config_key(tmp_path, capsys):
             f"error: testfunction radius {reason}\n"
 
 
+def test_radius_alone_applies_to_the_default_centre(tmp_path, capsys):
+    # a [testfunction] radius without a center scales the default bump on
+    # the track, which at rest is the explicit center 3, 0, 0, 0
+    cfg = tmp_path / "run.ini"
+
+    def heaviside(testfunction):
+        cfg.write_text("[run]\nepsilon_grid = geometric(0.1, 0.5, 4)\n"
+                       f"[testfunction]\n{testfunction}\n")
+        status, text = invoke(["-c", str(cfg), "associate", "--claim",
+                               "heaviside"])
+        assert status == 0 and capsys.readouterr().err == ""
+        return text
+
+    alone = heaviside("radius = 0.5")
+    assert json.loads(alone)["target"] == 0.02393597406240449
+    assert alone == heaviside("center = 3, 0, 0, 0\nradius = 0.5")
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warning fails the test
+def test_selfenergy_row_verdicts_are_per_row(tmp_path, capsys):
+    # the first row is finite and meets every bound; U_mag overflows in the
+    # other two, whose eps=0.1 message once failed the first row as well
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nepsilon_grid = {0.1000001, 0.1, 0.05}\n"
+                   "mu = 9.294688968366496e+152\n")
+    status, text = invoke(["-c", str(cfg), "selfenergy"])
+    assert status == 1 and capsys.readouterr().err == ""
+    assert [row.rsplit(",", 1)[1] for row in text.splitlines()[1:]] == \
+        ["true", "false", "false"]
+
+
 def test_nan_charge_prints_no_true_row(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\ne = nan\n")

@@ -15,6 +15,7 @@ from pointcharge.fields import (
 )
 from pointcharge.minkowski import catalog, rest_worldline
 from pointcharge.regularization import (
+    Mollifier,
     boxcar_mollifier,
     bump_mollifier,
     make_family,
@@ -204,6 +205,14 @@ def test_piecewise_family_refused_in_shell():
     # outside the shell the boxcar family is fine (H'' plateau is 0)
     lam, psi, tot = box_phi_arrays(w, BOX, (3.0, 0.5, 0.0, 0.0), 0.05)
     assert psi.shape == (4,) and np.all(psi == 0)
+
+
+def test_mollifier_without_derivative_is_refused_in_shell():
+    # smoothness is read off chi_prime, so no family can claim an H'' it
+    # cannot evaluate
+    fam = make_family(Mollifier(chi=boxcar_mollifier().chi, chi_prime=None))
+    with pytest.raises(SmoothnessRequired):
+        box_phi_arrays(rest_worldline(), fam, (3.0, 0.075, 0.0, 0.0), 0.05)
 
 
 def test_static_coulomb_tail():

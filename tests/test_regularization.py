@@ -12,8 +12,10 @@ from pointcharge.regularization import (
     Mollifier,
     _bump_norm,
     boxcar_mollifier,
+    bump,
     bump_mollifier,
     family_check,
+    gauss_panels,
     geometric_grid,
     make_family,
     moderateness_slope,
@@ -117,20 +119,20 @@ def test_family_check_passes(fam):
 
 def test_make_family_rejects_bad_mollifiers():
     half = Mollifier(chi=lambda s: 0.5 * boxcar_mollifier().chi(s),
-                     chi_prime=None, smooth=False, label="half-mass")
+                     chi_prime=None, label="half-mass")
     with pytest.raises(InvalidMollifier):
         make_family(half)
     wide = Mollifier(
         chi=lambda s: np.where((np.asarray(s) >= 0.5) & (np.asarray(s) <= 2.0),
                                1.0 / 1.5, 0.0),
-        chi_prime=None, smooth=False, label="wide")
+        chi_prime=None, label="wide")
     with pytest.raises(InvalidMollifier):
         make_family(wide)
     signed = Mollifier(
         chi=lambda s: np.where((np.asarray(s) >= 1.0) & (np.asarray(s) <= 2.0),
                                np.cos(3 * np.pi * (np.asarray(s) - 1.0))
                                * 1.047 + 1.0, 0.0),
-        chi_prime=None, smooth=False, label="signed")
+        chi_prime=None, label="signed")
     # either mass or sign check must reject it
     with pytest.raises(InvalidMollifier):
         make_family(signed)
@@ -164,3 +166,43 @@ def test_moderateness_slope_recovers_exponent():
     flat = GeneralizedNet(eps=grid, payloads=(0.0,) * grid.size)
     with pytest.raises(DegenerateNet):
         moderateness_slope(flat, abs)
+
+
+def test_gauss_panels_on_one_cell_is_leggauss():
+    x, half, w = gauss_panels((-1.0, 1.0), 12)
+    gx, gw = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(x, gx[None, :]) and np.array_equal(w, gw)
+    assert np.array_equal(half, [[1.0]])
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 16])
+def test_gauss_panels_exact_to_degree_2n_minus_1(n):
+    edges = np.array([-0.5, 0.25, 1.0, 2.5])
+    x, half, w = gauss_panels(edges, n)
+    assert x.shape == (3, n) and half.shape == (3, 1) and w.shape == (n,)
+    k = np.arange(2 * n)
+    cells = half[:, 0] * ((x[..., None] ** k).sum(axis=-1) @ w)
+    a, b = edges[:-1, None], edges[1:, None]
+    exact = ((b ** (k + 1) - a ** (k + 1)) / (k + 1)).sum(axis=-1)
+    assert np.allclose(cells, exact, rtol=1e-13, atol=0.0)
+
+
+def test_bump_vanishes_from_the_unit_sphere_out():
+    out = bump(np.array([0.0, 0.75, 1.0, 1.0 + 1e-15, 4.0, np.inf]))
+    assert out[0] == np.exp(-1.0) and out[1] == np.exp(-4.0)
+    assert np.array_equal(out[2:], np.zeros(4))
+
+
+@pytest.mark.filterwarnings("error")
+def test_chi_prime_vanishes_at_the_shell_edges():
+    # the factor 1/(1 - u^2)^2 divides by zero at s = 1 and s = 2; numpy
+    # warns on that, and the marker turns any warning into an error
+    with np.errstate(all="warn"):
+        out = bump_mollifier().chi_prime(np.array([1.0, 2.0]))
+    assert np.array_equal(out, [0.0, 0.0])
+
+
+def test_mollifier_smoothness_is_its_derivative():
+    assert bump_mollifier().smooth and not boxcar_mollifier().smooth
+    with pytest.raises(TypeError):
+        Mollifier(chi=boxcar_mollifier().chi, chi_prime=None, smooth=True)

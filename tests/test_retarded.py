@@ -19,6 +19,7 @@ from pointcharge.retarded import (
     grad_tau_check,
     grad_xi,
     kinematics_arrays,
+    neighbours,
     retarded_time,
     retarded_time_bisection,
 )
@@ -119,6 +120,25 @@ def test_neighbour_start_is_second_order(w, tau):
     (s1, f1), (s2, f2) = gaps(2e-3), gaps(1e-3)
     assert 7.0 <= s1 / s2 <= 9.0
     assert 3.5 <= f1 / f2 <= 4.5
+
+
+@pytest.mark.parametrize("h", [1e-3, np.linspace(1e-4, 1e-2, 50)],
+                         ids=["scalar", "per-point"])
+def test_neighbours_shift_by_h_along_each_axis(h):
+    # a local generator leaves the module's RNG stream to the other tests
+    pts = np.random.default_rng(3).uniform(1.0, 3.0, size=(50, 4))
+    k = kinematics_arrays(boost_worldline(0.6), pts)
+    mus = []
+    for mu, Xp, tau_plus, Xm, tau_minus in neighbours(pts, k, h):
+        mus.append(mu)
+        others = np.arange(4) != mu
+        assert np.array_equal(Xp[:, others], pts[:, others])
+        assert np.array_equal(Xm[:, others], pts[:, others])
+        assert np.array_equal(Xp[:, mu], pts[:, mu] + h)
+        assert np.array_equal(Xm[:, mu], pts[:, mu] - h)
+        plus, minus = _neighbour_tau0(k, mu, h)
+        assert np.array_equal(tau_plus, plus) and np.array_equal(tau_minus, minus)
+    assert mus == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
