@@ -20,6 +20,7 @@ from math import factorial
 import numpy as np
 
 from .errors import ClosureViolation, UnsupportedAtom
+from .regularization import gauss_panels
 
 MAX_ORDER = 8
 
@@ -260,6 +261,9 @@ def upsilon(normalize_positive=True, c=Fraction(1), a0=Fraction(0)):
 # ---------------------------------------------------------------------------
 # numeric oracle: Hadamard finite-part pairings
 
+ORACLE_NODES = 128  # Gauss-Legendre nodes of each oracle integral
+SERIES_EDGE = 0.02  # the finite-part integral takes [0, SERIES_EDGE] by series
+
 
 def _fd_step(k):
     # balance truncation (wants small h) against roundoff ~ 1e-16/h^k
@@ -272,19 +276,19 @@ def _fd_step(k):
     return 0.025
 
 
-def _fd_derivative(phi, k, x0=0.0, h=None, acc=8):
-    """k-th derivative by a central finite-difference stencil of order acc.
+def _fd_derivative(phi, k, acc=8):
+    """k-th derivative at 0 by a central finite-difference stencil of order
+    acc and step _fd_step(k).
 
-    Accurate when phi varies on scale ~1 near x0; a support edge of a bump
-    closer than ~0.3 to x0 makes the local high-order derivatives blow up
+    Accurate when phi varies on scale ~1 near 0; a support edge of a bump
+    closer than ~0.3 to 0 makes the local high-order derivatives blow up
     and degrades the estimate.
     """
     if k == 0:
-        return float(phi(x0))
-    if h is None:
-        h = _fd_step(k)
+        return float(phi(0.0))
+    h = _fd_step(k)
     offsets, w = _fd_weights(k, acc)
-    vals = np.array([float(phi(x0 + o * h)) for o in offsets])
+    vals = np.array([float(phi(o * h)) for o in offsets])
     return float((w / h ** k) @ vals)
 
 
@@ -304,35 +308,36 @@ def _fd_weights(k, acc):
     return offsets, w
 
 
-def _subtraction_integral(phi, k, support_hi, taylor, extra, t0=0.02):
-    """int_0^1 (phi - T_k)/t^k + int_1^inf phi/t^k.
-
-    Evaluating phi - T_k in floats cancels catastrophically near 0, so the
-    piece on [0, t0] uses the next Taylor coefficients instead.  Needs
-    scipy, from the `test` extra.
-    """
-    from scipy.integrate import quad
-
-    def mid(t):
-        poly = sum(c * t ** j for j, c in enumerate(taylor))
-        return (float(phi(t)) - poly) / t ** k
-
-    def far(t):
-        return float(phi(t)) / t ** k
-
-    series = sum(c * t0 ** (m + 1) / (m + 1) for m, c in enumerate(extra))
-    v1, _ = quad(mid, t0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=400)
-    hi = max(1.0, support_hi)
-    v2, _ = quad(far, 1.0, hi, epsabs=1e-13, epsrel=1e-12, limit=400)
-    return series + v1 + v2
+def _integral(f, a, b):
+    """int_a^b f on one Gauss-Legendre cell of ORACLE_NODES nodes; f takes
+    one float at a time."""
+    x, half, w = gauss_panels((a, b), ORACLE_NODES)
+    return float(half[0, 0] * (np.array(list(map(f, x[0].tolist()))) @ w))
 
 
 def _pair_fp_plus(phi, k, support_hi):
+    """<tplus^-k, phi> from int_0^1 (phi - T_k)/t^k + int_1^inf phi/t^k,
+    T_k the Taylor polynomial of phi at 0 below degree k.
+
+    Evaluating phi - T_k in floats cancels catastrophically near 0, so the
+    piece on [0, SERIES_EDGE] uses the next Taylor coefficients instead.
+    """
     n_extra = 3
     derivs = [_fd_derivative(phi, j, acc=8 if j <= 4 else 10)
               for j in range(k + n_extra)]
     taylor = [d / factorial(j) for j, d in enumerate(derivs)]
-    val = _subtraction_integral(phi, k, support_hi, taylor[:k], taylor[k:])
+    head, tail = taylor[:k], taylor[k:]
+
+    def mid(t):
+        poly = 0.0
+        for c in reversed(head):
+            poly = poly * t + c
+        return (phi(t) - poly) / t ** k
+
+    val = (sum(c * SERIES_EDGE ** (m + 1) / (m + 1)
+               for m, c in enumerate(tail))
+           + _integral(mid, SERIES_EDGE, 1.0)
+           + _integral(lambda t: phi(t) / t ** k, 1.0, max(1.0, support_hi)))
     # <tplus^-k, phi> = A_k(phi) + sum_{j<k-1} phi^(j)(0)/(j! (j+1-k)), from
     # the recursion <tplus^-(k+1), phi> = (<tplus^-k, phi'> + phi^(k)(0)/k!)/k
     for j in range(k - 1):
@@ -340,28 +345,17 @@ def _pair_fp_plus(phi, k, support_hi):
     return val
 
 
-def numeric_pairing(atom, phi, support=(-8.0, 8.0)):
-    """<atom, phi> by quadrature / finite parts; phi smooth with compact
-    support inside the given interval.  A numeric oracle for the exact
-    algebra that no subcommand calls; it needs scipy, from the `test`
-    extra."""
-    from scipy.integrate import quad
-
+def numeric_pairing(atom, phi, support):
+    """<atom, phi> by Gauss-Legendre quadrature / finite parts; phi smooth
+    with compact support inside the interval `support`.  A numeric oracle
+    for the exact algebra that no subcommand calls."""
     lo, hi = support
     kind = atom[0]
     if kind == "mono":
         n = atom[1]
-        val, _ = quad(lambda t: t ** n * float(phi(t)), lo, hi,
-                      epsabs=1e-13, epsrel=1e-11, limit=400)
-        return val
+        return _integral(lambda t: t ** n * phi(t), lo, hi)
     if kind == "theta":
-        val, _ = quad(lambda t: float(phi(t)), 0.0, max(hi, 0.0),
-                      epsabs=1e-13, epsrel=1e-11, limit=400)
-        return val
-    if kind == "theta-":
-        val, _ = quad(lambda t: float(phi(t)), min(lo, 0.0), 0.0,
-                      epsabs=1e-13, epsrel=1e-11, limit=400)
-        return val
+        return _integral(phi, max(lo, 0.0), max(hi, 0.0))
     if kind == "delta":
         k = atom[1]
         return (-1) ** k * _fd_derivative(phi, k)
@@ -373,7 +367,7 @@ def numeric_pairing(atom, phi, support=(-8.0, 8.0)):
     raise UnsupportedAtom(f"unknown atom {atom!r}")
 
 
-def pair_expr(u, phi, support=(-8.0, 8.0)):
+def pair_expr(u, phi, support):
     """<u, phi> for a full expression, by linearity."""
     return sum(float(c) * numeric_pairing(a, phi, support)
                for a, c in u.coeffs.items())
@@ -480,10 +474,8 @@ def format_expr(u):
         c = u.coeffs[a]
         text = _atom_text(a)
         mag = abs(c)
-        body = text if mag == 1 and a != mono(0) else (
-            str(mag) if a == mono(0) and text == "1" else f"{mag}*{text}")
-        if a == mono(0):
-            body = str(mag)
+        body = str(mag) if a == mono(0) else (
+            text if mag == 1 else f"{mag}*{text}")
         parts.append(("-" if c < 0 else "+", body))
     out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
     for sgn, body in parts[1:]:

@@ -316,6 +316,7 @@ def _analytic_test_function(rng):
     return phi, dphi, (c - r, c + r)
 
 
+@pytest.mark.filterwarnings("error")
 def test_criterion_7_distribution_algebra():
     t0 = time.time()
     structure_ok = True

@@ -1,4 +1,5 @@
 import string
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointcharge.association import bump_test_function
+from pointcharge.association import bump_test_function, integral_of
 from pointcharge.distalg import (
     MAX_ORDER,
     THETA,
@@ -176,6 +177,7 @@ def test_delta_pairing_is_derivative():
         assert num == pytest.approx(ref, abs=1e-5)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_derivative_table_against_oracle(k):
     # <u', phi> must equal -<u, phi'> for the finite-part atoms
@@ -207,6 +209,31 @@ def test_multiplication_table_against_oracle(k):
             lhs = pair_expr(mul_by_t(DistExpr.atom(atom)), phi, support)
             rhs = numeric_pairing(atom, tphi, support)
             assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+def test_oracle_runs_without_scipy(monkeypatch):
+    # None in sys.modules makes any import of scipy raise ImportError
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+    phi, support = random_test_function(np.random.default_rng(7))
+    for atom in (mono(1), THETA, delta(2), fp_plus(2), fp_minus(2)):
+        assert np.isfinite(numeric_pairing(atom, phi, support))
+    u = DistExpr({fp_plus(1): 1, fp_minus(1): 1, delta(0): 1})
+    assert np.isfinite(pair_expr(u, phi, support))
+
+
+@pytest.mark.parametrize("center,radius", [(0.0, 1.5), (0.0, 3.0),
+                                           (0.7, 2.0), (-0.4, 2.5)])
+def test_oracle_integrals_match_integral_of(center, radius):
+    # the mono and theta pairings alone, outside any duality identity
+    phi = bump_test_function(1, center, radius)
+    support = (center - radius, center + radius)
+    exact = integral_of(phi)
+    assert numeric_pairing(mono(0), phi, support) == pytest.approx(
+        exact, rel=1e-13)
+    if center == 0.0:  # the bump is even, so theta takes half of it
+        assert numeric_pairing(THETA, phi, support) == pytest.approx(
+            exact / 2, rel=1e-13)
 
 
 def test_euler_solution_pairs_like_delta():
