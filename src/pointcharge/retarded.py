@@ -105,16 +105,22 @@ def _tau_simultaneous(w, X0):
 
 def _newton(w, X, tau, lo, hi, scale):
     """_rtsafe on -g(tau) = -R.R, whose derivative is 2*xi, for X of shape
-    (n, 4).  A point converges when |g| <= DEFAULT_TOL*scale and the step is
-    at most DEFAULT_TOL*max(1, |tau|), at an iterate with R0 > 0 and xi > 0: the
-    light cone of X meets the worldline once in its past, so that
-    certifies the retarded root."""
+    (n, 4), both divided by s = max(scale, Euclidean |R|^2 at the iterate),
+    which leaves the Newton step as it is.  A point converges when
+    |g| <= DEFAULT_TOL*s and the step is at most DEFAULT_TOL*max(1, |tau|),
+    at an iterate with R0 > 0 and xi > 0: the light cone of X meets the
+    worldline once in its past, so that certifies the retarded root.  The
+    rounding of R.R grows like (R0)^2, which far exceeds |X|^2 ahead of a
+    fast charge, so s must follow R."""
     def fdf(idx, t):
         R = X[idx] - w.z(t)
         xi = inner(w.zdot(t), R)
-        return -inner(R, R), 2.0 * xi, (R[:, 0] > 0) & (xi > 0)
+        g = inner(R, R)
+        # Euclidean |R|^2 = 2 R0^2 - R.R
+        s = np.maximum(scale[idx], 2.0 * R[:, 0] * R[:, 0] - g)
+        return -g / s, 2.0 * xi / s, (R[:, 0] > 0) & (xi > 0)
 
-    return _rtsafe(fdf, tau, lo, hi, DEFAULT_TOL * scale, DEFAULT_TOL)
+    return _rtsafe(fdf, tau, lo, hi, DEFAULT_TOL, DEFAULT_TOL)
 
 
 def _solve_array(w, X, tau0=None):

@@ -6,8 +6,10 @@ from scipy.integrate import quad
 
 from pointcharge import association
 from pointcharge.association import (
+    SHELL_BAND,
     association_suite,
     bump_test_function,
+    claim_box_minus_lw,
     claim_charge_density,
     integral_of,
     psi_sup_values,
@@ -15,6 +17,7 @@ from pointcharge.association import (
     weak_limit,
 )
 from pointcharge.errors import NoTrend
+from pointcharge.fields import box_phi_fd
 from pointcharge.minkowski import boost_worldline, rest_worldline
 from pointcharge.regularization import (
     bump_mollifier,
@@ -233,6 +236,70 @@ def test_full_suite_boost():
     assert rep.passed, str(rep)
     assert set(rep.results) == {"heaviside", "psi_0", "psi_1", "psi_2",
                                 "psi_3", "box_minus_lw"}
+
+
+def middle_slice(w, eps, r_lo=SHELL_BAND[0], r_hi=SHELL_BAND[1]):
+    """The time slice t = 3 of the default test function's support, on the
+    radial band [r_lo*eps, r_hi*eps] around the track."""
+    phi4 = association.track_test_function(w)
+    return association.slice_grid(w, phi4, eps, 3.0, 1.0, r_lo * eps, r_hi * eps)
+
+
+def lam_H(g, fam, eps, e=1.0):
+    xi = g.kin["xi"]
+    return -e * g.kin["zdot"][..., 0] / xi * fam.H(xi, eps)
+
+
+def test_box_minus_lw_runs_the_stencil_on_the_shell_only(monkeypatch):
+    counts = []
+
+    def counting_box_phi_fd(w, fam, X, *args, **kwargs):
+        counts.append(len(X))
+        return box_phi_fd(w, fam, X, *args, **kwargs)
+
+    monkeypatch.setattr(association, "box_phi_fd", counting_box_phi_fd)
+    w, eps = boost_worldline(0.6), 0.05
+    g = middle_slice(w, eps)
+    claim_box_minus_lw(w, BUMP, g, eps, 1.0)
+    xi = g.kin["xi"]
+    on_shell = int(((xi > eps) & (xi < 2.0 * eps)).sum())
+    assert 0 < on_shell < len(xi)
+    assert counts == [on_shell]
+
+
+@pytest.mark.parametrize("w, bound", [
+    (rest_worldline(), 1e-8),
+    (boost_worldline(0.6), 1e-7),
+], ids=["rest", "boost"])
+def test_box_minus_lw_matches_the_full_band_pairing(w, bound):
+    # off the shell the full-band stencil adds only its truncation error:
+    # 4e-12 of the scale at rest and 5.1e-8 on boost(0.6), whose band
+    # reaches xi = 9.9 eps with the far-field step
+    eps = 0.1
+    g = middle_slice(w, eps)
+    full = g.pair(box_phi_fd(w, BUMP, g.points, eps, kin=g.kin)[..., 0]
+                  - lam_H(g, BUMP, eps))
+    scale = g.pair(lam_H(g, BUMP, eps))
+    value, lam = claim_box_minus_lw(w, BUMP, g, eps, 1.0)
+    assert lam == scale
+    assert value == pytest.approx(full, rel=0.0, abs=bound * abs(scale))
+
+
+def test_box_minus_lw_is_zero_off_the_shell():
+    # at rest xi = r, so the band r in [3 eps, 8 eps] misses the shell
+    w, eps = rest_worldline(), 0.1
+    g = middle_slice(w, eps, r_lo=3.0)
+    assert g.kin["xi"].min() > 2.0 * eps
+    value, lam = claim_box_minus_lw(w, BUMP, g, eps, 1.0)
+    assert value == 0.0
+    assert lam == g.pair(lam_H(g, BUMP, eps)) != 0.0
+
+
+def test_box_minus_lw_passes_on_a_fast_boost():
+    # the full-band stencil's error off the shell failed this claim
+    rep = association_suite(boost_worldline(0.99), BUMP, GRID,
+                            claims=("box_minus_lw",))
+    assert rep.passed, str(rep)
 
 
 def test_psi_sup_diverges_like_inverse_eps():

@@ -84,13 +84,33 @@ def test_gradient_of_retarded_time_is_K(w):
 
 def boost_tau(v):
     """Closed-form tau_r for boost(v): R.R = 0 is the quadratic
-    tau^2 - 2 g (X0 - v X1) tau + X.X = 0, and tau_r is its smaller root."""
+    tau^2 - 2 b tau + X.X = 0 with b = g (X0 - v X1), and tau_r is its
+    smaller root, b - sqrt(b^2 - X.X) = X.X / (b + sqrt(b^2 - X.X)); the
+    second form does not cancel when b > 0."""
     g = 1.0 / np.sqrt(1.0 - v * v)
 
     def tau(X):
         b = g * (X[:, 0] - v * X[:, 1])
-        return b - np.sqrt(b * b - inner(X, X))
+        xx = inner(X, X)
+        root = np.sqrt(b * b - xx)
+        return np.where(b > 0, xx / (b + root), b - root)
     return tau
+
+
+@pytest.mark.parametrize("v", [0.995, 0.998, 0.999])
+def test_fast_boost_matches_closed_form(v):
+    # points within r <= 1 of the charge: ahead of it R0 ~ r/(1 - v), so the
+    # rounding of R.R outgrows any residual bound set by |X| alone
+    rng = np.random.default_rng(20261018)
+    n = 5000
+    d = rng.normal(size=(n, 3))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    X = np.empty((n, 4))
+    X[:, 0] = 3.0
+    X[:, 1:] = d * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / 3.0)
+    X[:, 1] += 3.0 * v
+    tau = kinematics_arrays(boost_worldline(v), X)["tau_r"]
+    assert np.abs(tau - boost_tau(v)(X)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("w, tau", [
