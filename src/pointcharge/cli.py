@@ -419,14 +419,30 @@ def build_parser():
 INPUT_ERRORS = (ConfigError, InvalidMollifier, UnsupportedAtom)
 
 
+def _stage(args):
+    """The subcommand as typed, e.g. 'fields eval'."""
+    sub = getattr(args, "fields_command", None) or getattr(
+        args, "distalg_command", None)
+    return args.command if sub is None else f"{args.command} {sub}"
+
+
 def run(argv=None, out=None):
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        return args.func(load_config(args.config), out, args)
+        # an overflow, a division by zero or an invalid operation ends the
+        # run with one error line instead of a warning; code that expects
+        # one opens its own errstate, which takes precedence.  Underflow is
+        # no event: bump underflows near its edge on every run.
+        with np.errstate(over="raise", divide="raise", invalid="raise",
+                         under="ignore"):
+            return args.func(load_config(args.config), out, args)
     except PointChargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, INPUT_ERRORS) else 1
+    except FloatingPointError as exc:
+        print(f"error: {_stage(args)}: floating-point {exc}", file=sys.stderr)
+        return 1
 
 
 def main():

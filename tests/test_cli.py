@@ -244,6 +244,48 @@ def test_in_process_runs_match_fresh_processes(tmp_path, capsys):
     assert codes == [0, 0, 2, 0, 2, 0, 0, 0, 0]
 
 
+FLOATING_POINT_EVENTS = [
+    ("[run]\nworldline = hyperbolic(1e300)\n",
+     ["kinematics", "fields eval", "associate"]),
+    ("[run]\nworldline = hyperbolic(1e-300)\n",
+     ["kinematics", "fields eval", "associate"]),
+    ("[points]\np = 1e300, 0, 0, 0\n", ["kinematics", "fields eval"]),
+    ("[run]\nepsilon_grid = {1e-300, 1e-301, 1e-302, 1e-303}\n",
+     ["selfenergy", "fields eval", "check"]),
+]
+
+
+@pytest.mark.parametrize("body, commands", FLOATING_POINT_EVENTS,
+                         ids=["hyperbolic_1e300", "hyperbolic_1e-300",
+                              "point_1e300", "eps_1e-300"])
+def test_floating_point_event_writes_one_line(tmp_path, body, commands):
+    # accepted configs that overflow, divide by zero or go invalid: each
+    # fresh process exits 1 or 2 with one stderr line, and no NumPy warning
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(body)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for command in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pointcharge", "-c", str(cfg)]
+            + command.split(), capture_output=True, text=True, env=env,
+            timeout=120)
+        assert proc.returncode in (1, 2), command
+        assert proc.stderr.count("\n") <= 1, (command, proc.stderr)
+        assert proc.stderr.startswith("error:"), (command, proc.stderr)
+
+
+def test_floating_point_error_names_the_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nepsilon_grid = {1e-300, 1e-301, 1e-302, 1e-303}\n")
+    status, _ = invoke(["-c", str(cfg), "fields", "eval"])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.startswith("error: fields eval: floating-point overflow")
+    assert err.count("\n") == 1
+
+
 def test_renormalize_out_of_range_exits_1(capsys):
     # a positive target below U(eps = 1) is a verdict, not an input error
     for flag in ("0.1", "1e-9"):

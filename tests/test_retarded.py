@@ -9,12 +9,14 @@ from pointcharge.minkowski import (
     Worldline,
     boost_worldline,
     catalog,
+    hyperbolic_worldline,
     inner,
     lower,
     rest_worldline,
 )
 from pointcharge.retarded import (
     _neighbour_tau0,
+    _tau_simultaneous,
     div_K_fd,
     grad_tau_check,
     grad_xi,
@@ -111,6 +113,40 @@ def test_fast_boost_matches_closed_form(v):
     X[:, 1] += 3.0 * v
     tau = kinematics_arrays(boost_worldline(v), X)["tau_r"]
     assert np.abs(tau - boost_tau(v)(X)).max() <= 1e-10
+
+
+def hyperbolic_tau(a):
+    """Closed-form tau_r for hyperbolic(a): with u = exp(a tau), R.R = 0 is
+    the quadratic A u^2 + B u + C = 0 with A = X0 - X1,
+    B = -a (X.X - 1/a^2) and C = -(X0 + X1) (Fulton & Rohrlich 1960), and
+    tau_r = log(u)/a for its smallest positive root u; the roots are taken
+    as q/A and C/q with q = -(B + sign(B) sqrt(B^2 - 4AC))/2, which do not
+    cancel."""
+    def tau(X):
+        A, C = X[:, 0] - X[:, 1], -(X[:, 0] + X[:, 1])
+        B = -a * (inner(X, X) - 1.0 / (a * a))
+        q = -0.5 * (B + np.copysign(np.sqrt(B * B - 4.0 * A * C), B))
+        roots = np.stack([q / A, C / q])
+        u = np.where(roots > 0, roots, np.inf).min(axis=0)
+        return np.log(u) / a
+    return tau
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0, 5.0])
+def test_hyperbolic_matches_closed_form(a):
+    # points within r <= 1 of the track at lab time 3, where hyperbolic(5)
+    # moves at v = 0.998
+    w = hyperbolic_worldline(a)
+    rng = np.random.default_rng(20261019)
+    n = 5000
+    d = rng.normal(size=(n, 3))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    X = np.empty((n, 4))
+    X[:, 0] = 3.0
+    X[:, 1:] = d * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / 3.0)
+    X[:, 1:] += w.z(_tau_simultaneous(w, np.asarray(3.0)))[1:]
+    tau = kinematics_arrays(w, X)["tau_r"]
+    assert np.abs(tau - hyperbolic_tau(a)(X)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("w, tau", [
