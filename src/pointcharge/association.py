@@ -16,12 +16,13 @@ K = zdot(tau) + n and n a unit direction of zdot's rest frame.  There
 tau_r = tau, R = xi K and d4x = xi^2 dtau dxi dOmega on any worldline
 (Teitelboim, Villarroel & van Weert, Riv. Nuovo Cimento 3, 1980), so no
 node needs a retarded solve, and the shell is the slab eps < xi < 2*eps.
-The grid's xi panels have edges at 0, 0.05*eps, eps, 2*eps and 8*eps:
-claim (b) integrates from xi = 0, claim (c) and claim (d)'s stencil run
-on the shell slab only, and claim (d)'s scale <Lambda_0 H_eps(xi), phi> is
-summed over xi in [0.05*eps, 8*eps], where it is nonzero from eps on.  The
-suite builds one slab of a few xi nodes at a time, pairs it with every
-claim that reads it and sums the pairings over the slabs.
+The grid's xi panels have edges at 0, 0.05*eps, eps and 2*eps: claim (b)
+integrates from xi = 0, and claim (c) and claim (d)'s stencil run on the
+shell slab only.  The suite builds one slab of a few xi nodes at a time,
+pairs it with every claim that reads it and sums the pairings over the
+slabs.  Claim (d)'s scale <Lambda_0 H_eps(xi), phi> is summed at the last
+eps over the lab-frame band r in [0.05*eps, 8*eps] around the worldline's
+simultaneous track point, with a cold retarded solve per node.
 """
 
 import math
@@ -29,11 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoTrend, OnWorldline
+from .errors import NoConvergence, NoTrend, OnWorldline
 from .fields import box_phi_arrays, box_phi_fd, static_rho
 from .minkowski import inner
 from .regularization import bump, gauss_panels
-from .retarded import DEFAULT_TOL, _rtsafe, _tau_simultaneous, retarded_time
+from .retarded import DEFAULT_TOL, MAX_ITER, _rtsafe, _tau_simultaneous, \
+    kinematics_arrays, retarded_time
 
 
 @dataclass(frozen=True)
@@ -102,13 +104,15 @@ def integral_of(phi):
 
 
 # xi panels of the grid as (lo, hi, Gauss nodes), lo and hi in units of
-# eps: the inner ball, the rest of H_eps = 0, the transition shell and the
-# band where H_eps = 1 over which claim (d)'s scale is summed
-XI_PANELS = ((0.0, 0.05, 4), (0.05, 1.0, 8), (1.0, 2.0, 32), (2.0, 8.0, 8))
-# Gauss nodes in tau per ray, and the direction rule's polar and azimuthal
-# node count
+# eps: the inner ball, the rest of H_eps = 0 and the transition shell;
+# from 2 eps on no claim's integrand is nonzero
+XI_PANELS = ((0.0, 0.05, 4), (0.05, 1.0, 8), (1.0, 2.0, 32))
+# Gauss nodes in tau per ray window, and the direction rule's polar and
+# azimuthal node count
 TAU_NODES = 12
 DIRECTIONS = 8
+# eigentimes at which _tau_windows samples dt/dtau on rays where t may turn
+TURN_SAMPLES = 33
 # xi nodes per slab: 4 x 64 directions x 12 tau nodes = 3,072 nodes, so
 # that claim (d)'s stencil holds few points at a time
 SLAB_XI_NODES = 4
@@ -155,35 +159,100 @@ def _first_retarded_time(w, phi):
         return float(_tau_simultaneous(w, np.asarray(P[0])))
 
 
-def _lab_time_root(w, xi, m, target, lo, hi):
+def _ray_lab_time(w, xi, m, tau):
+    """Lab time t = z0 + xi K0 on the rays (xi, m) at eigentime tau, and
+    dt/dtau = zdot0 + xi (zddot0 + zddot.m)."""
+    zd, zdd = w.zdot(tau), w.zddot(tau)
+    t = w.z(tau)[:, 0] + xi * (zd[:, 0] + (zd[:, 1:] * m).sum(-1))
+    dt = zd[:, 0] + xi * (zdd[:, 0] + (zdd[:, 1:] * m).sum(-1))
+    return t, dt
+
+
+def _lab_time_root(w, xi, m, target, lo, hi, sign):
     """Per ray (xi, m), the eigentime in [lo, hi] at which the ray's lab
-    time t(tau) = z0 + xi K0 reaches target, by safeguarded Newton with
-    dt/dtau = zdot0 + xi (zddot0 + zddot.m): lo where t(lo) >= target and hi
-    where t(hi) <= target.  This takes t as increasing on [lo, hi], which
-    holds near the ball while xi |zddot| stays below zdot0; behind a
-    strongly accelerated charge (xi a > 1/2 on hyperbolic(a)) t dips at
-    early tau, on rays that stay far from the ball."""
+    time reaches target, on a piece where sign * t increases, by
+    safeguarded Newton: lo where sign * (t(lo) - target) >= 0 and hi where
+    sign * (t(hi) - target) <= 0."""
 
     def fdf(idx, tau):
-        zd, zdd = w.zdot(tau), w.zddot(tau)
-        k0 = zd[:, 0] + (zd[:, 1:] * m[idx]).sum(-1)
-        t = w.z(tau)[:, 0] + xi[idx] * k0
-        dt = zd[:, 0] + xi[idx] * (zdd[:, 0] + (zdd[:, 1:] * m[idx]).sum(-1))
-        return t - target, dt, True
+        t, dt = _ray_lab_time(w, xi[idx], m[idx], tau)
+        return sign[idx] * (t - target[idx]), sign[idx] * dt, True
 
     every = np.arange(xi.size)
-    lo, hi = np.full(xi.size, lo), np.full(xi.size, hi)
     f_lo, f_hi = fdf(every, lo)[0], fdf(every, hi)[0]
     root = np.where(f_lo >= 0.0, lo, hi)
     cross = (f_lo < 0.0) & (f_hi > 0.0)
     if cross.any():
         idx = every[cross]
         # exact at rest, where t = tau + xi
-        start = np.clip(_tau_simultaneous(w, np.asarray(target)) - xi[idx],
+        start = np.clip(_tau_simultaneous(w, target[idx]) - xi[idx],
                         lo[idx], hi[idx])
-        root[idx] = _rtsafe(lambda i, tau: fdf(idx[i], tau), start, lo[idx],
-                            hi[idx], np.inf, DEFAULT_TOL)[0]
+        root[idx], done = _rtsafe(lambda i, tau: fdf(idx[i], tau), start,
+                                  lo[idx], hi[idx], np.inf, DEFAULT_TOL)
+        if not done.all():
+            raise NoConvergence(MAX_ITER, np.nan)
     return root
+
+
+def _lab_time_turn(w, xi, m, lo, hi, sign):
+    """Per ray, the eigentime in [lo, hi] where sign * dt/dtau changes sign
+    from - to +, by bisection (no third derivative of z is at hand)."""
+
+    def fdf(idx, tau):
+        dt = _ray_lab_time(w, xi[idx], m[idx], tau)[1]
+        return sign[idx] * dt, np.zeros_like(tau), True
+
+    turn, done = _rtsafe(fdf, 0.5 * (lo + hi), lo, hi, np.inf, DEFAULT_TOL)
+    if not done.all():
+        raise NoConvergence(MAX_ITER, np.nan)
+    return turn
+
+
+def _tau_windows(w, phi, xi, m):
+    """The eigentime windows of the rays (xi, m) on which the ray's lab time
+    lies in phi's time extent [c0 - radius, c0 + radius], cut to the
+    retarded times [first, last] that phi's support ball can have.
+
+    Returns (ray, lo, hi), one window per piece of [first, last] on which
+    a ray's lab time t is monotone.  Along a ray dt/dtau >= zdot0 (1 - 2 xi
+    alpha), alpha the proper acceleration, so t rises throughout on every
+    ray with 2 xi alpha < 1: one piece.  On the other rays (behind a
+    strongly accelerated charge, where t can fall before it rises) t turns
+    where dt/dtau changes sign between two of TURN_SAMPLES eigentimes
+    spread over [first, last]."""
+    c0, radius = phi.center[0], phi.radius
+    first = _first_retarded_time(w, phi)
+    last = float(_tau_simultaneous(w, np.asarray(c0 + radius)))
+    samples = np.linspace(first, last, TURN_SAMPLES)
+    zdd = w.zddot(samples)
+    alpha = np.sqrt(max(0.0, float(-inner(zdd, zdd).min())))
+    # the pieces as (ray, lo, hi, sign of dt/dtau)
+    ray = np.arange(xi.size)
+    lo, hi, sign = np.full(xi.size, first), np.full(xi.size, last), np.ones(xi.size)
+    check = np.flatnonzero(2.0 * xi * alpha >= 1.0)
+    if check.size:
+        n = TURN_SAMPLES
+        rising = _ray_lab_time(w, np.repeat(xi[check], n),
+                               np.repeat(m[check], n, axis=0),
+                               np.tile(samples, check.size))[1] > 0.0
+        rising = rising.reshape(check.size, n)
+        sign[check] = np.where(rising[:, 0], 1.0, -1.0)
+        # turn j of ray check[r] lies between samples k and k + 1, in order
+        r, k = np.nonzero(rising[:, 1:] != rising[:, :-1])
+        if r.size:
+            up = np.where(rising[r, k + 1], 1.0, -1.0)
+            turns = _lab_time_turn(w, xi[check[r]], m[check[r]], samples[k],
+                                   samples[k + 1], up)
+            same = np.append(r[1:] == r[:-1], False)
+            _, head = np.unique(r, return_index=True)
+            hi[check[r[head]]] = turns[head]
+            ray = np.concatenate([ray, check[r]])
+            lo = np.concatenate([lo, turns])
+            hi = np.concatenate([hi, np.where(same, np.roll(turns, -1), last)])
+            sign = np.concatenate([sign, up])
+    lo_w = _lab_time_root(w, xi[ray], m[ray], c0 - sign * radius, lo, hi, sign)
+    hi_w = _lab_time_root(w, xi[ray], m[ray], c0 + sign * radius, lo, hi, sign)
+    return ray, np.minimum(lo_w, hi_w), np.maximum(lo_w, hi_w)
 
 
 @dataclass(frozen=True)
@@ -210,27 +279,25 @@ def slice_grid(w, phi, xi, xi_weights):
     A node is x = z(tau) + xi K(tau) with K = zdot + n, n a unit direction of
     zdot's rest frame (_null_direction), so that tau_r(x) = tau, R = xi K and
     d4x = xi^2 dtau dxi dOmega.  Per xi the slab takes DIRECTIONS x
-    DIRECTIONS directions, and TAU_NODES Gauss nodes in tau on the window
-    where the ray's lab time lies in the ball's time extent
-    [c0 - radius, c0 + radius], cut to the retarded times the ball can have.
+    DIRECTIONS directions, and TAU_NODES Gauss nodes in tau on each window
+    of _tau_windows, where the ray's lab time lies in the ball's time
+    extent [c0 - radius, c0 + radius].
     """
     if phi.dimension != 4:
         raise ValueError("spacetime pairing needs a 4D test function")
     dirs, wa = _angular_grid(DIRECTIONS)
     ray_xi = np.repeat(xi, dirs.shape[0])
     ray_m = np.tile(dirs, (xi.size, 1))
-    first = _first_retarded_time(w, phi)
-    last = float(_tau_simultaneous(w, np.asarray(phi.center[0] + phi.radius)))
-    lo, hi = (_lab_time_root(w, ray_xi, ray_m, phi.center[0] + s * phi.radius,
-                             first, last) for s in (-1.0, 1.0))
+    ray_w = np.tile(wa, xi.size) * ray_xi * ray_xi * np.repeat(
+        xi_weights, dirs.shape[0])
+    ray, lo, hi = _tau_windows(w, phi, ray_xi, ray_m)
     (x,), _, wt = gauss_panels((-1.0, 1.0), TAU_NODES)
     half = 0.5 * (hi - lo)[:, None]
     tau = (0.5 * (hi + lo)[:, None] + half * x).ravel()
-    node_xi = np.repeat(ray_xi, TAU_NODES)
-    wts = (half * wt) * (np.tile(wa, xi.size) * ray_xi * ray_xi
-                         * np.repeat(xi_weights, dirs.shape[0]))[:, None]
+    node_xi = np.repeat(ray_xi[ray], TAU_NODES)
+    wts = half * wt * ray_w[ray][:, None]
     zdot = w.zdot(tau)
-    K = _null_direction(zdot, np.repeat(ray_m, TAU_NODES, axis=0))
+    K = _null_direction(zdot, np.repeat(ray_m[ray], TAU_NODES, axis=0))
     R = node_xi[:, None] * K
     pts = w.z(tau) + R
     kin = {"tau_r": tau, "R": R, "xi": node_xi, "K": K,
@@ -351,25 +418,60 @@ def claim_psi(w, fam, g, eps, e):
 
 
 def claim_box_minus_lw(w, fam, g, eps, e):
-    """(d) on one slab: (<boxPhi_fd_0 - Lambda_0 H_eps(xi), phi>,
-    <Lambda_0 H_eps(xi), phi>); the second value sets the claim's scale.
+    """(d) on one slab: <boxPhi_fd_0 - Lambda_0 H_eps(xi), phi>.
 
     Uses the finite-difference d'Alembertian, so the claim does not lean
     on the analytic Psi formula that claim (c) already exercises.  The
     difference is Psi_eps, whose support is the shell eps < xi < 2*eps:
     below it Phi = Lambda H = 0, above it H = 1 and box(eR/2) = Lambda.
     So the stencil runs on the shell nodes only, and every other node
-    adds exactly 0 to the first pairing.  The scale is summed over every
-    node of the slab.
+    adds exactly 0.
     """
     xi = g.kin["xi"]
-    lam_H = -e * g.kin["zdot"][..., 0] / xi * fam.H(xi, eps)
     shell = (xi > eps) & (xi < 2.0 * eps)
     if not shell.any():
-        return 0.0, g.pair(lam_H)
+        return 0.0
     kin = {k: v[shell] for k, v in g.kin.items()}
+    lam_H = -e * kin["zdot"][..., 0] / kin["xi"] * fam.H(kin["xi"], eps)
     fd = box_phi_fd(w, fam, g.points[shell], eps, e=e, kin=kin)[..., 0]
-    return g.pair(fd - lam_H[shell], shell), g.pair(lam_H)
+    return g.pair(fd - lam_H, shell)
+
+
+# radial panel edges, in units of eps, of the lab-frame band over which
+# claim (d)'s scale is summed
+SCALE_BAND = (0.05, 1.0, 2.0, 8.0)
+
+
+def box_minus_lw_scale(w, fam, phi, eps, e):
+    """Claim (d)'s scale: <Lambda_0 H_eps(xi), phi> over the lab-frame band
+    r in [0.05 eps, min(8 eps, 2.5 radius)] around the worldline's
+    simultaneous track point, on phi's TAU_NODES Gauss times, the 8 x 8
+    direction rule taken in the lab frame and radial panels with edges
+    SCALE_BAND of 4 Gauss nodes each, with the retarded kinematics of a
+    cold solve at every node.
+
+    The band is in the lab frame, so it holds retarded distances up to
+    about 8 eps gamma (1 + v) ahead of a fast charge: the scale grows with
+    the Doppler factor, as claim (d)'s pairings do."""
+    edges = np.unique(np.minimum(np.array(SCALE_BAND) * eps, 2.5 * phi.radius))
+    if edges.size < 2:
+        return 0.0
+    r, half, wr = gauss_panels(edges, 4)
+    r, wr = r.ravel(), (half * wr).ravel()
+    dirs, wa = _angular_grid(DIRECTIONS)
+    (x,), _, wt = gauss_panels((-1.0, 1.0), TAU_NODES)
+    t = phi.center[0] + phi.radius * x
+    track = w.z(_tau_simultaneous(w, t))
+    pts = np.empty((t.size, r.size, dirs.shape[0], 4))
+    pts[..., 0] = t[:, None, None]
+    pts[..., 1:] = (track[:, None, None, 1:]
+                    + r[None, :, None, None] * dirs[None, None, :, :])
+    wts = (phi.radius * wt)[:, None, None] * (wr * r * r)[:, None] * wa
+    pts = pts.reshape(-1, 4)
+    kin = kinematics_arrays(w, pts)
+    xi = kin["xi"]
+    lam_H = -e * kin["zdot"][..., 0] / xi * fam.H(xi, eps)
+    return float((lam_H * phi(pts) * wts.ravel()).sum())
 
 
 def psi_sup_values(w, fam, eps_grid, e=1.0):
@@ -413,8 +515,6 @@ def _reads(name, lo, hi):
     [lo, hi] (in units of eps)."""
     if name == "heaviside":
         return lo < 2.0         # H - 1 = 0 from 2 eps on
-    if name == "box_minus_lw":
-        return hi > 1.0         # Lambda H = 0 below eps
     return lo < 2.0 and hi > 1.0    # Psi lives in the shell
 
 
@@ -448,7 +548,6 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
     vals = {n: [] for n in spacetime}
     for eps in eps_grid if spacetime else ():
         sums = dict.fromkeys(spacetime, 0.0)
-        lam_ref = 0.0
         for lo, hi, nodes in XI_PANELS:
             readers = [n for n in spacetime if _reads(n, lo, hi)]
             if not readers:
@@ -462,9 +561,7 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
                     for name in psi_names:
                         sums[name] += psi[int(name[-1])]
                 if "box_minus_lw" in readers:
-                    v, lam = claim_box_minus_lw(w, fam, g, eps, e)
-                    sums["box_minus_lw"] += v
-                    lam_ref += lam
+                    sums["box_minus_lw"] += claim_box_minus_lw(w, fam, g, eps, e)
                 del g   # free this slab before the next one is built
         for name in spacetime:
             vals[name].append(sums[name])
@@ -473,7 +570,8 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
             limit_at, scale = target, max(abs(target), 1e-3)
             vals[name] = [target + v for v in vals[name]]
         elif name == "box_minus_lw":
-            limit_at, scale = 0.0, max(abs(lam_ref), 1e-3)
+            lam = box_minus_lw_scale(w, fam, phi4, eps_grid[-1], e)
+            limit_at, scale = 0.0, max(abs(lam), 1e-3)
         else:
             limit_at, scale = 0.0, 1.0
         results[name] = weak_limit(vals[name], eps_grid, limit_at, tolerance,

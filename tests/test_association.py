@@ -8,6 +8,7 @@ from pointcharge import association
 from pointcharge.association import (
     XI_PANELS,
     association_suite,
+    box_minus_lw_scale,
     bump_test_function,
     claim_box_minus_lw,
     claim_charge_density,
@@ -20,7 +21,7 @@ from pointcharge.association import (
 from pointcharge.errors import NoTrend
 from pointcharge.fields import box_phi_fd
 from pointcharge.minkowski import boost_worldline, circular_worldline, \
-    hyperbolic_worldline, rest_worldline
+    hyperbolic_worldline, inner, rest_worldline
 from pointcharge.retarded import _tau_simultaneous, kinematics_arrays
 from pointcharge.regularization import (
     bump_mollifier,
@@ -136,7 +137,8 @@ def test_grid_volume_is_xi_squared_dtau_dxi_domega():
     # [c0 - radius - xi, c0 + radius - xi] of length 2 radius, so the
     # weights of the panels below 8 eps sum to 2 radius * 4 pi (8 eps)^3 / 3
     w, eps = rest_worldline(), 0.01
-    total = sum(slab(w, eps, lo, hi).weights.sum() for lo, hi, _ in XI_PANELS)
+    total = sum(slab(w, eps, lo, hi, n).weights.sum()
+                for lo, hi, n in XI_PANELS + ((2.0, 8.0, 8),))
     assert total == pytest.approx(2.0 * 4.0 * np.pi * (8.0 * eps) ** 3 / 3.0,
                                   rel=1e-12)
 
@@ -147,22 +149,28 @@ def test_grid_volume_is_xi_squared_dtau_dxi_domega():
     boost_worldline(0.999),
 ], ids=["rest", "boost", "hyperbolic", "circular", "hyperbolic5", "boost0.999"])
 def test_grid_kinematics_match_the_solver(w):
-    # the closed forms at x = z(tau) + xi K agree with a cold retarded solve;
-    # the solver's K = R/xi carries the rounding of R, which grows with the
-    # Doppler factor K0 (up to 45 ahead of boost(0.999)), divided by xi
-    # (down to 3.5e-5 on the inner panel), so K is compared on that scale
+    # the closed forms at x = z(tau) + xi K agree with a cold retarded solve
+    # in tau_r, xi and R = X - z(tau_r), R to within what a tau_r error of
+    # tol moves z; the solver's own K = R/xi carries the rounding of R
+    # divided by xi (down to 3.5e-5 on the inner panel), so K is checked
+    # at every node instead: null and normalised, K.K = 0 and K.zdot = 1
     eps = 0.1
     rng = np.random.default_rng(5)
-    for lo, hi, _ in XI_PANELS:
-        g = slab(w, eps, lo, hi)
+    for lo, hi, _ in XI_PANELS + ((2.0, 8.0, 8),):
+        g = slab(w, eps, lo, hi, 8 if hi == 8.0 else None)
+        K, zdot = g.kin["K"], g.kin["zdot"]
+        k0 = np.abs(K[:, 0])
+        assert np.all(np.abs(inner(K, K)) <= 1e-12 * k0 * k0)
+        assert np.all(np.abs(inner(K, zdot) - 1.0) <= 1e-12 * k0 * zdot[:, 0])
         pick = rng.choice(len(g.points), size=100, replace=False)
         X = g.points[pick]
         k = kinematics_arrays(w, X)
         tol = 1e-12 * np.maximum(1.0, np.linalg.norm(X, axis=-1))
         for key in ("tau_r", "xi"):
             assert np.all(np.abs(k[key] - g.kin[key][pick]) <= tol), key
-        K, xi = g.kin["K"][pick], g.kin["xi"][pick]
-        assert np.all(np.abs(k["K"] - K) <= (tol * K[:, 0] / xi)[:, None])
+        R = g.kin["R"][pick]
+        assert np.all(np.abs(k["R"] - R)
+                      <= (tol * (1.0 + zdot[pick, 0]))[:, None])
 
 
 def test_weak_limit_extrapolates_power_law():
@@ -274,11 +282,13 @@ def test_suite_evaluates_phi_and_psi_once_per_grid(monkeypatch):
     rep = association_suite(w, BUMP, SHORT, phi4=phi4)
     assert rep.passed, str(rep)
     # once per slab of 4 xi nodes x 64 directions x 12 tau nodes, and Psi
-    # on the shell's 8 slabs only; integral_of does not evaluate phi
+    # on the shell's 8 slabs only; integral_of does not evaluate phi, and
+    # claim (d)'s scale evaluates it once on its lab-frame band of 12 times
+    # x 12 radii x 64 directions
     per_slab = association.SLAB_XI_NODES
     slab_shape = (per_slab * 64 * 12, 4)
     slabs = sum(n for _, _, n in XI_PANELS) // per_slab
-    assert phi_calls == [slab_shape] * (slabs * SHORT.size)
+    assert phi_calls == [slab_shape] * (slabs * SHORT.size) + [(12 * 12 * 64, 4)]
     assert psi_calls == [slab_shape] * (32 // per_slab * SHORT.size)
 
 
@@ -325,8 +335,8 @@ def test_box_minus_lw_runs_the_stencil_on_the_shell_only(monkeypatch):
     monkeypatch.setattr(association, "box_phi_fd", counting_box_phi_fd)
     w, eps = boost_worldline(0.6), 0.05
     sizes = {}
-    for lo, hi in ((0.05, 1.0), (1.0, 2.0), (2.0, 8.0)):
-        g = slab(w, eps, lo, hi)
+    for lo, hi, n in ((0.05, 1.0, 8), (1.0, 2.0, 32), (2.0, 8.0, 8)):
+        g = slab(w, eps, lo, hi, n)
         sizes[lo] = len(g.points)
         claim_box_minus_lw(w, BUMP, g, eps, 1.0)
     assert counts == [sizes[1.0]]
@@ -342,13 +352,12 @@ def test_box_minus_lw_matches_the_full_band_pairing(w, bound):
     # boost(0.6)
     eps = 0.1
     full = value = scale = 0.0
-    for lo, hi in ((0.05, 1.0), (1.0, 2.0), (2.0, 8.0)):
-        g = slab(w, eps, lo, hi)
-        full += g.pair(box_phi_fd(w, BUMP, g.points, eps, kin=g.kin)[..., 0]
-                       - lam_H(g, BUMP, eps))
-        v, lam = claim_box_minus_lw(w, BUMP, g, eps, 1.0)
-        assert lam == g.pair(lam_H(g, BUMP, eps))
-        value, scale = value + v, scale + lam
+    for lo, hi, n in ((0.05, 1.0, 8), (1.0, 2.0, 32), (2.0, 8.0, 8)):
+        g = slab(w, eps, lo, hi, n)
+        lam = g.pair(lam_H(g, BUMP, eps))
+        full += g.pair(box_phi_fd(w, BUMP, g.points, eps, kin=g.kin)[..., 0]) - lam
+        value += claim_box_minus_lw(w, BUMP, g, eps, 1.0)
+        scale += lam
     assert value == pytest.approx(full, rel=0.0, abs=bound * abs(scale))
 
 
@@ -357,9 +366,8 @@ def test_box_minus_lw_is_zero_off_the_shell():
     w, eps = rest_worldline(), 0.1
     g = slab(w, eps, 3.0, 8.0, 8)
     assert g.kin["xi"].min() > 2.0 * eps
-    value, lam = claim_box_minus_lw(w, BUMP, g, eps, 1.0)
-    assert value == 0.0
-    assert lam == g.pair(lam_H(g, BUMP, eps)) != 0.0
+    assert claim_box_minus_lw(w, BUMP, g, eps, 1.0) == 0.0
+    assert g.pair(lam_H(g, BUMP, eps)) != 0.0     # the slab meets phi
 
 
 def test_box_minus_lw_passes_on_a_fast_boost():
@@ -379,12 +387,12 @@ def test_off_centre_test_function_pairs_every_component():
         assert np.all(np.abs(rep.results[name].values) > 1e-10), name
 
 
-def lab_frame_defect(w, eps, phi4, h=0.006, half_width=0.12, rho_max=0.24):
-    """<H_eps(xi) - 1, phi4> by a midpoint rule in lab coordinates, with xi
-    from kinematics_arrays: phi4 and the worldline are symmetric about the
-    x1 axis, so cells of side h in (t, s, rho), with x1 = z1(t) + s and
-    weight 2 pi rho, cover |s| <= half_width and rho <= rho_max.  Also
-    returns max |H - 1| on the cells at the box's edge."""
+def lab_frame_pairing(w, f, phi4, h, half_width, rho_max):
+    """<f(xi), phi4> by a midpoint rule in lab coordinates, with xi from
+    kinematics_arrays: phi4 and the worldline are symmetric about the x1
+    axis, so cells of side h in (t, s, rho), with x1 = z1(t) + s and weight
+    2 pi rho, cover |s| <= half_width and rho <= rho_max.  Also returns
+    max |f| on the cells at the box's edge."""
     c0, radius = phi4.center[0], phi4.radius
     mid = lambda lo, hi: np.arange(lo + 0.5 * h, hi, h)
     t = mid(c0 - radius, c0 + radius)
@@ -400,15 +408,15 @@ def lab_frame_defect(w, eps, phi4, h=0.006, half_width=0.12, rho_max=0.24):
     for ti, z1i in zip(t, z1):
         X[..., 0] = ti
         pts = (X + np.array([0.0, z1i, 0.0, 0.0])).reshape(-1, 4)
-        f = phi4(pts)
-        inside = f > 0.0
+        phi = phi4(pts)
+        inside = phi > 0.0
         if not inside.any():
             continue
-        defect = BUMP.H(kinematics_arrays(w, pts[inside])["xi"], eps) - 1.0
-        total += (defect * f[inside] * 2.0 * np.pi * pts[inside, 2]).sum()
+        values = f(kinematics_arrays(w, pts[inside])["xi"])
+        total += (values * phi[inside] * 2.0 * np.pi * pts[inside, 2]).sum()
         on_edge = edge.ravel()[inside]
         if on_edge.any():
-            edge_max = max(edge_max, np.abs(defect[on_edge]).max())
+            edge_max = max(edge_max, np.abs(values[on_edge]).max())
     return total * h ** 3, edge_max
 
 
@@ -418,11 +426,79 @@ def test_heaviside_defect_matches_a_lab_frame_oracle():
     # -1.7107e-3, 14% off
     w, eps = hyperbolic_worldline(1.0), 0.1
     phi4 = track_test_function(w)
-    oracle, edge_max = lab_frame_defect(w, eps, phi4)
+    oracle, edge_max = lab_frame_pairing(w, lambda xi: BUMP.H(xi, eps) - 1.0,
+                                         phi4, 0.006, 0.12, 0.24)
     assert edge_max == 0.0      # the box holds the support of H - 1
     rep = association_suite(w, BUMP, SHORT, phi4=phi4, claims=("heaviside",))
     defect = rep.results["heaviside"].values[0] - integral_of(phi4)
     assert defect == pytest.approx(oracle, rel=1e-2)
+
+
+def ray_grid(lo, hi):
+    """The rays of the grid's xi panel [lo, hi] on 8 Gauss nodes."""
+    (xi,), half, wx = gauss_panels((lo, hi), 8)
+    dirs, _ = association._angular_grid(association.DIRECTIONS)
+    return xi, half[0, 0] * wx, np.repeat(xi, len(dirs)), np.tile(dirs, (8, 1))
+
+
+@pytest.mark.parametrize("w, lo, hi", [
+    (hyperbolic_worldline(5.0), 0.2, 0.8),
+    (circular_worldline(1.0, 0.9), 0.8, 3.0),
+], ids=["hyperbolic5", "circular0.9"])
+def test_tau_windows_hold_every_time_in_the_ball_extent(w, lo, hi):
+    # behind hyperbolic(5) (2 xi a up to 8) the lab time along a ray falls
+    # before it rises, and around circular(1, 0.9) it turns more than once;
+    # the windows still hold exactly the eigentimes in [first, last] at
+    # which the ray's lab time lies in the ball's time extent
+    phi = track_test_function(w)
+    _, _, xi, m = ray_grid(lo, hi)
+    ray, tau_lo, tau_hi = association._tau_windows(w, phi, xi, m)
+    assert ray.size > xi.size           # some rays have more than one piece
+    first = association._first_retarded_time(w, phi)
+    last = _tau_simultaneous(w, phi.center[0] + phi.radius)
+    tau = np.linspace(first, last, 2001)
+    t = association._ray_lab_time(w, np.repeat(xi, tau.size),
+                                  np.repeat(m, tau.size, axis=0),
+                                  np.tile(tau, xi.size))[0].reshape(xi.size, -1)
+    held = np.zeros(t.shape, dtype=bool)
+    for r, a, b in zip(ray, tau_lo, tau_hi):
+        if b > a:       # a window of width 0 has no weight
+            held[r] |= (tau >= a) & (tau <= b)
+    gap = np.abs(t - phi.center[0]) - phi.radius
+    assert np.all(held[gap < -1e-9]) and not np.any(held[gap > 1e-9])
+
+
+def test_grid_matches_a_lab_frame_oracle_where_lab_time_turns():
+    # on the xi panel [0.2, 0.8] of hyperbolic(5), <g(xi), phi> with g a
+    # sin^2 bump over the panel reads 1.35678e-2 on the grid, against
+    # 1.35690e-2 from the midpoint oracle at h = 0.02 (1.35539e-2 at
+    # h = 0.015); dropping the rays' rising pieces read 1.35622e-2
+    w = hyperbolic_worldline(5.0)
+    phi4 = track_test_function(w)
+
+    def g(xi):
+        inside = (xi > 0.2) & (xi < 0.8)
+        return np.where(inside, np.sin(np.pi * (xi - 0.2) / 0.6) ** 2, 0.0)
+
+    xi, wx, _, _ = ray_grid(0.2, 0.8)
+    grid = sum(s.pair(g(s.kin["xi"])) for s in (
+        slice_grid(w, phi4, xi[i:i + 4], wx[i:i + 4]) for i in (0, 4)))
+    oracle, edge_max = lab_frame_pairing(w, g, phi4, 0.02, 2.0, 1.0)
+    assert edge_max == 0.0
+    assert grid == pytest.approx(oracle, rel=5e-3)
+
+
+def test_box_minus_lw_scale_resolves_its_lab_band(monkeypatch):
+    # the scale's radial panels with edges at 0.05, 1, 2 and 8 eps agree
+    # with 64 panels of width < eps/8 to 4.9e-5 on hyperbolic(5), whose
+    # band holds retarded distances far beyond 8 eps
+    w, eps = hyperbolic_worldline(5.0), 0.003125
+    phi4 = track_test_function(w)
+    scale = box_minus_lw_scale(w, BUMP, phi4, eps, 1.0)
+    monkeypatch.setattr(association, "SCALE_BAND",
+                        tuple(np.linspace(0.05, 8.0, 65)))
+    fine = box_minus_lw_scale(w, BUMP, phi4, eps, 1.0)
+    assert scale == pytest.approx(fine, rel=1e-4)
 
 
 def doubled(monkeypatch):
@@ -446,8 +522,8 @@ def assert_resolved(w, claims, monkeypatch):
         if name == "heaviside":
             scale = abs(res.target)
         elif name == "box_minus_lw":
-            scale = abs(sum(g.pair(lam_H(g, BUMP, eps)) for g in (
-                slab(w, eps, 1.0, 2.0), slab(w, eps, 2.0, 8.0))))
+            scale = max(abs(box_minus_lw_scale(w, BUMP, track_test_function(w),
+                                               eps, 1.0)), 1e-3)
         else:
             scale = 1.0
         move = abs(fine[name].limit - res.limit)
