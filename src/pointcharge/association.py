@@ -208,7 +208,19 @@ def _lab_time_turn(w, xi, m, lo, hi, sign):
     return turn
 
 
-def _tau_windows(w, phi, xi, m):
+def _retarded_span(w, phi):
+    """(first, last, alpha): the retarded times [first, last] that phi's
+    support ball can have, last being the eigentime at lab time c0 +
+    radius, and the largest proper acceleration alpha at TURN_SAMPLES
+    eigentimes spread over them.  One set per test function and
+    worldline, shared by every ray of a run."""
+    first = _first_retarded_time(w, phi)
+    last = float(_tau_simultaneous(w, np.asarray(phi.center[0] + phi.radius)))
+    zdd = w.zddot(np.linspace(first, last, TURN_SAMPLES))
+    return first, last, np.sqrt(max(0.0, float(-inner(zdd, zdd).min())))
+
+
+def _tau_windows(w, phi, xi, m, span=None):
     """The eigentime windows of the rays (xi, m) on which the ray's lab time
     lies in phi's time extent [c0 - radius, c0 + radius], cut to the
     retarded times [first, last] that phi's support ball can have.
@@ -219,13 +231,11 @@ def _tau_windows(w, phi, xi, m):
     ray with 2 xi alpha < 1: one piece.  On the other rays (behind a
     strongly accelerated charge, where t can fall before it rises) t turns
     where dt/dtau changes sign between two of TURN_SAMPLES eigentimes
-    spread over [first, last]."""
+    spread over [first, last].  span is _retarded_span(w, phi), computed
+    here if not given."""
     c0, radius = phi.center[0], phi.radius
-    first = _first_retarded_time(w, phi)
-    last = float(_tau_simultaneous(w, np.asarray(c0 + radius)))
+    first, last, alpha = _retarded_span(w, phi) if span is None else span
     samples = np.linspace(first, last, TURN_SAMPLES)
-    zdd = w.zddot(samples)
-    alpha = np.sqrt(max(0.0, float(-inner(zdd, zdd).min())))
     # the pieces as (ray, lo, hi, sign of dt/dtau)
     ray = np.arange(xi.size)
     lo, hi, sign = np.full(xi.size, first), np.full(xi.size, last), np.ones(xi.size)
@@ -271,17 +281,19 @@ class SliceGrid:
         return float((values * self.phi_values[where] * self.weights[where]).sum())
 
 
-def slice_grid(w, phi, xi, xi_weights):
+def slice_grid(w, phi, xi, xi_weights, windows=None):
     """The slab of the retarded-coordinate grid at the xi nodes `xi` (with
     their quadrature weights) over phi's support ball, with the
-    kinematics at its nodes in closed form.
+    kinematics at its nodes in closed form, under kinematics_arrays' keys.
 
     A node is x = z(tau) + xi K(tau) with K = zdot + n, n a unit direction of
     zdot's rest frame (_null_direction), so that tau_r(x) = tau, R = xi K and
     d4x = xi^2 dtau dxi dOmega.  Per xi the slab takes DIRECTIONS x
     DIRECTIONS directions, and TAU_NODES Gauss nodes in tau on each window
     of _tau_windows, where the ray's lab time lies in the ball's time
-    extent [c0 - radius, c0 + radius].
+    extent [c0 - radius, c0 + radius].  windows is _tau_windows of the
+    slab's rays (xi-major, DIRECTIONS**2 per xi node), computed here if not
+    given.
     """
     if phi.dimension != 4:
         raise ValueError("spacetime pairing needs a 4D test function")
@@ -290,28 +302,38 @@ def slice_grid(w, phi, xi, xi_weights):
     ray_m = np.tile(dirs, (xi.size, 1))
     ray_w = np.tile(wa, xi.size) * ray_xi * ray_xi * np.repeat(
         xi_weights, dirs.shape[0])
-    ray, lo, hi = _tau_windows(w, phi, ray_xi, ray_m)
+    ray, lo, hi = _tau_windows(w, phi, ray_xi, ray_m) if windows is None else windows
     (x,), _, wt = gauss_panels((-1.0, 1.0), TAU_NODES)
     half = 0.5 * (hi - lo)[:, None]
     tau = (0.5 * (hi + lo)[:, None] + half * x).ravel()
     node_xi = np.repeat(ray_xi[ray], TAU_NODES)
     wts = half * wt * ray_w[ray][:, None]
-    zdot = w.zdot(tau)
+    zdot, zddot = w.zdot(tau), w.zddot(tau)
     K = _null_direction(zdot, np.repeat(ray_m[ray], TAU_NODES, axis=0))
     R = node_xi[:, None] * K
     pts = w.z(tau) + R
     kin = {"tau_r": tau, "R": R, "xi": node_xi, "K": K,
-           "kappa": inner(w.zddot(tau), K), "zdot": zdot}
+           "kappa": inner(zddot, K), "zdot": zdot, "zddot": zddot,
+           "residual": inner(R, R)}
     return SliceGrid(points=pts, weights=wts.ravel(), kin=kin, phi_values=phi(pts))
 
 
-def _slabs(w, phi, eps, lo, hi, nodes):
+def _slabs(w, phi, eps, lo, hi, nodes, span):
     """The slabs of the xi panel [lo*eps, hi*eps] on `nodes` Gauss nodes,
-    SLAB_XI_NODES xi nodes at a time, built one by one."""
+    SLAB_XI_NODES xi nodes at a time, built one by one.  The tau windows
+    of all the panel's rays are found at once, span being
+    _retarded_span(w, phi)."""
     (xi,), half, wx = gauss_panels((lo * eps, hi * eps), nodes)
+    per_xi = DIRECTIONS * DIRECTIONS
+    m = np.tile(_angular_grid(DIRECTIONS)[0], (nodes, 1))
+    ray, tau_lo, tau_hi = _tau_windows(w, phi, np.repeat(xi, per_xi), m, span)
     for i in range(0, nodes, SLAB_XI_NODES):
         part = slice(i, i + SLAB_XI_NODES)
-        yield slice_grid(w, phi, xi[part], half[0, 0] * wx[part])
+        # the panel's windows keep each slab's rays in the order a
+        # window search on the slab alone gives them
+        mine = (ray >= i * per_xi) & (ray < (i + SLAB_XI_NODES) * per_xi)
+        windows = ray[mine] - i * per_xi, tau_lo[mine], tau_hi[mine]
+        yield slice_grid(w, phi, xi[part], half[0, 0] * wx[part], windows)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +568,7 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
     spacetime = [n for n in CLAIM_NAMES[1:] if wanted(n)]
     target = integral_of(phi4) if wanted("heaviside") else None
     vals = {n: [] for n in spacetime}
+    span = _retarded_span(w, phi4) if spacetime else None
     for eps in eps_grid if spacetime else ():
         sums = dict.fromkeys(spacetime, 0.0)
         for lo, hi, nodes in XI_PANELS:
@@ -553,7 +576,7 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
             if not readers:
                 continue
             psi_names = [n for n in readers if n.startswith("psi_")]
-            for g in _slabs(w, phi4, eps, lo, hi, nodes):
+            for g in _slabs(w, phi4, eps, lo, hi, nodes, span):
                 if "heaviside" in readers:
                     sums["heaviside"] += claim_heaviside(g, fam, eps)
                 if psi_names:

@@ -19,16 +19,16 @@ import numpy as np
 
 from .errors import SmoothnessRequired
 from .minkowski import METRIC
-from .retarded import _as_points, kinematics_arrays, neighbours
+from .retarded import _as_points, _warm_solve, kinematics_arrays, neighbours
 
-def _phi(fam, kin, eps, e):
-    return 0.5 * e * kin["R"] * fam.H(kin["xi"], eps)[..., None]
+def _phi(fam, R, xi, eps, e):
+    return 0.5 * e * R * fam.H(xi, eps)[..., None]
 
 
-def phi_arrays(w, fam, X, eps, e=1.0, tau0=None):
-    """Batched Phi from kinematics_arrays at X of shape (..., 4); tau0 as
-    in kinematics_arrays."""
-    return _phi(fam, kinematics_arrays(w, X, tau0), eps, e)
+def phi_arrays(w, fam, X, eps, e=1.0):
+    """Batched Phi from kinematics_arrays at X of shape (..., 4)."""
+    kin = kinematics_arrays(w, X)
+    return _phi(fam, kin["R"], kin["xi"], eps, e)
 
 
 def box_phi_arrays(w, fam, X, eps, e=1.0, kin=None):
@@ -66,9 +66,13 @@ def fd_steps(X, xi, eps):
 def box_phi_fd(w, fam, X, eps, h=None, e=1.0, kin=None):
     """d'Alembertian of Phi by central second differences (oracle path).
 
-    kin holds the kinematics at X (solved here if not given).  Neighbour
-    X +- h e_mu starts its solve from the second-order Taylor expansion of
-    tau_r about X; the accepted root passes the cold solve's tests.
+    kin holds the kinematics at X as kinematics_arrays returns them
+    (solved here if not given).  Each neighbour X +- h e_mu is solved by
+    retarded._warm_solve from the light-cone start of
+    retarded._neighbour_tau0, which is exact on inertial worldlines, so
+    there one evaluation of the worldline both solves and certifies the
+    root.  Phi at the neighbour is formed from that evaluation's R and xi
+    alone; a neighbour the warm solve cannot certify is solved cold.
     """
     pts, _ = _as_points(X)
     if kin is None:
@@ -76,12 +80,13 @@ def box_phi_fd(w, fam, X, eps, h=None, e=1.0, kin=None):
     if h is None:
         h = fd_steps(pts, kin["xi"], eps)
     h = np.asarray(h, dtype=float) * np.ones(pts.shape[:-1])
-    center = _phi(fam, kin, eps, e)
+    twice_center = 2.0 * _phi(fam, kin["R"], kin["xi"], eps, e)
+    hh = (h * h)[..., None]
     total = np.zeros_like(pts)
     for mu, Xp, tau_plus, Xm, tau_minus in neighbours(pts, kin, h):
-        plus = phi_arrays(w, fam, Xp, eps, e, tau_plus)
-        minus = phi_arrays(w, fam, Xm, eps, e, tau_minus)
-        total += METRIC[mu] * (plus - 2.0 * center + minus) / (h * h)[..., None]
+        plus = _phi(fam, *_warm_solve(w, Xp, tau_plus)[1:], eps, e)
+        minus = _phi(fam, *_warm_solve(w, Xm, tau_minus)[1:], eps, e)
+        total += METRIC[mu] * (plus - twice_center + minus) / hh
     return total
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pointcharge import association
+from pointcharge import association, retarded
 from pointcharge.association import (
     XI_PANELS,
     association_suite,
@@ -19,10 +19,11 @@ from pointcharge.association import (
     weak_limit,
 )
 from pointcharge.errors import NoTrend
-from pointcharge.fields import box_phi_fd
-from pointcharge.minkowski import boost_worldline, circular_worldline, \
+from pointcharge.fields import box_phi_fd, fd_steps
+from pointcharge.minkowski import Worldline, boost_worldline, circular_worldline, \
     hyperbolic_worldline, inner, rest_worldline
-from pointcharge.retarded import _tau_simultaneous, kinematics_arrays
+from pointcharge.retarded import _tau_simultaneous, _warm_solve, kinematics_arrays, \
+    neighbours
 from pointcharge.regularization import (
     bump_mollifier,
     gauss_panels,
@@ -554,3 +555,62 @@ def test_psi_sup_diverges_like_inverse_eps():
     slope = moderateness_slope(net, abs)
     assert slope == pytest.approx(-1.0, abs=0.1)
     assert np.all(vals > 0)
+
+
+@pytest.mark.parametrize("w, per_neighbour", [
+    (rest_worldline(), 1), (hyperbolic_worldline(1.0), 2),
+], ids=["rest", "hyperbolic"])
+def test_stencil_certifies_each_neighbour_on_its_start(w, per_neighbour,
+                                                       monkeypatch):
+    # at rest a neighbour's light-cone start is its root, so the warm
+    # solve's first evaluation of z both solves and certifies it: on n
+    # shell nodes the stencil evaluates z at exactly 8n eigentimes and
+    # never solves cold.  On hyperbolic(1) the start misses by O(h^3), and
+    # a second evaluation at most certifies each neighbour
+    eps = 0.1
+    g = slab(w, eps, 1.0, 2.0)
+    evaluated = []
+
+    def z(tau):
+        evaluated.append(np.size(tau))
+        return w.z(tau)
+
+    def cold(*args):
+        raise AssertionError("a neighbour reached the cold solve")
+
+    monkeypatch.setattr(retarded, "_solve_array", cold)
+    counted = Worldline(w.label, z=z, zdot=w.zdot, zddot=w.zddot)
+    box_phi_fd(counted, BUMP, g.points, eps, kin=g.kin)
+    assert sum(evaluated) <= per_neighbour * 8 * len(g.points)
+
+
+@pytest.mark.parametrize("w", [
+    rest_worldline(), boost_worldline(0.6), hyperbolic_worldline(1.0),
+    circular_worldline(1.0, 0.5), hyperbolic_worldline(5.0),
+    boost_worldline(0.999),
+], ids=["rest", "boost", "hyperbolic", "circular", "hyperbolic5", "boost0.999"])
+def test_warm_neighbours_match_the_cold_solve(w):
+    # tau_r, R and xi of claim (d)'s stencil neighbours, solved warm from
+    # their light-cone starts around 1,000 shell nodes at eps = 0.1, the
+    # suite's largest step, against a cold solve of the same points.  Each
+    # solve certifies its root to a step of 1e-12*max(1, |tau|), and the
+    # warm solve returns the tau, R = X - z(tau) and xi = zdot.R of the
+    # evaluation that passed, so the two roots agree to twice that, and R
+    # and xi to what such a tau error moves them: zdot0 and |xi kappa - 1|
+    # times it.  Measured against 1e-12*max(1, |tau|): tau up to 1.00x
+    # (circular), R up to 13x (hyperbolic(5), zdot0 = 19), xi up to 1.7x
+    eps = 0.1
+    g = slab(w, eps, 1.0, 2.0)
+    pick = np.random.default_rng(8).choice(len(g.points), size=1000, replace=False)
+    X, kin = g.points[pick], {k: v[pick] for k, v in g.kin.items()}
+    for _, Xp, tau_plus, Xm, tau_minus in neighbours(X, kin, fd_steps(X, kin["xi"], eps)):
+        for Xn, start in ((Xp, tau_plus), (Xm, tau_minus)):
+            tau, R, xi = _warm_solve(w, Xn, start)
+            assert np.array_equal(R, Xn - w.z(tau))
+            assert np.array_equal(xi, inner(w.zdot(tau), R))
+            cold = kinematics_arrays(w, Xn)
+            tol = 2e-12 * np.maximum(1.0, np.abs(cold["tau_r"]))
+            assert np.all(np.abs(tau - cold["tau_r"]) <= tol)
+            assert np.all(np.abs(R - cold["R"]) <= (tol * cold["zdot"][:, 0])[:, None])
+            assert np.all(np.abs(xi - cold["xi"])
+                          <= tol * np.abs(cold["xi"] * cold["kappa"] - 1.0))

@@ -20,7 +20,7 @@ from pointcharge.regularization import (
     bump_mollifier,
     make_family,
 )
-from pointcharge.retarded import _neighbour_tau0, kinematics_arrays
+from pointcharge.retarded import kinematics_arrays
 
 BUMP = make_family(bump_mollifier())
 BOX = make_family(boxcar_mollifier())
@@ -135,7 +135,7 @@ def rel_gap(a, b):
 
 @pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
 def test_warm_stencil_matches_cold_stencil(w):
-    # box_phi_fd starts each neighbour solve at tau_r + h K_mu; the
+    # box_phi_fd solves each neighbour warm from its light-cone start; the
     # reference re-solves all nine points cold
     eps = 0.05
     pts = np.concatenate([shell_points(w, eps, 20), outside_points(w, eps, 20)])
@@ -173,15 +173,13 @@ def test_stencil_keeps_the_leading_shape():
 
 @pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
 def test_phi_arrays_matches_full_kinematics(w):
-    # phi_arrays forms R and xi alone, with the same float operations as
-    # kinematics_arrays, cold and from the stencil's warm starts
+    # phi_arrays forms Phi from the R and xi of kinematics_arrays, as
+    # box_phi_fd forms it at each neighbour from the warm solve's R and xi
     eps, e = 0.05, 1.5
     pts = np.concatenate([shell_points(w, eps, 10), outside_points(w, eps, 10)])
     kin = kinematics_arrays(w, pts)
-    plus, _ = _neighbour_tau0(kin, 2, 1e-3)
-    for tau0 in (None, plus):
-        assert np.array_equal(phi_arrays(w, BUMP, pts, eps, e, tau0),
-                              _phi(BUMP, kinematics_arrays(w, pts, tau0), eps, e))
+    assert np.array_equal(phi_arrays(w, BUMP, pts, eps, e),
+                          _phi(BUMP, kin["R"], kin["xi"], eps, e))
 
 
 def test_second_derivative_coefficient_sign():
