@@ -16,15 +16,18 @@ K = zdot(tau) + n and n a unit direction of zdot's rest frame.  There
 tau_r = tau, R = xi K and d4x = xi^2 dtau dxi dOmega on any worldline
 (Teitelboim, Villarroel & van Weert, Riv. Nuovo Cimento 3, 1980), so no
 node needs a retarded solve, and the shell is the slab eps < xi < 2*eps.
-The grid's xi panels have edges at 0, 0.05*eps, eps and 2*eps: claim (b)
-integrates from xi = 0, and claim (c) and claim (d)'s stencil run on the
-shell slab only.  The suite builds one slab of a few xi nodes at a time,
-pairs it with every claim that reads it and sums the pairings over the
-slabs.  Claim (d)'s scale <Lambda_0 H_eps(xi), phi> is summed at the last
-eps over the lab-frame band r in [0.05*eps, 8*eps] around the worldline's
-simultaneous track point, with a cold retarded solve per node.
+Per (xi, tau) the grid takes the 38 directions n of Lebedev's octahedral
+rule, exact on the sphere up to degree 9.  The grid's xi panels have
+edges at 0, 0.05*eps, eps and 2*eps: claim (b) integrates from xi = 0,
+and claim (c) and claim (d)'s stencil run on the shell slab only.  The
+suite builds one slab of a few xi nodes at a time, pairs it with every
+claim that reads it and sums the pairings over the slabs.  Claim (d)'s
+scale <Lambda_0 H_eps(xi), phi> is summed at the last eps over the
+lab-frame band r in [0.05*eps, 8*eps] around the worldline's simultaneous
+track point, with a cold retarded solve per node.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -107,13 +110,13 @@ def integral_of(phi):
 # eps: the inner ball, the rest of H_eps = 0 and the transition shell;
 # from 2 eps on no claim's integrand is nonzero
 XI_PANELS = ((0.0, 0.05, 4), (0.05, 1.0, 8), (1.0, 2.0, 32))
-# Gauss nodes in tau per ray window, and the direction rule's polar and
-# azimuthal node count
+# Gauss nodes in tau per ray window, and the polar and azimuthal node
+# count of the lab-frame direction rule of claim (d)'s scale
 TAU_NODES = 12
 DIRECTIONS = 8
 # eigentimes at which _tau_windows samples dt/dtau on rays where t may turn
 TURN_SAMPLES = 33
-# xi nodes per slab: 4 x 64 directions x 12 tau nodes = 3,072 nodes, so
+# xi nodes per slab: 4 x 38 directions x 12 tau nodes = 1,824 nodes, so
 # that claim (d)'s stencil holds few points at a time
 SLAB_XI_NODES = 4
 
@@ -131,6 +134,36 @@ def _angular_grid(n):
         np.outer(ct, np.ones(n)),
     ], axis=-1).reshape(-1, 3)
     return dirs, np.outer(wt, wp).ravel()
+
+
+def _octahedral_orbit(v):
+    """Every point (+-v_i, +-v_j, +-v_k), (i, j, k) a permutation of (0, 1,
+    2): the orbit of v under the cube's symmetry group, each point once."""
+    signs = itertools.product((1.0, -1.0), repeat=3)
+    return np.array(sorted({tuple(s * x for s, x in zip(sign, perm))
+                            for sign in signs
+                            for perm in itertools.permutations(v)}))
+
+
+def _lebedev_38():
+    """Lebedev's 38-point octahedral rule (USSR Comput. Math. Math. Phys.
+    16, 1976), exact on the sphere up to degree 9: the 6 axis points with
+    weight 1/105, the 8 cube corners (+-1, +-1, +-1)/sqrt(3) with 9/280 and
+    the 24 points (+-p, +-q, 0) and their permutations, q = sqrt(1 - p^2),
+    with 1/35, every weight times 4 pi.  Read-only."""
+    p, c = 0.4597008433809831, 1.0 / math.sqrt(3.0)
+    orbits = [(1.0, 0.0, 0.0), (c, c, c), (p, math.sqrt(1.0 - p * p), 0.0)]
+    dirs = np.vstack([_octahedral_orbit(v) for v in orbits])
+    weights = 4.0 * np.pi * np.repeat([1.0 / 105.0, 9.0 / 280.0, 1.0 / 35.0],
+                                      [6, 8, 24])
+    dirs.flags.writeable = weights.flags.writeable = False
+    return dirs, weights
+
+
+# the directions n and weights of the retarded-coordinate grid, shared
+# read-only by every slab: 38 points where an 8 x 8 product rule, exact
+# only up to degree 7, takes 64
+GRID_DIRECTIONS = _lebedev_38()
 
 
 def _null_direction(zdot, m):
@@ -288,16 +321,15 @@ def slice_grid(w, phi, xi, xi_weights, windows=None):
 
     A node is x = z(tau) + xi K(tau) with K = zdot + n, n a unit direction of
     zdot's rest frame (_null_direction), so that tau_r(x) = tau, R = xi K and
-    d4x = xi^2 dtau dxi dOmega.  Per xi the slab takes DIRECTIONS x
-    DIRECTIONS directions, and TAU_NODES Gauss nodes in tau on each window
-    of _tau_windows, where the ray's lab time lies in the ball's time
-    extent [c0 - radius, c0 + radius].  windows is _tau_windows of the
-    slab's rays (xi-major, DIRECTIONS**2 per xi node), computed here if not
-    given.
+    d4x = xi^2 dtau dxi dOmega.  Per xi the slab takes the directions of
+    GRID_DIRECTIONS, and TAU_NODES Gauss nodes in tau on each window of
+    _tau_windows, where the ray's lab time lies in the ball's time extent
+    [c0 - radius, c0 + radius].  windows is _tau_windows of the slab's rays
+    (xi-major, one per direction per xi node), computed here if not given.
     """
     if phi.dimension != 4:
         raise ValueError("spacetime pairing needs a 4D test function")
-    dirs, wa = _angular_grid(DIRECTIONS)
+    dirs, wa = GRID_DIRECTIONS
     ray_xi = np.repeat(xi, dirs.shape[0])
     ray_m = np.tile(dirs, (xi.size, 1))
     ray_w = np.tile(wa, xi.size) * ray_xi * ray_xi * np.repeat(
@@ -324,8 +356,9 @@ def _slabs(w, phi, eps, lo, hi, nodes, span):
     of all the panel's rays are found at once, span being
     _retarded_span(w, phi)."""
     (xi,), half, wx = gauss_panels((lo * eps, hi * eps), nodes)
-    per_xi = DIRECTIONS * DIRECTIONS
-    m = np.tile(_angular_grid(DIRECTIONS)[0], (nodes, 1))
+    dirs = GRID_DIRECTIONS[0]
+    per_xi = dirs.shape[0]
+    m = np.tile(dirs, (nodes, 1))
     ray, tau_lo, tau_hi = _tau_windows(w, phi, np.repeat(xi, per_xi), m, span)
     for i in range(0, nodes, SLAB_XI_NODES):
         part = slice(i, i + SLAB_XI_NODES)
@@ -447,15 +480,20 @@ def claim_box_minus_lw(w, fam, g, eps, e):
     difference is Psi_eps, whose support is the shell eps < xi < 2*eps:
     below it Phi = Lambda H = 0, above it H = 1 and box(eR/2) = Lambda.
     So the stencil runs on the shell nodes only, and every other node
-    adds exactly 0.
+    adds exactly 0.  A slab of the shell panel lies on the shell whole
+    (Gauss nodes are interior), and is read as it is, without a copy.
     """
     xi = g.kin["xi"]
     shell = (xi > eps) & (xi < 2.0 * eps)
-    if not shell.any():
+    if shell.all():
+        kin, X, shell = g.kin, g.points, slice(None)
+    elif shell.any():
+        kin = {k: v[shell] for k, v in g.kin.items()}
+        X = g.points[shell]
+    else:
         return 0.0
-    kin = {k: v[shell] for k, v in g.kin.items()}
     lam_H = -e * kin["zdot"][..., 0] / kin["xi"] * fam.H(kin["xi"], eps)
-    fd = box_phi_fd(w, fam, g.points[shell], eps, e=e, kin=kin)[..., 0]
+    fd = box_phi_fd(w, fam, X, eps, e=e, kin=kin)[..., 0]
     return g.pair(fd - lam_H, shell)
 
 
@@ -474,7 +512,10 @@ def box_minus_lw_scale(w, fam, phi, eps, e):
 
     The band is in the lab frame, so it holds retarded distances up to
     about 8 eps gamma (1 + v) ahead of a fast charge: the scale grows with
-    the Doppler factor, as claim (d)'s pairings do."""
+    the Doppler factor, as claim (d)'s pairings do.  The scale sets claim
+    (d)'s bound, so it keeps the 8 x 8 lab rule of _angular_grid(DIRECTIONS)
+    rather than the grid's GRID_DIRECTIONS, which would move that bound
+    (by 2.8% on boost(0.999))."""
     edges = np.unique(np.minimum(np.array(SCALE_BAND) * eps, 2.5 * phi.radius))
     if edges.size < 2:
         return 0.0

@@ -144,8 +144,10 @@ class HeavisideFamily:
         """H_eps(r); exactly 0 below eps and exactly 1 above 2*eps."""
         r = np.asarray(r, dtype=float)
         t = r / eps
-        out = np.where(t >= 2.0, 1.0, 0.0)
         mask = (t > 1.0) & (t < 2.0)
+        if mask.all():      # all in the shell, as on claim (d)'s stencil
+            return np.asarray(self._h1(t))
+        out = np.where(t >= 2.0, 1.0, 0.0)
         if np.any(mask):
             out[mask] = self._h1(t[mask])
         return out
@@ -178,16 +180,16 @@ def _hermite_h1(chi):
     # power form in t - xs[i] on cell i; the mean slope comes from the
     # cell's own integral, not from a difference of two cumulative sums
     slope = cells / cum[-1] / h
-    coef = np.stack([y[:-1], d[:-1],
-                     (3.0 * slope - 2.0 * d[:-1] - d[1:]) / h,
-                     (d[:-1] + d[1:] - 2.0 * slope) / (h * h)], axis=1)
+    # one contiguous column per power, looked up by take
+    c0, c1 = y[:-1], d[:-1]
+    c2 = (3.0 * slope - 2.0 * d[:-1] - d[1:]) / h
+    c3 = (d[:-1] + d[1:] - 2.0 * slope) / (h * h)
 
     def h1(t):
         t = np.asarray(t, dtype=float)
         i = np.clip(((t - 1.0) * H1_CELLS).astype(np.intp), 0, H1_CELLS - 1)
-        u = t - xs[i]
-        c = coef[i]
-        return c[..., 0] + u * (c[..., 1] + u * (c[..., 2] + u * c[..., 3]))
+        u = t - xs.take(i)
+        return c0.take(i) + u * (c1.take(i) + u * (c2.take(i) + u * c3.take(i)))
 
     return h1
 
