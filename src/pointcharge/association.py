@@ -481,19 +481,17 @@ def claim_box_minus_lw(w, fam, g, eps, e):
     below it Phi = Lambda H = 0, above it H = 1 and box(eR/2) = Lambda.
     So the stencil runs on the shell nodes only, and every other node
     adds exactly 0.  A slab of the shell panel lies on the shell whole
-    (Gauss nodes are interior), and is read as it is, without a copy.
+    (Gauss nodes are interior), and is then read through views.
     """
     xi = g.kin["xi"]
     shell = (xi > eps) & (xi < 2.0 * eps)
-    if shell.all():
-        kin, X, shell = g.kin, g.points, slice(None)
-    elif shell.any():
-        kin = {k: v[shell] for k, v in g.kin.items()}
-        X = g.points[shell]
-    else:
+    if not shell.any():
         return 0.0
+    if shell.all():
+        shell = slice(None)     # basic slicing: views, no copy
+    kin = {k: v[shell] for k, v in g.kin.items()}
     lam_H = -e * kin["zdot"][..., 0] / kin["xi"] * fam.H(kin["xi"], eps)
-    fd = box_phi_fd(w, fam, X, eps, e=e, kin=kin)[..., 0]
+    fd = box_phi_fd(w, fam, g.points[shell], eps, e=e, kin=kin)[..., 0]
     return g.pair(fd - lam_H, shell)
 
 

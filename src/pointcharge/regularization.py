@@ -144,10 +144,8 @@ class HeavisideFamily:
         """H_eps(r); exactly 0 below eps and exactly 1 above 2*eps."""
         r = np.asarray(r, dtype=float)
         t = r / eps
-        mask = (t > 1.0) & (t < 2.0)
-        if mask.all():      # all in the shell, as on claim (d)'s stencil
-            return np.asarray(self._h1(t))
         out = np.where(t >= 2.0, 1.0, 0.0)
+        mask = (t > 1.0) & (t < 2.0)
         if np.any(mask):
             out[mask] = self._h1(t[mask])
         return out

@@ -651,12 +651,7 @@ def test_warm_neighbours_match_the_cold_solve(w):
     # evaluation that passed, so the two roots agree to twice that, and R
     # and xi to what such a tau error moves them: zdot0 and |xi kappa - 1|
     # times it.  Measured against 1e-12*max(1, |tau|): tau up to 1.00x
-    # (circular), R up to 13x (hyperbolic(5), zdot0 = 19), xi up to 1.7x.
-    # Where xi kappa - 1 is small that bound falls below the rounding of
-    # xi = zdot.R itself, R = X - z(tau) being rounded to the ulp of X per
-    # component, so xi also gets a floor of 4 ulp of sum |zdot_mu X_mu|:
-    # over all 18,012 shell nodes of hyperbolic(5) the xi gaps beyond the
-    # tau-error bound reach 1.2 ulp of it, and 384 ulp of sum |zdot_mu R_mu|
+    # (circular), R up to 13x (hyperbolic(5), zdot0 = 19), xi up to 1.7x
     eps = 0.1
     g = slab(w, eps, 1.0, 2.0)
     pick = np.random.default_rng(8).choice(len(g.points), size=1000, replace=False)
@@ -670,6 +665,5 @@ def test_warm_neighbours_match_the_cold_solve(w):
             tol = 2e-12 * np.maximum(1.0, np.abs(cold["tau_r"]))
             assert np.all(np.abs(tau - cold["tau_r"]) <= tol)
             assert np.all(np.abs(R - cold["R"]) <= (tol * cold["zdot"][:, 0])[:, None])
-            rounding = 4.0 * np.finfo(float).eps * np.abs(w.zdot(tau) * Xn).sum(-1)
             assert np.all(np.abs(xi - cold["xi"])
-                          <= tol * np.abs(cold["xi"] * cold["kappa"] - 1.0) + rounding)
+                          <= tol * np.abs(cold["xi"] * cold["kappa"] - 1.0))
