@@ -54,14 +54,15 @@ def _past_end(w, X, hi, step):
     raise NoConvergence(MAX_ITER, float(np.abs(g[moving]).max()))
 
 
-def _rtsafe(fdf, t, lo, hi, ftol, xtol):
+def _rtsafe(fdf, t, lo, hi, ftol, xtol, floor=0.0):
     """Safeguarded Newton per point (Numerical Recipes' rtsafe, sec. 9.4),
     iterating only the points not yet converged.
 
     fdf(idx, t) returns f (increasing through the root), df/dt and a mask
     of admissible iterates at the points idx.  f < 0 / f > 0 moves lo / hi
     to t; a step that leaves [lo, hi] or meets df <= 0 bisects instead.  A
-    point converges when |f| <= ftol, |step| <= xtol*max(1, |t|) and the
+    point converges when |f| <= ftol, |step| <= xtol*max(1, |t|) or
+    |f| <= floor (f at its rounding floor, where a step is noise), and the
     iterate is admissible; one that turns non-finite (an unbounded bracket)
     is dropped.  Returns the iterates and the mask of converged points.
     """
@@ -80,8 +81,10 @@ def _rtsafe(fdf, t, lo, hi, ftol, xtol):
             newton = ta - f / df
             bad = ~np.isfinite(newton) | (newton < a) | (newton > b) | ~(df > 0)
             new = np.where(bad, 0.5 * (a + b), newton)
-            conv = ((np.abs(f) <= ftol[active]) & admissible
-                    & (np.abs(new - ta) <= xtol * np.maximum(1.0, np.abs(new))))
+            af = np.abs(f)
+            conv = ((af <= ftol[active]) & admissible
+                    & ((np.abs(new - ta) <= xtol * np.maximum(1.0, np.abs(new)))
+                       | (af <= floor)))
         t[active], lo[active], hi[active] = new, a, b
         done[active] = conv
         active = active[~conv & np.isfinite(new)]
@@ -111,7 +114,9 @@ def _newton(w, X, tau, lo, hi, scale):
     at an iterate with R0 > 0 and xi > 0: the light cone of X meets the
     worldline once in its past, so that certifies the retarded root.  The
     rounding of R.R grows like (R0)^2, which far exceeds |X|^2 ahead of a
-    fast charge, so s must follow R."""
+    fast charge, so s must follow R; and |g| <= eps_mach*s is that rounding
+    floor, where a point converges whatever its step (from gamma ~ 70 on,
+    Newton's steps there can cycle above the step bound)."""
     def fdf(idx, t):
         R = X[idx] - w.z(t)
         xi = inner(w.zdot(t), R)
@@ -120,7 +125,8 @@ def _newton(w, X, tau, lo, hi, scale):
         s = np.maximum(scale[idx], 2.0 * R[:, 0] * R[:, 0] - g)
         return -g / s, 2.0 * xi / s, (R[:, 0] > 0) & (xi > 0)
 
-    return _rtsafe(fdf, tau, lo, hi, DEFAULT_TOL, DEFAULT_TOL)
+    return _rtsafe(fdf, tau, lo, hi, DEFAULT_TOL, DEFAULT_TOL,
+                   np.finfo(float).eps)
 
 
 def _scale(X):
@@ -129,44 +135,65 @@ def _scale(X):
     return np.maximum(1.0, X[:, 0]**2 + X[:, 1]**2 + X[:, 2]**2 + X[:, 3]**2)
 
 
+def _cone_root(A, B, C):
+    """The retarded root u = C/(B + sqrt(max(B^2 - AC, 0))) of
+    C - 2 B u + A u^2 = 0, in a form that does not cancel."""
+    return C / (B + np.sqrt(np.maximum(B * B - A * C, 0.0)))
+
+
 def _solve_array(w, X):
-    """tau_r for points X of shape (..., 4), each bracketed between a past
-    point with g > 0 and the simultaneous point."""
+    """tau_r for points X of shape (..., 4), solved cold: the warm loop from
+    the retarded root of the light-cone condition with the worldline
+    expanded to second order about the simultaneous eigentime tau_s (exact
+    on inertial worldlines).  A point the loop cannot certify is bracketed
+    between _past_end and tau_s and solved by _newton from its start,
+    clipped.  Returns the certified root plus its last Newton step
+    R.R/(2 xi), as _rtsafe returns its iterates."""
     shape = X.shape[:-1]
     X = X.reshape(-1, 4)
     scale = _scale(X)
     hi = _tau_simultaneous(w, X[:, 0])
-    spatial_dist = np.linalg.norm(X[:, 1:] - w.z(hi)[:, 1:], axis=-1)
-    if np.any(spatial_dist < ON_WORLDLINE_DIST * np.sqrt(scale)):
+    P = X - w.z(hi)
+    if np.any(np.linalg.norm(P[:, 1:], axis=-1) < ON_WORLDLINE_DIST * np.sqrt(scale)):
         raise OnWorldline("observer point lies on the worldline")
-    lo = _past_end(w, X, hi, 1.0)
-    # lab-time guess X0 - |x - z(X0)|, exact at rest; clipped, since it can
-    # overshoot into overflow territory for accelerated worldlines
-    guess = X[:, 0] - np.linalg.norm(X[:, 1:] - w.z(X[:, 0])[:, 1:], axis=-1)
-    tau, ok = _newton(w, X, np.clip(guess, lo, hi), lo, hi, scale)
-    if not ok.all():
-        g = np.abs(_g(w, X[~ok], tau[~ok]))
-        raise NoConvergence(MAX_ITER, float(g.max()))
+    # _neighbour_tau0's expansion about tau_s, with P = X - z(tau_s) for
+    # R +- h e_mu; where it has no root behind tau_s (strong acceleration,
+    # far out) the start is not finite or lies ahead, and the loop drops it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tau0 = hi + _cone_root(1.0 - inner(w.zddot(hi), P),
+                               inner(w.zdot(hi), P), inner(P, P))
+    del P
+    tau, R, xi, solved = _warm_loop(w, X, tau0, scale)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tau = np.where(solved, tau + 0.5 * inner(R, R) / xi, tau)
+    del R, xi
+    cold = ~solved
+    if cold.any():
+        # tau0 still holds the start of each point the loop left
+        Xc, hc = X[cold], hi[cold]
+        lo = _past_end(w, Xc, hc, 1.0)
+        tc, ok = _newton(w, Xc, np.clip(tau0[cold], lo, hc), lo, hc, scale[cold])
+        if not ok.all():
+            raise NoConvergence(MAX_ITER, float(np.abs(_g(w, Xc[~ok], tc[~ok])).max()))
+        tau[cold] = tc
     return tau.reshape(shape)
 
 
-def _warm_solve(w, X, tau0):
-    """(tau_r, R, xi) for points X of shape (..., 4) by Newton on R.R,
-    unbracketed, from a per-point start tau0 (broadcast to the points).
+def _warm_loop(w, X, t, scale):
+    """Newton on R.R, unbracketed, for points X of shape (n, 4) from starts
+    t of shape (n,), with scale = _scale(X); returns (tau, R, xi, solved).
 
-    Every iterate is tested as _newton tests it: |R.R| <= DEFAULT_TOL*s with
-    s = max(1, |X|^2, Euclidean |R|^2), a step |R.R/(2 xi)| of at most
-    DEFAULT_TOL*max(1, |tau|), R0 > 0 and xi > 0.  A point that passes
-    returns the tau, R = X - z(tau) and xi = zdot.R of that very
-    evaluation, so a start at the root costs one evaluation.  A point whose
-    iterate leaves R0 > 0, xi > 0 (it heads for the advanced root) or turns
-    non-finite, or that has not passed after MAX_ITER evaluations, is
-    solved cold by _solve_array.
+    Every iterate is tested as _newton tests it: R0 > 0, xi > 0 and either
+    |R.R| <= eps_mach*s, the rounding floor of s = max(1, |X|^2, Euclidean
+    |R|^2), or |R.R| <= DEFAULT_TOL*s with a step |R.R/(2 xi)| of at most
+    DEFAULT_TOL*max(1, |tau|).  A point that passes returns the tau,
+    R = X - z(tau) and xi = zdot.R of that very evaluation, so a start at
+    the root costs one evaluation.  A point whose iterate leaves R0 > 0,
+    xi > 0 (it heads for the advanced root) or turns non-finite, or that
+    has not passed after MAX_ITER evaluations, is not solved: its tau is
+    its start (t is written in place), and its R and xi are of no use.
     """
-    shape = X.shape[:-1]
-    X = X.reshape(-1, 4)
-    scale = _scale(X)
-    t = np.array(np.broadcast_to(tau0, shape), dtype=float).ravel()
+    floor = np.finfo(float).eps
     idx = None          # the points still iterating; None while all are
     for _ in range(MAX_ITER):
         Xa, sa = (X, scale) if idx is None else (X[idx], scale[idx])
@@ -179,8 +206,10 @@ def _warm_solve(w, X, tau0):
             step = 0.5 * g / xa
             new = t + step
             ahead = (Ra[:, 0] > 0) & (xa > 0)
-            ok = (ahead & (np.abs(g) <= DEFAULT_TOL * s)
-                  & (np.abs(step) <= DEFAULT_TOL * np.maximum(1.0, np.abs(new))))
+            ag = np.abs(g)
+            ok = ahead & ((ag <= floor * s) | (
+                (ag <= DEFAULT_TOL * s)
+                & (np.abs(step) <= DEFAULT_TOL * np.maximum(1.0, np.abs(new)))))
         go_on = ahead & ~ok & np.isfinite(new)
         if idx is None:
             tau, R, xi, solved = t, Ra, xa, ok
@@ -192,6 +221,17 @@ def _warm_solve(w, X, tau0):
         if idx.size == 0:
             break
         t = new[go_on]
+    return tau, R, xi, solved
+
+
+def _warm_solve(w, X, tau0):
+    """(tau_r, R, xi) for points X of shape (..., 4) by _warm_loop from a
+    per-point start tau0 (broadcast to the points); a point the loop
+    cannot certify is solved cold by _solve_array."""
+    shape = X.shape[:-1]
+    X = X.reshape(-1, 4)
+    t = np.array(np.broadcast_to(tau0, shape), dtype=float).ravel()
+    tau, R, xi, solved = _warm_loop(w, X, t, _scale(X))
     cold = ~solved
     if cold.any():
         tau[cold] = _solve_array(w, X[cold])
@@ -203,8 +243,10 @@ def _warm_solve(w, X, tau0):
 def retarded_time(w, X):
     """Retarded proper time tau_r(X) for worldline w.
 
-    Newton iteration on g(tau) = R.R using dg/dtau = -2*xi, with a
-    bisection fallback whenever the Newton step leaves the bracket.
+    Newton iteration on g(tau) = R.R using dg/dtau = -2*xi from the
+    light-cone start about the simultaneous eigentime (_solve_array); a
+    point it cannot certify is bracketed, with a bisection fallback
+    whenever the Newton step leaves the bracket.
     """
     pts, scalar = _as_points(X)
     tau = _solve_array(w, pts)
@@ -272,12 +314,11 @@ def _neighbour_tau0(kin, mu, h):
 
         P.P - 2 u zdot.P + u^2 (1 - zddot.P) = 0,
 
-    so u = C/(B + sqrt(max(B^2 - AC, 0))) with A = 1 - zddot.P, B = zdot.P
-    and C = P.P, a form that does not cancel.  The start is exact to
-    rounding on inertial worldlines and misses the root by O(h^3)
-    otherwise; the solve certifies the root.  kin is the kinematics at X,
-    as kinematics_arrays returns them: zdot.R = xi, zddot.R = xi kappa and
-    R.R = residual."""
+    so u = _cone_root(A, B, C) with A = 1 - zddot.P, B = zdot.P and
+    C = P.P.  The start is exact to rounding on inertial worldlines and
+    misses the root by O(h^3) otherwise; the solve certifies the root.
+    kin is the kinematics at X, as kinematics_arrays returns them:
+    zdot.R = xi, zddot.R = xi kappa and R.R = residual."""
     R, zd, zdd = kin["R"], kin["zdot"], kin["zddot"]
     RR, zR, aR = kin["residual"], kin["xi"], kin["xi"] * kin["kappa"]
     starts = []
@@ -287,7 +328,7 @@ def _neighbour_tau0(kin, mu, h):
         A = 1.0 - aR - dh * zdd[..., mu]
         B = zR + dh * zd[..., mu]
         C = RR + dh * (2.0 * R[..., mu] + sign * h)
-        starts.append(kin["tau_r"] + C / (B + np.sqrt(np.maximum(B * B - A * C, 0.0))))
+        starts.append(kin["tau_r"] + _cone_root(A, B, C))
     return starts[0], starts[1]
 
 

@@ -644,18 +644,26 @@ def test_stencil_certifies_each_neighbour_on_its_start(w, per_neighbour,
 ], ids=["rest", "boost", "hyperbolic", "circular", "hyperbolic5", "boost0.999"])
 def test_warm_neighbours_match_the_cold_solve(w):
     # tau_r, R and xi of claim (d)'s stencil neighbours, solved warm from
-    # their light-cone starts around 1,000 shell nodes at eps = 0.1, the
+    # their light-cone starts around every shell node at eps = 0.1, the
     # suite's largest step, against a cold solve of the same points.  Each
     # solve certifies its root to a step of 1e-12*max(1, |tau|), and the
     # warm solve returns the tau, R = X - z(tau) and xi = zdot.R of the
     # evaluation that passed, so the two roots agree to twice that, and R
     # and xi to what such a tau error moves them: zdot0 and |xi kappa - 1|
-    # times it.  Measured against 1e-12*max(1, |tau|): tau up to 1.00x
-    # (circular), R up to 13x (hyperbolic(5), zdot0 = 19), xi up to 1.7x
+    # times it.  xi also carries the rounding of zdot.R at each solve:
+    # z_mu(tau) comes back within about half an ulp of |z_mu| and R_mu
+    # within half an ulp of |R_mu|, so the two solves' xi may differ by
+    # eps_mach sum |zdot_mu| (|z_mu| + |R_mu|) more.  That term matters
+    # where xi kappa ~ 1: on the worst neighbour (hyperbolic(5), zdot0 = 18)
+    # the gap is 1.8e-14, the tau term 2.3e-15 and the rounding term
+    # 3.1e-14, and on 117 of its 144,096 neighbours the gap exceeds the tau
+    # term alone; on the other worldlines none does.  Measured against
+    # 1e-12*max(1, |tau|): tau up to 1.01x, R up to 17x (hyperbolic(5)),
+    # xi up to 1.7x; the xi gap beyond its tau term reaches 0.50 of the
+    # rounding term
     eps = 0.1
     g = slab(w, eps, 1.0, 2.0)
-    pick = np.random.default_rng(8).choice(len(g.points), size=1000, replace=False)
-    X, kin = g.points[pick], {k: v[pick] for k, v in g.kin.items()}
+    X, kin = g.points, g.kin
     for _, Xp, tau_plus, Xm, tau_minus in neighbours(X, kin, fd_steps(X, kin["xi"], eps)):
         for Xn, start in ((Xp, tau_plus), (Xm, tau_minus)):
             tau, R, xi = _warm_solve(w, Xn, start)
@@ -665,5 +673,8 @@ def test_warm_neighbours_match_the_cold_solve(w):
             tol = 2e-12 * np.maximum(1.0, np.abs(cold["tau_r"]))
             assert np.all(np.abs(tau - cold["tau_r"]) <= tol)
             assert np.all(np.abs(R - cold["R"]) <= (tol * cold["zdot"][:, 0])[:, None])
+            rounding = np.finfo(float).eps * (np.abs(cold["zdot"])
+                                              * (np.abs(Xn - cold["R"])
+                                                 + np.abs(cold["R"]))).sum(-1)
             assert np.all(np.abs(xi - cold["xi"])
-                          <= tol * np.abs(cold["xi"] * cold["kappa"] - 1.0))
+                          <= tol * np.abs(cold["xi"] * cold["kappa"] - 1.0) + rounding)

@@ -101,20 +101,106 @@ def boost_tau(v):
     return tau
 
 
-@pytest.mark.parametrize("v", [0.995, 0.998, 0.999])
-def test_fast_boost_matches_closed_form(v):
-    # points within r <= 1 of the charge: ahead of it R0 ~ r/(1 - v), so the
-    # rounding of R.R outgrows any residual bound set by |X| alone
-    rng = np.random.default_rng(20261018)
-    n = 5000
+def ball(seed, n):
+    """n points at lab time 3, uniform in the unit ball about the origin."""
+    rng = np.random.default_rng(seed)
     d = rng.normal(size=(n, 3))
     d /= np.linalg.norm(d, axis=1)[:, None]
     X = np.empty((n, 4))
     X[:, 0] = 3.0
     X[:, 1:] = d * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / 3.0)
+    return X
+
+
+@pytest.mark.parametrize("v", [0.995, 0.998, 0.999])
+def test_fast_boost_matches_closed_form(v):
+    # points within r <= 1 of the charge: ahead of it R0 ~ r/(1 - v), so the
+    # rounding of R.R outgrows any residual bound set by |X| alone
+    X = ball(20261018, 5000)
     X[:, 1] += 3.0 * v
     tau = kinematics_arrays(boost_worldline(v), X)["tau_r"]
     assert np.abs(tau - boost_tau(v)(X)).max() <= 1e-10
+
+
+def rounding_bound(w, X, exact):
+    """4 eps_mach s/(2 xi) at the exact roots of points X (n, 4)."""
+    R = X - w.z(exact)
+    s = np.maximum(retarded._scale(X), (R * R).sum(-1))
+    return 4.0 * np.finfo(float).eps * s / (2.0 * inner(w.zdot(exact), R))
+
+
+@pytest.mark.parametrize("gamma", [70.0, 300.0, 1000.0])
+def test_fastest_boosts_match_closed_form(gamma):
+    # as above, on 20,000 points.  Ahead of the charge R0 reaches 2 gamma^2 r,
+    # and R.R rounds to about eps_mach*s, s = max(1, |X|^2, Euclidean |R|^2)
+    # as the solver scales it, which fixes the root only to eps_mach*s over
+    # |d(R.R)/dtau| = 2 xi; the closed form's X.X rounds to eps_mach |X|^2
+    # over b + sqrt(b^2 - X.X) = 2 xi + tau.  So the bound is 4 eps_mach
+    # s/(2 xi), not a flat 1e-10: at gamma = 1000 the worst point misses by
+    # 7.9e-7 at tau = -1127 (7.4e-10 relative), and every gamma reads at
+    # most 1.82 eps_mach s/(2 xi).  The gamma = 70 set holds the point of
+    # test_rounding_floor_counts_as_converged (index 2723)
+    v = np.sqrt(1.0 - 1.0 / gamma**2)
+    w = boost_worldline(v)
+    X = ball(20261019, 20000)
+    X[:, 1] += 3.0 * v
+    tau = kinematics_arrays(w, X)["tau_r"]
+    exact = boost_tau(v)(X)
+    assert np.all(np.abs(tau - exact) <= rounding_bound(w, X, exact))
+
+
+def test_rounding_floor_counts_as_converged(monkeypatch):
+    # on boost(v), gamma = 70, Newton from the cold solve's light-cone
+    # start cycles at this point between two iterates with steps of
+    # +-7.55e-11, above the step bound 1e-12*|tau| = 7.40e-11, while
+    # |R.R| <= 5.6e-9 is already below eps_mach*s = 1.2e-8 (s = 5.37e7)
+    # and cannot get smaller: the bracketed loop, from either end, and the
+    # warm loop of the cold solve, without a fallback, count it as
+    # converged
+    v = 0.9998979539769781
+    w = boost_worldline(v)
+    X = np.array([[3.0, 3.5283429076982924, 0.7999880632867423,
+                   -0.08271028042315771]])
+    exact = boost_tau(v)(X)
+    bound = rounding_bound(w, X, exact)
+    hi = _tau_simultaneous(w, X[:, 0])
+    lo = retarded._past_end(w, X, hi, 1.0)
+    for start in (lo, hi):
+        tau, ok = retarded._newton(w, X, start, lo, hi, retarded._scale(X))
+        assert ok.all() and np.abs(tau - exact) <= bound
+
+    def no_bracket(*args):
+        raise AssertionError("the warm loop left the point to the fallback")
+
+    monkeypatch.setattr(retarded, "_past_end", no_bracket)
+    assert np.abs(retarded_time(w, X) - exact) <= bound
+
+
+@pytest.mark.parametrize("w", [
+    rest_worldline(), boost_worldline(0.6), boost_worldline(0.999),
+], ids=["rest", "boost0.6", "boost0.999"])
+def test_cold_solve_certifies_inertial_points_on_their_start(w):
+    # the light-cone condition expanded to second order about the
+    # simultaneous eigentime is exact on inertial worldlines, so after
+    # tau_s the cold solve evaluates z at exactly 2n eigentimes: once at
+    # tau_s, for the start, and once at the start, which certifies every
+    # point.  A bracketed Newton from a lab-time guess took 7n at rest and
+    # 10.9n and 14.1n on these boosts
+    pts = np.random.default_rng(23).uniform(-4.0, 4.0, size=(500, 4))
+    pts[:, 0] += 6.0
+    n = len(pts)
+    sizes = []
+
+    def z(t):
+        sizes.append(np.size(t))
+        return w.z(t)
+
+    counted = Worldline(w.label, z=z, zdot=w.zdot, zddot=w.zddot)
+    _tau_simultaneous(counted, pts[:, 0])
+    simultaneous = list(sizes)
+    sizes.clear()
+    retarded._solve_array(counted, pts)
+    assert sizes == simultaneous + [n, n]
 
 
 def hyperbolic_tau(a):
@@ -139,13 +225,7 @@ def test_hyperbolic_matches_closed_form(a):
     # points within r <= 1 of the track at lab time 3, where hyperbolic(5)
     # moves at v = 0.998
     w = hyperbolic_worldline(a)
-    rng = np.random.default_rng(20261019)
-    n = 5000
-    d = rng.normal(size=(n, 3))
-    d /= np.linalg.norm(d, axis=1)[:, None]
-    X = np.empty((n, 4))
-    X[:, 0] = 3.0
-    X[:, 1:] = d * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / 3.0)
+    X = ball(20261019, 5000)
     X[:, 1:] += w.z(_tau_simultaneous(w, np.asarray(3.0)))[1:]
     tau = kinematics_arrays(w, X)["tau_r"]
     assert np.abs(tau - hyperbolic_tau(a)(X)).max() <= 1e-10
