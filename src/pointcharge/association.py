@@ -209,7 +209,7 @@ def _lab_time_root(w, xi, m, target, lo, hi, sign):
 
     def fdf(idx, tau):
         t, dt = _ray_lab_time(w, xi[idx], m[idx], tau)
-        return sign[idx] * (t - target[idx]), sign[idx] * dt, True
+        return sign[idx] * (t - target[idx]), sign[idx] * dt
 
     every = np.arange(xi.size)
     f_lo, f_hi = fdf(every, lo)[0], fdf(every, hi)[0]
@@ -233,7 +233,7 @@ def _lab_time_turn(w, xi, m, lo, hi, sign):
 
     def fdf(idx, tau):
         dt = _ray_lab_time(w, xi[idx], m[idx], tau)[1]
-        return sign[idx] * dt, np.zeros_like(tau), True
+        return sign[idx] * dt, np.zeros_like(tau)
 
     turn, done = _rtsafe(fdf, 0.5 * (lo + hi), lo, hi, np.inf, DEFAULT_TOL)
     if not done.all():

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SmoothnessRequired
 from .minkowski import METRIC
-from .retarded import _as_points, _warm_solve, kinematics_arrays, neighbours
+from .retarded import _as_points, _solve, kinematics_arrays, neighbours
 
 def _phi(fam, R, xi, eps, e):
     return 0.5 * e * R * fam.H(xi, eps)[..., None]
@@ -68,11 +68,12 @@ def box_phi_fd(w, fam, X, eps, h=None, e=1.0, kin=None):
 
     kin holds the kinematics at X as kinematics_arrays returns them
     (solved here if not given).  Each neighbour X +- h e_mu is solved by
-    retarded._warm_solve from the light-cone start of
-    retarded._neighbour_tau0, which is exact on inertial worldlines, so
-    there one evaluation of the worldline both solves and certifies the
-    root.  Phi at the neighbour is formed from that evaluation's R and xi
-    alone; a neighbour the warm solve cannot certify is solved cold.
+    retarded._solve from the light-cone start of retarded._neighbour_tau0,
+    which is exact on inertial worldlines, so there one evaluation of the
+    worldline both solves and certifies the root.  Phi at the neighbour is
+    formed from the R and xi of the evaluation that certified its root; a
+    neighbour the Newton loop cannot certify from its start is solved
+    again without one.
     """
     pts, _ = _as_points(X)
     if kin is None:
@@ -84,8 +85,8 @@ def box_phi_fd(w, fam, X, eps, h=None, e=1.0, kin=None):
     hh = (h * h)[..., None]
     total = np.zeros_like(pts)
     for mu, Xp, tau_plus, Xm, tau_minus in neighbours(pts, kin, h):
-        plus = _phi(fam, *_warm_solve(w, Xp, tau_plus)[1:], eps, e)
-        minus = _phi(fam, *_warm_solve(w, Xm, tau_minus)[1:], eps, e)
+        plus = _phi(fam, *_solve(w, Xp, tau_plus)[1:], eps, e)
+        minus = _phi(fam, *_solve(w, Xm, tau_minus)[1:], eps, e)
         total += METRIC[mu] * (plus - twice_center + minus) / hh
     return total
 

@@ -58,13 +58,13 @@ def _rtsafe(fdf, t, lo, hi, ftol, xtol, floor=0.0):
     """Safeguarded Newton per point (Numerical Recipes' rtsafe, sec. 9.4),
     iterating only the points not yet converged.
 
-    fdf(idx, t) returns f (increasing through the root), df/dt and a mask
-    of admissible iterates at the points idx.  f < 0 / f > 0 moves lo / hi
-    to t; a step that leaves [lo, hi] or meets df <= 0 bisects instead.  A
-    point converges when |f| <= ftol, |step| <= xtol*max(1, |t|) or
-    |f| <= floor (f at its rounding floor, where a step is noise), and the
-    iterate is admissible; one that turns non-finite (an unbounded bracket)
-    is dropped.  Returns the iterates and the mask of converged points.
+    fdf(idx, t) returns f (increasing through the root) and df/dt at the
+    points idx.  f < 0 / f > 0 moves lo / hi to t; a step that leaves
+    [lo, hi] or meets df <= 0 bisects instead.  A point converges when
+    |f| <= ftol and either |step| <= xtol*max(1, |t|) or |f| <= floor (f at
+    its rounding floor, where a step is noise); one that turns non-finite
+    (an unbounded bracket) is dropped.  Returns the iterates and the mask
+    of converged points.
     """
     t, lo, hi = t.copy(), lo.copy(), hi.copy()
     ftol = np.broadcast_to(ftol, t.shape)
@@ -75,14 +75,14 @@ def _rtsafe(fdf, t, lo, hi, ftol, xtol, floor=0.0):
             break
         ta = t[active]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            f, df, admissible = fdf(active, ta)
+            f, df = fdf(active, ta)
             a = np.where(f < 0, ta, lo[active])
             b = np.where(f > 0, ta, hi[active])
             newton = ta - f / df
             bad = ~np.isfinite(newton) | (newton < a) | (newton > b) | ~(df > 0)
             new = np.where(bad, 0.5 * (a + b), newton)
             af = np.abs(f)
-            conv = ((af <= ftol[active]) & admissible
+            conv = ((af <= ftol[active])
                     & ((np.abs(new - ta) <= xtol * np.maximum(1.0, np.abs(new)))
                        | (af <= floor)))
         t[active], lo[active], hi[active] = new, a, b
@@ -100,33 +100,10 @@ def _tau_simultaneous(w, X0):
     lo, hi = x0 - np.maximum(f0, 0.0), x0 - np.minimum(f0, 0.0)
 
     def fdf(idx, t):
-        return w.z(t)[:, 0] - x0[idx], w.zdot(t)[:, 0], True
+        return w.z(t)[:, 0] - x0[idx], w.zdot(t)[:, 0]
 
     tau, _ = _rtsafe(fdf, x0, lo, hi, np.inf, 1e-15)
     return tau.reshape(X0.shape)
-
-
-def _newton(w, X, tau, lo, hi, scale):
-    """_rtsafe on -g(tau) = -R.R, whose derivative is 2*xi, for X of shape
-    (n, 4), both divided by s = max(scale, Euclidean |R|^2 at the iterate),
-    which leaves the Newton step as it is.  A point converges when
-    |g| <= DEFAULT_TOL*s and the step is at most DEFAULT_TOL*max(1, |tau|),
-    at an iterate with R0 > 0 and xi > 0: the light cone of X meets the
-    worldline once in its past, so that certifies the retarded root.  The
-    rounding of R.R grows like (R0)^2, which far exceeds |X|^2 ahead of a
-    fast charge, so s must follow R; and |g| <= eps_mach*s is that rounding
-    floor, where a point converges whatever its step (from gamma ~ 70 on,
-    Newton's steps there can cycle above the step bound)."""
-    def fdf(idx, t):
-        R = X[idx] - w.z(t)
-        xi = inner(w.zdot(t), R)
-        g = inner(R, R)
-        # Euclidean |R|^2 = 2 R0^2 - R.R
-        s = np.maximum(scale[idx], 2.0 * R[:, 0] * R[:, 0] - g)
-        return -g / s, 2.0 * xi / s, (R[:, 0] > 0) & (xi > 0)
-
-    return _rtsafe(fdf, tau, lo, hi, DEFAULT_TOL, DEFAULT_TOL,
-                   np.finfo(float).eps)
 
 
 def _scale(X):
@@ -141,52 +118,81 @@ def _cone_root(A, B, C):
     return C / (B + np.sqrt(np.maximum(B * B - A * C, 0.0)))
 
 
-def _solve_array(w, X):
-    """tau_r for points X of shape (..., 4), solved cold: the warm loop from
-    the retarded root of the light-cone condition with the worldline
-    expanded to second order about the simultaneous eigentime tau_s (exact
-    on inertial worldlines).  A point the loop cannot certify is bracketed
-    between _past_end and tau_s and solved by _newton from its start,
-    clipped.  Returns the certified root plus its last Newton step
-    R.R/(2 xi), as _rtsafe returns its iterates."""
+def _solve(w, X, tau0=None):
+    """(tau_r, R, xi) for points X of shape (..., 4), from the evaluation
+    that certified tau_r, so R = X - z(tau_r) and xi = zdot.R there.
+
+    With a start tau0 (broadcast to the points), _warm_loop runs from it,
+    and a point the loop cannot certify is solved again without one.
+    Without a start the loop runs from the retarded root of the light-cone
+    condition with the worldline expanded to second order about the
+    simultaneous eigentime tau_s (exact on inertial worldlines).  A point
+    it cannot certify is bracketed between _past_end and tau_s and solved
+    by _rtsafe on -R.R from its start, clipped; R and xi are then
+    evaluated once at that root."""
     shape = X.shape[:-1]
     X = X.reshape(-1, 4)
     scale = _scale(X)
-    hi = _tau_simultaneous(w, X[:, 0])
-    P = X - w.z(hi)
-    if np.any(np.linalg.norm(P[:, 1:], axis=-1) < ON_WORLDLINE_DIST * np.sqrt(scale)):
-        raise OnWorldline("observer point lies on the worldline")
-    # _neighbour_tau0's expansion about tau_s, with P = X - z(tau_s) for
-    # R +- h e_mu; where it has no root behind tau_s (strong acceleration,
-    # far out) the start is not finite or lies ahead, and the loop drops it
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        tau0 = hi + _cone_root(1.0 - inner(w.zddot(hi), P),
-                               inner(w.zdot(hi), P), inner(P, P))
-    del P
-    tau, R, xi, solved = _warm_loop(w, X, tau0, scale)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        tau = np.where(solved, tau + 0.5 * inner(R, R) / xi, tau)
-    del R, xi
+    if tau0 is None:
+        hi = _tau_simultaneous(w, X[:, 0])
+        P = X - w.z(hi)
+        if np.any(np.linalg.norm(P[:, 1:], axis=-1) < ON_WORLDLINE_DIST * np.sqrt(scale)):
+            raise OnWorldline("observer point lies on the worldline")
+        # _neighbour_tau0's expansion about tau_s, with P = X - z(tau_s) for
+        # R +- h e_mu; where it has no root behind tau_s (strong
+        # acceleration, far out) the start is not finite or lies ahead, and
+        # the loop drops it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            t = hi + _cone_root(1.0 - inner(w.zddot(hi), P),
+                                inner(w.zdot(hi), P), inner(P, P))
+        del P
+    else:
+        t = np.array(np.broadcast_to(tau0, shape), dtype=float).ravel()
+    tau, R, xi, solved = _warm_loop(w, X, t, scale)
     cold = ~solved
-    if cold.any():
-        # tau0 still holds the start of each point the loop left
-        Xc, hc = X[cold], hi[cold]
+    if cold.any() and tau0 is not None:
+        tau[cold], R[cold], xi[cold] = _solve(w, X[cold])
+    elif cold.any():
+        Xc, sc, hc = X[cold], scale[cold], hi[cold]
         lo = _past_end(w, Xc, hc, 1.0)
-        tc, ok = _newton(w, Xc, np.clip(tau0[cold], lo, hc), lo, hc, scale[cold])
+
+        def fdf(idx, t):
+            # -R.R and its derivative 2 xi, both over s = max(scale,
+            # Euclidean |R|^2 = 2 R0^2 - R.R), which leaves the step as it
+            # is.  Inside [lo, tau_s] R0 > 0, and a root there has xi > 0
+            Rt = Xc[idx] - w.z(t)
+            g = inner(Rt, Rt)
+            s = np.maximum(sc[idx], 2.0 * Rt[:, 0] * Rt[:, 0] - g)
+            return -g / s, 2.0 * inner(w.zdot(t), Rt) / s
+
+        # the floor is the rounding of R.R formed from R = X - z(tau): z_mu
+        # comes back within about eps_mach |z_mu| <= eps_mach (|X_mu| +
+        # |R_mu|), which moves R.R by up to 2 eps_mach sum |R_mu| (|X_mu| +
+        # |R_mu|) <= 4 eps_mach s (on the axis ahead of a fast charge R.R
+        # cancels, and that rounding keeps it above eps_mach s)
+        tc, ok = _rtsafe(fdf, np.clip(tau[cold], lo, hc), lo, hc, DEFAULT_TOL,
+                         DEFAULT_TOL, 4.0 * np.finfo(float).eps)
         if not ok.all():
             raise NoConvergence(MAX_ITER, float(np.abs(_g(w, Xc[~ok], tc[~ok])).max()))
         tau[cold] = tc
-    return tau.reshape(shape)
+        R[cold] = Xc - w.z(tc)
+        xi[cold] = inner(w.zdot(tc), R[cold])
+    return tau.reshape(shape), R.reshape(shape + (4,)), xi.reshape(shape)
 
 
 def _warm_loop(w, X, t, scale):
     """Newton on R.R, unbracketed, for points X of shape (n, 4) from starts
     t of shape (n,), with scale = _scale(X); returns (tau, R, xi, solved).
 
-    Every iterate is tested as _newton tests it: R0 > 0, xi > 0 and either
-    |R.R| <= eps_mach*s, the rounding floor of s = max(1, |X|^2, Euclidean
-    |R|^2), or |R.R| <= DEFAULT_TOL*s with a step |R.R/(2 xi)| of at most
-    DEFAULT_TOL*max(1, |tau|).  A point that passes returns the tau,
+    Every iterate is tested: R0 > 0, xi > 0 and either |R.R| <= eps_mach*s,
+    the rounding floor of s = max(1, |X|^2, Euclidean |R|^2), or
+    |R.R| <= DEFAULT_TOL*s with a step |R.R/(2 xi)| of at most
+    DEFAULT_TOL*max(1, |tau|).  The light cone of X meets the worldline
+    once in its past, so that certifies the retarded root.  The rounding
+    of R.R grows like (R0)^2, which far exceeds |X|^2 ahead of a fast
+    charge, so s follows R; at the floor a point passes whatever its step
+    (from gamma ~ 70 on, Newton's steps there can cycle above the step
+    bound).  A point that passes returns the tau,
     R = X - z(tau) and xi = zdot.R of that very evaluation, so a start at
     the root costs one evaluation.  A point whose iterate leaves R0 > 0,
     xi > 0 (it heads for the advanced root) or turns non-finite, or that
@@ -224,32 +230,18 @@ def _warm_loop(w, X, t, scale):
     return tau, R, xi, solved
 
 
-def _warm_solve(w, X, tau0):
-    """(tau_r, R, xi) for points X of shape (..., 4) by _warm_loop from a
-    per-point start tau0 (broadcast to the points); a point the loop
-    cannot certify is solved cold by _solve_array."""
-    shape = X.shape[:-1]
-    X = X.reshape(-1, 4)
-    t = np.array(np.broadcast_to(tau0, shape), dtype=float).ravel()
-    tau, R, xi, solved = _warm_loop(w, X, t, _scale(X))
-    cold = ~solved
-    if cold.any():
-        tau[cold] = _solve_array(w, X[cold])
-        R[cold] = X[cold] - w.z(tau[cold])
-        xi[cold] = inner(w.zdot(tau[cold]), R[cold])
-    return tau.reshape(shape), R.reshape(shape + (4,)), xi.reshape(shape)
-
-
 def retarded_time(w, X):
     """Retarded proper time tau_r(X) for worldline w.
 
     Newton iteration on g(tau) = R.R using dg/dtau = -2*xi from the
-    light-cone start about the simultaneous eigentime (_solve_array); a
-    point it cannot certify is bracketed, with a bisection fallback
-    whenever the Newton step leaves the bracket.
+    light-cone start about the simultaneous eigentime (_solve); a point it
+    cannot certify is bracketed, with a bisection fallback whenever the
+    Newton step leaves the bracket.  Returns the certified root plus its
+    last Newton step R.R/(2 xi).
     """
     pts, scalar = _as_points(X)
-    tau = _solve_array(w, pts)
+    tau, R, xi = _solve(w, pts)
+    tau = tau + 0.5 * inner(R, R) / xi
     return float(tau) if scalar else tau
 
 
@@ -275,22 +267,17 @@ def retarded_time_bisection(w, X):
     return float(tau) if scalar else tau
 
 
-def kinematics_arrays(w, X, tau0=None):
+def kinematics_arrays(w, X):
     """Batched kinematics; returns a dict of arrays keyed by quantity.
 
-    Without tau0 every point is solved cold (_solve_array).  With a
-    per-point start tau0, broadcast to the points, each point is solved by
-    _warm_solve from it, and only the points it cannot certify are solved
-    cold; tau0 sets where the solve starts, not which root it accepts."""
+    tau_r is retarded_time's root: the cold solve's certified root plus its
+    last Newton step, where R, zdot and xi are evaluated anew."""
     pts, _ = _as_points(X)
-    if tau0 is None:
-        tau = _solve_array(w, pts)
-        R = pts - w.z(tau)
-        zdot = w.zdot(tau)
-        xi = inner(zdot, R)
-    else:
-        tau, R, xi = _warm_solve(w, pts, tau0)
-        zdot = w.zdot(tau)
+    tau, R, xi = _solve(w, pts)
+    tau = tau + 0.5 * inner(R, R) / xi
+    R = pts - w.z(tau)
+    zdot = w.zdot(tau)
+    xi = inner(zdot, R)
     zddot = w.zddot(tau)
     K = R / xi[..., None]
     kappa = inner(zddot, K)
@@ -335,8 +322,8 @@ def _neighbour_tau0(kin, mu, h):
 def neighbours(X, kin, h):
     """For mu = 0..3, (mu, X + h e_mu, start, X - h e_mu, start): the
     central-difference neighbours of X (..., 4), solved by the caller with
-    _warm_solve from the starts of _neighbour_tau0; h is one step or one
-    per point."""
+    _solve from the starts of _neighbour_tau0; h is one step or one per
+    point."""
     for mu in range(4):
         Xp, Xm = X.copy(), X.copy()
         Xp[..., mu] += h
@@ -356,8 +343,7 @@ def grad_tau_check(w, X, h=1e-4):
     K_low = lower(k["K"])
     worst = 0.0
     for mu, Xp, tau_plus, Xm, tau_minus in neighbours(pts, k, h):
-        fd = (_warm_solve(w, Xp, tau_plus)[0]
-              - _warm_solve(w, Xm, tau_minus)[0]) / (2 * h)
+        fd = (_solve(w, Xp, tau_plus)[0] - _solve(w, Xm, tau_minus)[0]) / (2 * h)
         worst = max(worst, float(np.abs(fd - K_low[..., mu]).max()))
     return worst
 
@@ -378,7 +364,6 @@ def div_K_fd(w, X, h=1e-4):
     k = kinematics_arrays(w, pts)
     total = 0.0
     for mu, Xp, tau_plus, Xm, tau_minus in neighbours(pts, k, h):
-        Kp = kinematics_arrays(w, Xp, tau_plus)["K"][..., mu]
-        Km = kinematics_arrays(w, Xm, tau_minus)["K"][..., mu]
-        total = total + (Kp - Km) / (2 * h)
+        (_, Rp, xp), (_, Rm, xm) = _solve(w, Xp, tau_plus), _solve(w, Xm, tau_minus)
+        total = total + (Rp[..., mu] / xp - Rm[..., mu] / xm) / (2 * h)
     return total

@@ -141,7 +141,7 @@ def mass_renormalize(fam, e, mu, target_mc2):
 
     def gdg(idx, t):
         return (target_mc2 * t ** 3 - a * t * t - b,
-                t * (3.0 * target_mc2 * t - 2.0 * a), True)
+                t * (3.0 * target_mc2 * t - 2.0 * a))
 
     lo = max(a / target_mc2, (b / target_mc2) ** (1.0 / 3.0))
     # f(lo) <= 0 only by rounding, when one term alone makes lo the root;

@@ -23,7 +23,7 @@ from pointcharge.errors import NoTrend
 from pointcharge.fields import box_phi_fd, fd_steps
 from pointcharge.minkowski import Worldline, boost_worldline, circular_worldline, \
     hyperbolic_worldline, inner, rest_worldline
-from pointcharge.retarded import _tau_simultaneous, _warm_solve, kinematics_arrays, \
+from pointcharge.retarded import _solve, _tau_simultaneous, kinematics_arrays, \
     neighbours
 from pointcharge.regularization import (
     bump_mollifier,
@@ -628,10 +628,14 @@ def test_stencil_certifies_each_neighbour_on_its_start(w, per_neighbour,
         evaluated.append(np.size(tau))
         return w.z(tau)
 
-    def cold(*args):
-        raise AssertionError("a neighbour reached the cold solve")
+    solve = retarded._solve
 
-    monkeypatch.setattr(retarded, "_solve_array", cold)
+    def warm_only(w_, X, tau0=None):
+        if tau0 is None:
+            raise AssertionError("a neighbour was solved without its start")
+        return solve(w_, X, tau0)
+
+    monkeypatch.setattr(retarded, "_solve", warm_only)
     counted = Worldline(w.label, z=z, zdot=w.zdot, zddot=w.zddot)
     box_phi_fd(counted, BUMP, g.points, eps, kin=g.kin)
     assert sum(evaluated) <= per_neighbour * 8 * len(g.points)
@@ -666,7 +670,7 @@ def test_warm_neighbours_match_the_cold_solve(w):
     X, kin = g.points, g.kin
     for _, Xp, tau_plus, Xm, tau_minus in neighbours(X, kin, fd_steps(X, kin["xi"], eps)):
         for Xn, start in ((Xp, tau_plus), (Xm, tau_minus)):
-            tau, R, xi = _warm_solve(w, Xn, start)
+            tau, R, xi = _solve(w, Xn, start)
             assert np.array_equal(R, Xn - w.z(tau))
             assert np.array_equal(xi, inner(w.zdot(tau), R))
             cold = kinematics_arrays(w, Xn)

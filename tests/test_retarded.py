@@ -139,10 +139,20 @@ def test_fastest_boosts_match_closed_form(gamma):
     # s/(2 xi), not a flat 1e-10: at gamma = 1000 the worst point misses by
     # 7.9e-7 at tau = -1127 (7.4e-10 relative), and every gamma reads at
     # most 1.82 eps_mach s/(2 xi).  The gamma = 70 set holds the point of
-    # test_rounding_floor_counts_as_converged (index 2723)
+    # test_rounding_floor_counts_as_converged (index 2723).  The ball never
+    # lands on the line of motion, so 2,000 points on it within 1 of the
+    # charge follow: ahead of it R = (R0, R0, 0, 0), R.R = R0^2 - R1^2
+    # cancels, and R_mu = X_mu - z_mu(tau) carries the rounding of z0 ~
+    # -gamma r, which leaves |R.R| just above eps_mach*s where Newton's step
+    # still exceeds its bound.  With the bracketed fallback's floor at
+    # eps_mach*s as well, 8, 8 and 2 of them raised NoConvergence at gamma
+    # = 70, 300 and 1000
     v = np.sqrt(1.0 - 1.0 / gamma**2)
     w = boost_worldline(v)
-    X = ball(20261019, 20000)
+    axis = np.zeros((2000, 4))
+    axis[:, 0] = 3.0
+    axis[:, 1] = np.random.default_rng(20261020).uniform(-1.0, 1.0, 2000)
+    X = np.concatenate([ball(20261019, 20000), axis])
     X[:, 1] += 3.0 * v
     tau = kinematics_arrays(w, X)["tau_r"]
     exact = boost_tau(v)(X)
@@ -154,26 +164,77 @@ def test_rounding_floor_counts_as_converged(monkeypatch):
     # start cycles at this point between two iterates with steps of
     # +-7.55e-11, above the step bound 1e-12*|tau| = 7.40e-11, while
     # |R.R| <= 5.6e-9 is already below eps_mach*s = 1.2e-8 (s = 5.37e7)
-    # and cannot get smaller: the bracketed loop, from either end, and the
-    # warm loop of the cold solve, without a fallback, count it as
-    # converged
+    # and cannot get smaller: the warm loop of the cold solve, without a
+    # fallback, counts it as converged, and so does the bracketed
+    # fallback, reached through _solve when the loop certifies nothing,
+    # from either bracket end
     v = 0.9998979539769781
     w = boost_worldline(v)
     X = np.array([[3.0, 3.5283429076982924, 0.7999880632867423,
                    -0.08271028042315771]])
     exact = boost_tau(v)(X)
     bound = rounding_bound(w, X, exact)
-    hi = _tau_simultaneous(w, X[:, 0])
-    lo = retarded._past_end(w, X, hi, 1.0)
-    for start in (lo, hi):
-        tau, ok = retarded._newton(w, X, start, lo, hi, retarded._scale(X))
-        assert ok.all() and np.abs(tau - exact) <= bound
+    past_end = retarded._past_end
 
     def no_bracket(*args):
         raise AssertionError("the warm loop left the point to the fallback")
 
     monkeypatch.setattr(retarded, "_past_end", no_bracket)
     assert np.abs(retarded_time(w, X) - exact) <= bound
+
+    reached = []
+
+    def bracket(*args):
+        reached.append(True)
+        return past_end(*args)
+
+    monkeypatch.setattr(retarded, "_past_end", bracket)
+    for start in (-np.inf, np.inf):     # clipped to lo and to tau_s
+
+        def uncertified(w_, X_, t, scale):
+            n = len(X_)
+            return (np.full(n, start), np.zeros((n, 4)), np.zeros(n),
+                    np.zeros(n, dtype=bool))
+
+        monkeypatch.setattr(retarded, "_warm_loop", uncertified)
+        reached.clear()
+        tau, R, xi = retarded._solve(w, X)
+        assert reached and np.abs(tau - exact) <= bound
+        assert np.array_equal(R, X - w.z(tau))
+        assert np.array_equal(xi, inner(w.zdot(tau), R))
+
+
+def test_cold_solve_brackets_points_with_no_cone_root_behind(monkeypatch):
+    # far from circular(1, 0.5) the light-cone condition expanded about the
+    # simultaneous eigentime tau_s can have no root behind tau_s: the start
+    # is then not finite or lies ahead, the warm loop drops the point at
+    # once, and the bracketed fallback solves it.  On these 10,000
+    # scattered points that happens at 145; the bisection oracle checks
+    # each
+    w = circular_worldline(1.0, 0.5)
+    rng = np.random.default_rng(7)
+    n = 10000
+    X = np.empty((n, 4))
+    X[:, 0] = rng.uniform(2.5, 6.0, n)
+    X[:, 1:] = rng.uniform(-4.0, 4.0, (n, 3))
+    hi = _tau_simultaneous(w, X[:, 0])
+    P = X - w.z(hi)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        start = hi + retarded._cone_root(1.0 - inner(w.zddot(hi), P),
+                                         inner(w.zdot(hi), P), inner(P, P))
+    X = X[~(start < hi)]
+    bracketed = []
+    past_end = retarded._past_end
+
+    def bracket(w_, X_, *args):
+        bracketed.append(len(X_))
+        return past_end(w_, X_, *args)
+
+    monkeypatch.setattr(retarded, "_past_end", bracket)
+    tau = retarded_time(w, X)
+    assert bracketed == [len(X)] and len(X) > 0
+    monkeypatch.undo()
+    assert np.abs(tau - retarded_time_bisection(w, X)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("w", [
@@ -199,7 +260,7 @@ def test_cold_solve_certifies_inertial_points_on_their_start(w):
     _tau_simultaneous(counted, pts[:, 0])
     simultaneous = list(sizes)
     sizes.clear()
-    retarded._solve_array(counted, pts)
+    retarded._solve(counted, pts)
     assert sizes == simultaneous + [n, n]
 
 
@@ -274,16 +335,17 @@ def test_neighbours_shift_by_h_along_each_axis(h):
 @pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
 def test_fd_checks_solve_only_the_centre_cold(w, monkeypatch):
     # grad_tau_check and div_K_fd start their +-h neighbours from the
-    # centre kinematics; the warm solve certifies every neighbour, so the
-    # cold solve sees the centres only
+    # centre kinematics; the Newton loop certifies every neighbour on its
+    # start, so only the centres are solved without one
     cold = []
-    solve = retarded._solve_array
+    solve = retarded._solve
 
-    def counting(w_, X):
-        cold.append(X.size // 4)
-        return solve(w_, X)
+    def counting(w_, X, tau0=None):
+        if tau0 is None:
+            cold.append(X.size // 4)
+        return solve(w_, X, tau0)
 
-    monkeypatch.setattr(retarded, "_solve_array", counting)
+    monkeypatch.setattr(retarded, "_solve", counting)
     pts = cloud(30, w)
     assert grad_tau_check(w, pts, h=1e-4) <= 1e-4
     assert div_K_fd(w, pts, h=1e-4).shape == (30,)
@@ -334,7 +396,7 @@ def test_bad_warm_start_falls_back_to_cold_solve(w):
     pts = cloud(100, w)
     tau = kinematics_arrays(w, pts)["tau_r"]
     # beyond the advanced root, or between the two roots for distant points
-    warm = kinematics_arrays(w, pts, tau0=tau + 10.0)["tau_r"]
+    warm = retarded._solve(w, pts, tau + 10.0)[0]
     assert np.abs(warm - tau).max() <= 1e-12 * np.maximum(1.0, np.abs(tau)).max()
 
 
@@ -345,8 +407,8 @@ def test_advanced_root_start_falls_back_to_cold_solve():
     w = rest_worldline()
     pts = cloud(100)
     advanced = pts[:, 0] + np.linalg.norm(pts[:, 1:], axis=-1)
-    tau = kinematics_arrays(w, pts, tau0=advanced)["tau_r"]
-    assert np.array_equal(tau, kinematics_arrays(w, pts)["tau_r"])
+    warm, cold = retarded._solve(w, pts, advanced), retarded._solve(w, pts)
+    assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
 
 
 @pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
@@ -361,13 +423,13 @@ def test_converged_points_leave_the_newton_iteration(w):
 
     n = pts.shape[0]
     counted = Worldline(w.label, z=z, zdot=w.zdot, zddot=w.zddot)
-    again = kinematics_arrays(counted, pts, tau0=tau)["tau_r"]
+    again = retarded._solve(counted, pts, tau)[0]
     # one evaluation over the batch both certifies the root and gives R there
     assert sizes == [n]
     assert np.abs(again - tau).max() <= 1e-12 * np.maximum(1.0, np.abs(tau)).max()
     # points that start at the root leave the iteration after one step
     sizes.clear()
-    kinematics_arrays(counted, pts, tau0=tau + np.where(np.arange(n) % 2, 1e-3, 0.0))
+    retarded._solve(counted, pts, tau + np.where(np.arange(n) % 2, 1e-3, 0.0))
     assert sizes[0] == n and len(sizes) > 2 and max(sizes[1:]) <= n // 2
 
 
