@@ -275,6 +275,7 @@ def kinematics_arrays(w, X):
     pts, _ = _as_points(X)
     tau, R, xi = _solve(w, pts)
     tau = tau + 0.5 * inner(R, R) / xi
+    del R, xi       # freed before they are formed again at the stepped root
     R = pts - w.z(tau)
     zdot = w.zdot(tau)
     xi = inner(zdot, R)

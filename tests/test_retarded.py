@@ -143,8 +143,8 @@ def test_fastest_boosts_match_closed_form(gamma):
     # lands on the line of motion, so 2,000 points on it within 1 of the
     # charge follow: ahead of it R = (R0, R0, 0, 0), R.R = R0^2 - R1^2
     # cancels, and R_mu = X_mu - z_mu(tau) carries the rounding of z0 ~
-    # -gamma r, which leaves |R.R| just above eps_mach*s where Newton's step
-    # still exceeds its bound.  With the bracketed fallback's floor at
+    # -R0 ~ -2 gamma^2 r, which leaves |R.R| just above eps_mach*s where
+    # Newton's step still exceeds its bound.  With the bracketed fallback's floor at
     # eps_mach*s as well, 8, 8 and 2 of them raised NoConvergence at gamma
     # = 70, 300 and 1000
     v = np.sqrt(1.0 - 1.0 / gamma**2)
