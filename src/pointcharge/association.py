@@ -4,7 +4,7 @@ The four association claims verified here:
   (a) <rho_eps, phi>          -> e * phi(0)      (3D, rest frame)
   (b) <H_eps(xi), phi>        -> int phi         (4D)
   (c) <Psi_eps_a, phi>        -> 0               (4D, each component)
-  (d) <boxPhi_fd_a - Lambda_a H_eps(xi), phi> -> 0   (4D)
+  (d) <boxPhi_eps_0 - Lambda_0 H_eps(xi), phi> -> 0  (4D, weak form)
 
 Pairings use Lebesgue measure with no metric weight.  Claim (a) and the
 target of claim (b) pair radial integrands against a radial bump, so they
@@ -18,13 +18,14 @@ tau_r = tau, R = xi K and d4x = xi^2 dtau dxi dOmega on any worldline
 node needs a retarded solve, and the shell is the slab eps < xi < 2*eps.
 Per (xi, tau) the grid takes the 38 directions n of Lebedev's octahedral
 rule, exact on the sphere up to degree 9.  The grid's xi panels have
-edges at 0, 0.05*eps, eps and 2*eps: claim (b) integrates from xi = 0,
-and claim (c) and claim (d)'s stencil run on the shell slab only.  The
-suite builds one slab of a few xi nodes at a time, pairs it with every
-claim that reads it and sums the pairings over the slabs.  Claim (d)'s
-scale <Lambda_0 H_eps(xi), phi> is summed at the last eps over the
-lab-frame band r in [0.05*eps, 8*eps] around the worldline's simultaneous
-track point, with a cold retarded solve per node.
+edges at 0, 0.05*eps, eps and 2*eps: claims (b) and (d) integrate from
+xi = 0, and claim (c) runs on the shell slab only.  Claim (d) pairs in
+weak form, with box moved onto phi, so it needs no retarded solve and no
+finite-difference stencil.  The suite builds one slab of a few xi nodes
+at a time, pairs it with every claim that reads it and sums the pairings
+over the slabs.  Claim (d)'s scale <Lambda_0 H_eps(xi), phi> is summed
+at the last eps over the lab-frame band r in [0.05*eps, 8*eps] around the
+worldline's simultaneous track point, with a cold retarded solve per node.
 """
 
 import itertools
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NoTrend, OnWorldline
-from .fields import box_phi_arrays, box_phi_fd, static_rho
+from .fields import box_phi_arrays, static_rho
 from .minkowski import inner
 from .regularization import bump, gauss_panels
 from .retarded import DEFAULT_TOL, MAX_ITER, _rtsafe, _tau_simultaneous, \
@@ -67,6 +68,27 @@ class TestFunction:
         if self.poly is not None and np.any(mask):
             out[mask] *= self.poly(y[mask])
         return float(out) if self.dimension == 1 and x.ndim == 0 else out
+
+    def box(self, x):
+        """The d'Alembertian d0^2 - d1^2 - d2^2 - d3^2 of a 4D bump without a
+        poly factor, in closed form.  With y = (x - c)/a, u = |y|^2
+        (Euclidean) and f(u) = exp(-1/(1-u)),
+
+            box phi = 4 f''(u) (y0^2 - |y_vec|^2)/a^2 - 4 f'(u)/a^2,
+
+        where f' = -f s^2 and f'' = f (s^4 - 2 s^3), s = 1/(1-u)."""
+        if self.dimension != 4 or self.poly is not None:
+            raise ValueError("box needs a 4D bump without a poly factor")
+        y = (np.asarray(x, dtype=float) - self.center) / self.radius
+        y2 = y * y
+        u = y2.sum(axis=-1)
+        f = bump(u)
+        s = np.zeros_like(u)
+        inside = u < 1.0
+        s[inside] = 1.0 / (1.0 - u[inside])
+        s2 = s * s
+        d1, d2 = -f * s2, f * s2 * (s2 - 2.0 * s)
+        return 4.0 * (d2 * (2.0 * y2[..., 0] - u) - d1) / self.radius ** 2
 
 
 def bump_test_function(dimension, center, radius, poly=None):
@@ -117,7 +139,7 @@ DIRECTIONS = 8
 # eigentimes at which _tau_windows samples dt/dtau on rays where t may turn
 TURN_SAMPLES = 33
 # xi nodes per slab: 4 x 38 directions x 12 tau nodes = 1,824 nodes, so
-# that claim (d)'s stencil holds few points at a time
+# that few grid nodes and their kinematics are alive at a time
 SLAB_XI_NODES = 4
 
 
@@ -472,27 +494,27 @@ def claim_psi(w, fam, g, eps, e):
     return [g.pair(psi[..., a]) for a in range(4)]
 
 
-def claim_box_minus_lw(w, fam, g, eps, e):
-    """(d) on one slab: <boxPhi_fd_0 - Lambda_0 H_eps(xi), phi>.
+def claim_box_minus_lw(fam, g, eps, e, phi):
+    """(d) on one slab: <boxPhi_eps_0 - Lambda_0 H_eps(xi), phi> in weak form.
 
-    Uses the finite-difference d'Alembertian, so the claim does not lean
-    on the analytic Psi formula that claim (c) already exercises.  The
-    difference is Psi_eps, whose support is the shell eps < xi < 2*eps:
-    below it Phi = Lambda H = 0, above it H = 1 and box(eR/2) = Lambda.
-    So the stencil runs on the shell nodes only, and every other node
-    adds exactly 0.  A slab of the shell panel lies on the shell whole
-    (Gauss nodes are interior), and is then read through views.
+    Phi_eps is smooth, so <boxPhi_eps, phi> = <Phi_eps, box phi>, and
+    <e R/2, box phi> = <Lambda, phi> holds with no eps in it (box R =
+    -2 zdot/xi off the worldline, and R = O(xi) leaves no delta term
+    there).  Subtracting the second identity from the first,
+
+        <boxPhi_0 - Lambda_0 H, phi>
+            = int (H_eps(xi) - 1) [(e/2) R_0 box phi - Lambda_0 phi] d4x,
+
+    with Lambda_0 = -e zdot_0/xi.  H - 1 = 0 from xi = 2 eps on, so the
+    slabs below 2 eps carry the whole pairing.  The integrand uses only H,
+    R, zdot and box phi (phi being the test function g was built for), so
+    the claim checks the analytic Psi formula of claim (c), whose pairing
+    it equals at each eps, by an independent route.
     """
     xi = g.kin["xi"]
-    shell = (xi > eps) & (xi < 2.0 * eps)
-    if not shell.any():
-        return 0.0
-    if shell.all():
-        shell = slice(None)     # basic slicing: views, no copy
-    kin = {k: v[shell] for k, v in g.kin.items()}
-    lam_H = -e * kin["zdot"][..., 0] / kin["xi"] * fam.H(kin["xi"], eps)
-    fd = box_phi_fd(w, fam, g.points[shell], eps, e=e, kin=kin)[..., 0]
-    return g.pair(fd - lam_H, shell)
+    integrand = (0.5 * e * g.kin["R"][..., 0] * phi.box(g.points)
+                 + e * g.kin["zdot"][..., 0] / xi * g.phi_values)
+    return float(((fam.H(xi, eps) - 1.0) * integrand * g.weights).sum())
 
 
 # radial panel edges, in units of eps, of the lab-frame band over which
@@ -574,7 +596,7 @@ CLAIM_NAMES = ("charge_density", "heaviside", "psi_0", "psi_1", "psi_2",
 def _reads(name, lo, hi):
     """Whether claim `name` has a nonzero integrand on the xi panel
     [lo, hi] (in units of eps)."""
-    if name == "heaviside":
+    if name in ("heaviside", "box_minus_lw"):
         return lo < 2.0         # H - 1 = 0 from 2 eps on
     return lo < 2.0 and hi > 1.0    # Psi lives in the shell
 
@@ -623,7 +645,7 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
                     for name in psi_names:
                         sums[name] += psi[int(name[-1])]
                 if "box_minus_lw" in readers:
-                    sums["box_minus_lw"] += claim_box_minus_lw(w, fam, g, eps, e)
+                    sums["box_minus_lw"] += claim_box_minus_lw(fam, g, eps, e, phi4)
                 del g   # free this slab before the next one is built
         for name in spacetime:
             vals[name].append(sums[name])

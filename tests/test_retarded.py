@@ -479,7 +479,7 @@ def test_rest_retarded_time_property(t, x, y):
 def test_neighbour_start_misses_by_third_order(w):
     # the light-cone start drops the third and higher derivatives of z, so
     # its gap to the neighbour's root falls 8x when h halves.  Near the
-    # worldline, where claim (d)'s stencil runs, that gap stays at least
+    # worldline, on the transition shell, that gap stays at least
     # 100x below the gap of the second-order Taylor start tau_r +- h K_mu
     # + (h^2/2) d_mu d_mu tau_r, with d_mu d_nu tau_r = [eta_mu_nu
     # - zdot_mu K_nu - K_mu zdot_nu - (xi kappa - 1) K_mu K_nu]/xi (lowered
