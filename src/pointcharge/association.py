@@ -35,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NoTrend, OnWorldline
-from .fields import box_phi_arrays, static_rho
+from .fields import _psi, static_rho
 from .minkowski import inner
 from .regularization import bump, gauss_panels
-from .retarded import DEFAULT_TOL, MAX_ITER, _rtsafe, _tau_simultaneous, \
-    kinematics_arrays, retarded_time
+from .retarded import DEFAULT_TOL, MAX_ITER, _rtsafe, kinematics_arrays, \
+    retarded_time
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def track_test_function(w, radius=1.0):
     worldline at coordinate time t = 3, so that the transition shell
     actually meets its support."""
     t0 = 3.0
-    track = w.z(_tau_simultaneous(w, np.asarray(t0)))
+    track = w.z(w.tau_at(t0))
     return bump_test_function(4, np.concatenate([[t0], track[1:]]), radius)
 
 
@@ -211,14 +211,14 @@ def _first_retarded_time(w, phi):
     try:
         return retarded_time(w, P)
     except OnWorldline:
-        return float(_tau_simultaneous(w, np.asarray(P[0])))
+        return float(w.tau_at(P[0]))
 
 
 def _ray_lab_time(w, xi, m, tau):
     """Lab time t = z0 + xi K0 on the rays (xi, m) at eigentime tau, and
     dt/dtau = zdot0 + xi (zddot0 + zddot.m)."""
-    zd, zdd = w.zdot(tau), w.zddot(tau)
-    t = w.z(tau)[:, 0] + xi * (zd[:, 0] + (zd[:, 1:] * m).sum(-1))
+    z, zd, zdd = w.jet(tau)
+    t = z[:, 0] + xi * (zd[:, 0] + (zd[:, 1:] * m).sum(-1))
     dt = zd[:, 0] + xi * (zdd[:, 0] + (zdd[:, 1:] * m).sum(-1))
     return t, dt
 
@@ -240,8 +240,7 @@ def _lab_time_root(w, xi, m, target, lo, hi, sign):
     if cross.any():
         idx = every[cross]
         # exact at rest, where t = tau + xi
-        start = np.clip(_tau_simultaneous(w, target[idx]) - xi[idx],
-                        lo[idx], hi[idx])
+        start = np.clip(w.tau_at(target[idx]) - xi[idx], lo[idx], hi[idx])
         root[idx], done = _rtsafe(lambda i, tau: fdf(idx[i], tau), start,
                                   lo[idx], hi[idx], np.inf, DEFAULT_TOL)
         if not done.all():
@@ -270,7 +269,7 @@ def _retarded_span(w, phi):
     eigentimes spread over them.  One set per test function and
     worldline, shared by every ray of a run."""
     first = _first_retarded_time(w, phi)
-    last = float(_tau_simultaneous(w, np.asarray(phi.center[0] + phi.radius)))
+    last = float(w.tau_at(phi.center[0] + phi.radius))
     zdd = w.zddot(np.linspace(first, last, TURN_SAMPLES))
     return first, last, np.sqrt(max(0.0, float(-inner(zdd, zdd).min())))
 
@@ -362,10 +361,10 @@ def slice_grid(w, phi, xi, xi_weights, windows=None):
     tau = (0.5 * (hi + lo)[:, None] + half * x).ravel()
     node_xi = np.repeat(ray_xi[ray], TAU_NODES)
     wts = half * wt * ray_w[ray][:, None]
-    zdot, zddot = w.zdot(tau), w.zddot(tau)
+    z, zdot, zddot = w.jet(tau)
     K = _null_direction(zdot, np.repeat(ray_m[ray], TAU_NODES, axis=0))
     R = node_xi[:, None] * K
-    pts = w.z(tau) + R
+    pts = z + R
     kin = {"tau_r": tau, "R": R, "xi": node_xi, "K": K,
            "kappa": inner(zddot, K), "zdot": zdot, "zddot": zddot,
            "residual": inner(R, R)}
@@ -479,22 +478,23 @@ def claim_charge_density(fam, phi3, eps_grid, e=1.0, tolerance=1e-3):
                       scale=max(abs(e), abs(target), 1e-3))
 
 
-def claim_heaviside(g, fam, eps):
+def claim_heaviside(g, H):
     """(b) on one slab: the defect <H_eps(xi) - 1, phi> of <H_eps(xi), phi>
-    from int phi; H - 1 is supported in xi < 2*eps, which the slabs below
-    2*eps cover from xi = 0 on."""
-    return g.pair(fam.H(g.kin["xi"], eps) - 1.0)
+    from int phi, given H = H_eps(xi) at the slab's nodes; H - 1 is
+    supported in xi < 2*eps, which the slabs below 2*eps cover from xi = 0
+    on."""
+    return g.pair(H - 1.0)
 
 
-def claim_psi(w, fam, g, eps, e):
+def claim_psi(fam, g, eps, e):
     """(c) on one slab: the pairings <Psi_eps_a, phi> of the four
     components a (Psi is supported in the transition shell, which is one
     slab of the grid).  Psi is computed once for all four."""
-    psi = box_phi_arrays(w, fam, g.points, eps, e, kin=g.kin)[1]
+    psi = _psi(fam, g.kin, eps, e)
     return [g.pair(psi[..., a]) for a in range(4)]
 
 
-def claim_box_minus_lw(fam, g, eps, e, phi):
+def claim_box_minus_lw(g, H, e, phi):
     """(d) on one slab: <boxPhi_eps_0 - Lambda_0 H_eps(xi), phi> in weak form.
 
     Phi_eps is smooth, so <boxPhi_eps, phi> = <Phi_eps, box phi>, and
@@ -511,10 +511,9 @@ def claim_box_minus_lw(fam, g, eps, e, phi):
     the claim checks the analytic Psi formula of claim (c), whose pairing
     it equals at each eps, by an independent route.
     """
-    xi = g.kin["xi"]
     integrand = (0.5 * e * g.kin["R"][..., 0] * phi.box(g.points)
-                 + e * g.kin["zdot"][..., 0] / xi * g.phi_values)
-    return float(((fam.H(xi, eps) - 1.0) * integrand * g.weights).sum())
+                 + e * g.kin["zdot"][..., 0] / g.kin["xi"] * g.phi_values)
+    return float(((H - 1.0) * integrand * g.weights).sum())
 
 
 # radial panel edges, in units of eps, of the lab-frame band over which
@@ -544,7 +543,7 @@ def box_minus_lw_scale(w, fam, phi, eps, e):
     dirs, wa = _angular_grid(DIRECTIONS)
     (x,), _, wt = gauss_panels((-1.0, 1.0), TAU_NODES)
     t = phi.center[0] + phi.radius * x
-    track = w.z(_tau_simultaneous(w, t))
+    track = w.z(w.tau_at(t))
     pts = np.empty((t.size, r.size, dirs.shape[0], 4))
     pts[..., 0] = t[:, None, None]
     pts[..., 1:] = (track[:, None, None, 1:]
@@ -573,7 +572,7 @@ def psi_sup_values(w, fam, eps_grid, e=1.0):
         pts = np.empty((dirs.shape[0], radii.size, 4))
         pts[..., 0] = z[0] + 1.5 * eps
         pts[..., 1:] = z[1:] + radii[None, :, None] * dirs[:, None, :]
-        _, psi, _ = box_phi_arrays(w, fam, pts, eps, e)
+        psi = _psi(fam, kinematics_arrays(w, pts), eps, e)
         out.append(float(np.abs(psi).max()))
     return np.array(out)
 
@@ -608,9 +607,10 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
     Claims (b)-(d) make one pass over eps and, per eps, over the slabs of
     the xi panels of XI_PANELS that a wanted claim reads: each slab (with
     its kinematics and phi values) is built once, paired by every wanted
-    claim that reads it, and dropped before the next slab is built.  Each
-    claim sums its pairings over the slabs; weak_limit then runs once per
-    claim.  Pass a subset of CLAIM_NAMES as `claims` to restrict the run."""
+    claim that reads it, and dropped before the next slab is built; claims
+    (b) and (d) share its H_eps.  Each claim sums its pairings over the
+    slabs; weak_limit then runs once per claim.  Pass a subset of
+    CLAIM_NAMES as `claims` to restrict the run."""
     if claims is not None:
         unknown = set(claims) - set(CLAIM_NAMES)
         if unknown:
@@ -638,15 +638,17 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
                 continue
             psi_names = [n for n in readers if n.startswith("psi_")]
             for g in _slabs(w, phi4, eps, lo, hi, nodes, span):
+                H = (fam.H(g.kin["xi"], eps)
+                     if {"heaviside", "box_minus_lw"} & set(readers) else None)
                 if "heaviside" in readers:
-                    sums["heaviside"] += claim_heaviside(g, fam, eps)
+                    sums["heaviside"] += claim_heaviside(g, H)
                 if psi_names:
-                    psi = claim_psi(w, fam, g, eps, e)
+                    psi = claim_psi(fam, g, eps, e)
                     for name in psi_names:
                         sums[name] += psi[int(name[-1])]
                 if "box_minus_lw" in readers:
-                    sums["box_minus_lw"] += claim_box_minus_lw(fam, g, eps, e, phi4)
-                del g   # free this slab before the next one is built
+                    sums["box_minus_lw"] += claim_box_minus_lw(g, H, e, phi4)
+                del g, H    # free this slab before the next one is built
         for name in spacetime:
             vals[name].append(sums[name])
     for name in spacetime:

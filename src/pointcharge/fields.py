@@ -31,10 +31,8 @@ def phi_arrays(w, fam, X, eps, e=1.0):
     return _phi(fam, kin["R"], kin["xi"], eps, e)
 
 
-def box_phi_arrays(w, fam, X, eps, e=1.0, kin=None):
-    """Batched analytic d'Alembertian; returns (Lambda, Psi, total)."""
-    if kin is None:
-        kin = kinematics_arrays(w, X)
+def _psi(fam, kin, eps, e):
+    """Psi from the kinematics kin, under kinematics_arrays' keys."""
     xi, kappa = kin["xi"], kin["kappa"]
     need_shell = bool(np.any((xi > eps) & (xi < 2.0 * eps)))
     if need_shell and not fam.smooth:
@@ -42,13 +40,19 @@ def box_phi_arrays(w, fam, X, eps, e=1.0, kin=None):
             "xi falls inside the transition shell; H'' of a piecewise family "
             "is not a function"
         )
-    H = fam.H(xi, eps)
     dH = fam.dH(xi, eps)
     d2H = fam.d2H(xi, eps) if need_shell else np.zeros_like(dH)
-    lam = -e * kin["zdot"] / xi[..., None]
     coeff = e * ((3.0 * xi * kappa - 2.0) * dH + (xi * kappa - 0.5) * xi * d2H)
-    psi = coeff[..., None] * kin["K"]
-    total = lam * H[..., None] + psi
+    return coeff[..., None] * kin["K"]
+
+
+def box_phi_arrays(w, fam, X, eps, e=1.0, kin=None):
+    """Batched analytic d'Alembertian; returns (Lambda, Psi, total)."""
+    if kin is None:
+        kin = kinematics_arrays(w, X)
+    psi = _psi(fam, kin, eps, e)
+    lam = -e * kin["zdot"] / kin["xi"][..., None]
+    total = lam * fam.H(kin["xi"], eps)[..., None] + psi
     return lam, psi, total
 
 

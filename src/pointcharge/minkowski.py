@@ -6,7 +6,7 @@ Worldlines are parametrized by eigentime, so zdot . zdot = 1 and
 zdot . zddot = 0 identically.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,34 +33,46 @@ def lower(a):
 
 @dataclass(frozen=True)
 class Worldline:
-    """Eigentime-parametrized worldline with exact analytic derivatives.
+    """Eigentime-parametrized worldline, given in closed form by its jet and
+    the inverse of its lab time, which a new worldline must both supply.
 
-    The evaluators map an array of eigentimes with shape S to position /
-    velocity / acceleration arrays of shape S + (4,).
+    jet(tau, order=2) maps eigentimes of shape S to (z, zdot,
+    zddot)[:order + 1], each of shape S + (4,), forming only the
+    derivatives asked for and each transcendental of tau once; tau_at(t)
+    solves z0(tau) = t for 0-d or array t.  z, zdot and zddot are read off
+    the jet, so they agree with it bit for bit.
     """
 
     label: str
-    z: callable
-    zdot: callable
-    zddot: callable
+    jet: callable
+    tau_at: callable
+    z: callable = field(init=False)
+    zdot: callable = field(init=False)
+    zddot: callable = field(init=False)
+
+    def __post_init__(self):
+        jet = self.jet
+        for k, name in enumerate(("z", "zdot", "zddot")):
+            object.__setattr__(self, name, lambda tau, k=k: jet(tau, k)[k])
 
 
-def _fill(tau, *comps):
-    """One array of shape shape(tau) + (4,) from four components, each an
-    array of tau's shape or a scalar."""
-    out = np.empty(np.shape(tau) + (4,))
-    for i, c in enumerate(comps):
-        out[..., i] = c
-    return out
+def _jet(tau, order, *rows):
+    """(z, zdot, zddot)[:order + 1] at tau, the k-th of shape shape(tau) +
+    (4,) with the leading components rows[k]() returns (arrays of tau's
+    shape or scalars) and 0 for the rest; no later row is called."""
+    jet = []
+    for row in rows[:order + 1]:
+        jet.append(np.zeros(np.shape(tau) + (4,)))
+        for i, c in enumerate(row()):
+            jet[-1][..., i] = c
+    return tuple(jet)
 
 
 def rest_worldline():
-    return Worldline(
-        label="rest",
-        z=lambda tau: _fill(tau, tau, 0.0, 0.0, 0.0),
-        zdot=lambda tau: _fill(tau, 1.0, 0.0, 0.0, 0.0),
-        zddot=lambda tau: _fill(tau, 0.0, 0.0, 0.0, 0.0),
-    )
+    def jet(tau, order=2):
+        return _jet(tau, order, lambda: (tau,), lambda: (1.0,), lambda: ())
+
+    return Worldline("rest", jet, lambda t: np.array(t, dtype=float))
 
 
 def boost_worldline(v):
@@ -68,24 +80,26 @@ def boost_worldline(v):
     if not abs(v) < 1.0:
         raise ConfigError(f"boost speed must satisfy |v| < 1, got {v}")
     g = 1.0 / np.sqrt(1.0 - v * v)
-    return Worldline(
-        label="boost",
-        z=lambda tau: _fill(tau, g * tau, g * v * tau, 0.0, 0.0),
-        zdot=lambda tau: _fill(tau, g, g * v, 0.0, 0.0),
-        zddot=lambda tau: _fill(tau, 0.0, 0.0, 0.0, 0.0),
-    )
+
+    def jet(tau, order=2):
+        return _jet(tau, order, lambda: (g * tau, g * v * tau),
+                    lambda: (g, g * v), lambda: ())
+
+    return Worldline("boost", jet, lambda t: t / g)
 
 
 def hyperbolic_worldline(a):
     """Uniform proper acceleration a in the (x0, x1) plane."""
     if not (np.isfinite(a) and a != 0):
         raise ConfigError(f"hyperbolic worldline needs a finite a != 0, got {a}")
-    return Worldline(
-        label="hyperbolic",
-        z=lambda tau: _fill(tau, np.sinh(a * tau) / a, np.cosh(a * tau) / a, 0.0, 0.0),
-        zdot=lambda tau: _fill(tau, np.cosh(a * tau), np.sinh(a * tau), 0.0, 0.0),
-        zddot=lambda tau: _fill(tau, a * np.sinh(a * tau), a * np.cosh(a * tau), 0.0, 0.0),
-    )
+
+    def jet(tau, order=2):
+        s, c = np.sinh(a * tau), np.cosh(a * tau)
+        return _jet(tau, order, lambda: (s / a, c / a), lambda: (c, s),
+                    lambda: (a * s, a * c))
+
+    # z0 = sinh(a tau)/a, for either sign of a
+    return Worldline("hyperbolic", jet, lambda t: np.arcsinh(a * t) / a)
 
 
 def circular_worldline(r, omega):
@@ -98,13 +112,14 @@ def circular_worldline(r, omega):
         raise ConfigError(f"circular worldline needs |r*omega| < 1, got {v}")
     g = 1.0 / np.sqrt(1.0 - v * v)
     w = omega * g  # angular frequency in eigentime
-    return Worldline(
-        label="circular",
-        z=lambda tau: _fill(tau, g * tau, r * np.cos(w * tau), r * np.sin(w * tau), 0.0),
-        zdot=lambda tau: _fill(tau, g, -r * w * np.sin(w * tau), r * w * np.cos(w * tau), 0.0),
-        zddot=lambda tau: _fill(tau, 0.0, -r * w * w * np.cos(w * tau),
-                                -r * w * w * np.sin(w * tau), 0.0),
-    )
+
+    def jet(tau, order=2):
+        c, s = np.cos(w * tau), np.sin(w * tau)
+        return _jet(tau, order, lambda: (g * tau, r * c, r * s),
+                    lambda: (g, -r * w * s, r * w * c),
+                    lambda: (0.0, -r * w * w * c, -r * w * w * s))
+
+    return Worldline("circular", jet, lambda t: t / g)
 
 
 def catalog():
@@ -162,14 +177,14 @@ class WorldlineReport:
 
 
 def validate_worldline(w, tau_grid):
-    """Check eigentime normalization and orthogonality, each to 1e-10, and
-    future-direction."""
+    """Check eigentime normalization and orthogonality, each to 1e-10,
+    future-direction, and tau_at(z0(tau)) = tau to 1e-10*max(1, |tau|)."""
     tol = 1e-10
     tau = np.asarray(tau_grid, dtype=float)
     if tau.size == 0:
         raise ValueError("tau_grid must be nonempty")
-    zd = w.zdot(tau)
-    zdd = w.zddot(tau)
+    z, zd, zdd = w.jet(tau)
+    inverse_res = np.abs(w.tau_at(z[..., 0]) - tau) / np.maximum(1.0, np.abs(tau))
     norm_res = np.abs(inner(zd, zd) - 1.0)
     ortho_res = np.abs(inner(zd, zdd))
     zdot0 = zd[..., 0]
@@ -180,6 +195,9 @@ def validate_worldline(w, tau_grid):
         failures.append(f"|Zdot.Zddot| = {ortho_res.max():.3e} at tau = {tau[ortho_res.argmax()]:g}")
     if zdot0.min() <= 0:
         failures.append(f"Zdot0 = {zdot0.min():.3e} at tau = {tau[zdot0.argmin()]:g}")
+    if inverse_res.max() > tol:
+        failures.append(f"|tau_at(Z0) - tau|/max(1, |tau|) = {inverse_res.max():.3e} "
+                        f"at tau = {tau[inverse_res.argmax()]:g}")
     return WorldlineReport(
         label=w.label,
         max_norm_residual=float(norm_res.max()),

@@ -5,7 +5,8 @@ is the unique root of g(tau) = R.R with R = X - Z(tau) on the backward
 light cone (R0 > 0).  Along the worldline, g > 0 before the retarded
 crossing, negative between the retarded and advanced crossings, and
 positive again afterwards, so any bracket [lo, hi] with g(lo) > 0,
-g(hi) < 0 and hi at the simultaneous point Z0(hi) = X0 isolates tau_r.
+g(hi) < 0 and hi at the simultaneous point Z0(hi) = X0, tau_at(X0),
+isolates tau_r.  Each solver pass takes z and zdot from one jet.
 
 All solver routines are vectorized over arrays of observer points of
 shape (..., 4); a single point of shape (4,) gives a float tau_r.
@@ -91,21 +92,6 @@ def _rtsafe(fdf, t, lo, hi, ftol, xtol, floor=0.0):
     return t, done
 
 
-def _tau_simultaneous(w, X0):
-    """Solve Z0(tau) = X0 per point.  Zdot0 >= 1 for a unit timelike Zdot,
-    so the root lies within |f0| of X0, where f0 = Z0(X0) - X0."""
-    X0 = np.asarray(X0, dtype=float)
-    x0 = X0.ravel()
-    f0 = w.z(x0)[:, 0] - x0
-    lo, hi = x0 - np.maximum(f0, 0.0), x0 - np.minimum(f0, 0.0)
-
-    def fdf(idx, t):
-        return w.z(t)[:, 0] - x0[idx], w.zdot(t)[:, 0]
-
-    tau, _ = _rtsafe(fdf, x0, lo, hi, np.inf, 1e-15)
-    return tau.reshape(X0.shape)
-
-
 def _scale(X):
     """max(1, Euclidean |X|^2) for X of shape (n, 4); by components, about
     3x faster than .sum(-1)."""
@@ -126,16 +112,18 @@ def _solve(w, X, tau0=None):
     and a point the loop cannot certify is solved again without one.
     Without a start the loop runs from the retarded root of the light-cone
     condition with the worldline expanded to second order about the
-    simultaneous eigentime tau_s (exact on inertial worldlines).  A point
-    it cannot certify is bracketed between _past_end and tau_s and solved
-    by _rtsafe on -R.R from its start, clipped; R and xi are then
-    evaluated once at that root."""
+    simultaneous eigentime tau_s = w.tau_at(X0) (exact on inertial
+    worldlines), z, zdot and zddot there coming from one jet.  A point it
+    cannot certify is bracketed between _past_end and tau_s and solved by
+    _rtsafe on -R.R from its start, clipped; R and xi are then evaluated
+    once at that root."""
     shape = X.shape[:-1]
     X = X.reshape(-1, 4)
     scale = _scale(X)
     if tau0 is None:
-        hi = _tau_simultaneous(w, X[:, 0])
-        P = X - w.z(hi)
+        hi = w.tau_at(X[:, 0])
+        z, zd, zdd = w.jet(hi)
+        P = np.subtract(X, z, out=z)    # X - z(tau_s), in z's place
         if np.any(np.linalg.norm(P[:, 1:], axis=-1) < ON_WORLDLINE_DIST * np.sqrt(scale)):
             raise OnWorldline("observer point lies on the worldline")
         # _neighbour_tau0's expansion about tau_s, with P = X - z(tau_s) for
@@ -143,9 +131,8 @@ def _solve(w, X, tau0=None):
         # acceleration, far out) the start is not finite or lies ahead, and
         # the loop drops it
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            t = hi + _cone_root(1.0 - inner(w.zddot(hi), P),
-                                inner(w.zdot(hi), P), inner(P, P))
-        del P
+            t = hi + _cone_root(1.0 - inner(zdd, P), inner(zd, P), inner(P, P))
+        del z, P, zd, zdd
     else:
         t = np.array(np.broadcast_to(tau0, shape), dtype=float).ravel()
     tau, R, xi, solved = _warm_loop(w, X, t, scale)
@@ -160,10 +147,11 @@ def _solve(w, X, tau0=None):
             # -R.R and its derivative 2 xi, both over s = max(scale,
             # Euclidean |R|^2 = 2 R0^2 - R.R), which leaves the step as it
             # is.  Inside [lo, tau_s] R0 > 0, and a root there has xi > 0
-            Rt = Xc[idx] - w.z(t)
+            z, zd = w.jet(t, 1)
+            Rt = Xc[idx] - z
             g = inner(Rt, Rt)
             s = np.maximum(sc[idx], 2.0 * Rt[:, 0] * Rt[:, 0] - g)
-            return -g / s, 2.0 * inner(w.zdot(t), Rt) / s
+            return -g / s, 2.0 * inner(zd, Rt) / s
 
         # the floor is the rounding of R.R formed from R = X - z(tau): z_mu
         # comes back within about eps_mach |z_mu| <= eps_mach (|X_mu| +
@@ -175,8 +163,9 @@ def _solve(w, X, tau0=None):
         if not ok.all():
             raise NoConvergence(MAX_ITER, float(np.abs(_g(w, Xc[~ok], tc[~ok])).max()))
         tau[cold] = tc
-        R[cold] = Xc - w.z(tc)
-        xi[cold] = inner(w.zdot(tc), R[cold])
+        z, zd = w.jet(tc, 1)
+        R[cold] = Xc - z
+        xi[cold] = inner(zd, R[cold])
     return tau.reshape(shape), R.reshape(shape + (4,)), xi.reshape(shape)
 
 
@@ -204,8 +193,9 @@ def _warm_loop(w, X, t, scale):
     for _ in range(MAX_ITER):
         Xa, sa = (X, scale) if idx is None else (X[idx], scale[idx])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            Ra = Xa - w.z(t)
-            xa = inner(w.zdot(t), Ra)
+            z, zd = w.jet(t, 1)
+            Ra = np.subtract(Xa, z, out=z)
+            xa = inner(zd, Ra)
             g = inner(Ra, Ra)
             # Euclidean |R|^2 = 2 R0^2 - R.R
             s = np.maximum(sa, 2.0 * Ra[:, 0] * Ra[:, 0] - g)
@@ -227,6 +217,7 @@ def _warm_loop(w, X, t, scale):
         if idx.size == 0:
             break
         t = new[go_on]
+        del z, zd, Ra   # freed before the next pass evaluates the jet
     return tau, R, xi, solved
 
 
@@ -251,10 +242,11 @@ def retarded_time_bisection(w, X):
     The lower bracket end is found by doubling steps down from the
     simultaneous point (R.R evaluated very deep in the past of a strongly
     accelerated worldline cancels catastrophically in floats, so the
-    bracket should be no deeper than necessary).
+    bracket should be no deeper than necessary).  Its upper end is the
+    simultaneous eigentime w.tau_at(X0).
     """
     pts, scalar = _as_points(X)
-    hi = _tau_simultaneous(w, pts[..., 0])
+    hi = w.tau_at(pts[..., 0])
     lo = _past_end(w, pts, hi, 1.0)
     for _ in range(200):
         tau = 0.5 * (lo + hi)
@@ -271,15 +263,15 @@ def kinematics_arrays(w, X):
     """Batched kinematics; returns a dict of arrays keyed by quantity.
 
     tau_r is retarded_time's root: the cold solve's certified root plus its
-    last Newton step, where R, zdot and xi are evaluated anew."""
+    last Newton step, where R, zdot, zddot and xi are formed anew from one
+    jet."""
     pts, _ = _as_points(X)
     tau, R, xi = _solve(w, pts)
     tau = tau + 0.5 * inner(R, R) / xi
     del R, xi       # freed before they are formed again at the stepped root
-    R = pts - w.z(tau)
-    zdot = w.zdot(tau)
+    z, zdot, zddot = w.jet(tau)
+    R = np.subtract(pts, z, out=z)
     xi = inner(zdot, R)
-    zddot = w.zddot(tau)
     K = R / xi[..., None]
     kappa = inner(zddot, K)
     return {

@@ -23,8 +23,7 @@ from pointcharge.errors import NoTrend
 from pointcharge.fields import box_phi_fd, fd_steps
 from pointcharge.minkowski import Worldline, boost_worldline, circular_worldline, \
     hyperbolic_worldline, inner, rest_worldline
-from pointcharge.retarded import _solve, _tau_simultaneous, kinematics_arrays, \
-    neighbours
+from pointcharge.retarded import _solve, kinematics_arrays, neighbours
 from pointcharge.regularization import (
     bump_mollifier,
     gauss_panels,
@@ -163,9 +162,9 @@ def test_radial_nodes_resolve_the_shell():
     g = slab(w, eps, 1.0, 2.0)
     xi = g.kin["xi"]
     assert np.all((xi > eps) & (xi < 2.0 * eps))
-    psi = association.claim_psi(w, BUMP, g, eps, 1.0)[0]
+    psi = association.claim_psi(BUMP, g, eps, 1.0)[0]
     edges = np.linspace(1.0, 2.0, 17)
-    ref = sum(association.claim_psi(w, BUMP, slab(w, eps, lo, hi, 8), eps, 1.0)[0]
+    ref = sum(association.claim_psi(BUMP, slab(w, eps, lo, hi, 8), eps, 1.0)[0]
               for lo, hi in zip(edges[:-1], edges[1:]))
     assert psi == pytest.approx(ref, rel=1e-4)
 
@@ -356,13 +355,13 @@ def test_suite_evaluates_phi_and_psi_once_per_grid(monkeypatch):
     w = rest_worldline()
     phi4 = CountingTestFunction(dimension=4, center=np.array([3.0, 0.0, 0.0, 0.0]),
                                 radius=1.0)
-    box_phi_arrays = association.box_phi_arrays
+    psi = association._psi
 
-    def counting_box_phi(*args, **kwargs):
-        psi_calls.append(np.shape(args[2]))
-        return box_phi_arrays(*args, **kwargs)
+    def counting_psi(fam, kin, *args):
+        psi_calls.append(np.shape(kin["K"]))
+        return psi(fam, kin, *args)
 
-    monkeypatch.setattr(association, "box_phi_arrays", counting_box_phi)
+    monkeypatch.setattr(association, "_psi", counting_psi)
     rep = association_suite(w, BUMP, SHORT, phi4=phi4)
     assert rep.passed, str(rep)
     # once per slab of 4 xi nodes x the grid's directions x 12 tau nodes,
@@ -424,7 +423,8 @@ def test_box_minus_lw_makes_no_stencil_and_no_retarded_solve(monkeypatch):
     for module in (fields, association):
         monkeypatch.setattr(module, "box_phi_fd", refuse, raising=False)
     monkeypatch.setattr(retarded, "_solve", refuse)
-    values = [claim_box_minus_lw(BUMP, g, eps, 1.0, phi4) for g in slabs]
+    values = [claim_box_minus_lw(g, BUMP.H(g.kin["xi"], eps), 1.0, phi4)
+              for g in slabs]
     assert values[0] != 0.0 and values[1] != 0.0
     assert values[2] == 0.0
 
@@ -434,7 +434,8 @@ def test_box_minus_lw_is_zero_off_the_shell():
     w, eps = rest_worldline(), 0.1
     g = slab(w, eps, 3.0, 8.0, 8)
     assert g.kin["xi"].min() > 2.0 * eps
-    assert claim_box_minus_lw(BUMP, g, eps, 1.0, track_test_function(w)) == 0.0
+    H = BUMP.H(g.kin["xi"], eps)
+    assert claim_box_minus_lw(g, H, 1.0, track_test_function(w)) == 0.0
     assert g.pair(lam_H(g, BUMP, eps)) != 0.0     # the slab meets phi
 
 
@@ -488,7 +489,7 @@ def lab_frame_pairing(w, f, phi4, h, half_width, rho_max):
     t = mid(c0 - radius, c0 + radius)
     s = mid(-half_width, half_width)
     rho = mid(0.0, rho_max)
-    z1 = w.z(_tau_simultaneous(w, t))[:, 1]
+    z1 = w.z(w.tau_at(t))[:, 1]
     X = np.zeros((s.size, rho.size, 4))
     X[..., 1] = s[:, None]
     X[..., 2] = rho
@@ -545,7 +546,7 @@ def test_tau_windows_hold_every_time_in_the_ball_extent(w, lo, hi):
     ray, tau_lo, tau_hi = association._tau_windows(w, phi, xi, m)
     assert ray.size > xi.size           # some rays have more than one piece
     first = association._first_retarded_time(w, phi)
-    last = _tau_simultaneous(w, phi.center[0] + phi.radius)
+    last = w.tau_at(phi.center[0] + phi.radius)
     tau = np.linspace(first, last, 2001)
     t = association._ray_lab_time(w, np.repeat(xi, tau.size),
                                   np.repeat(m, tau.size, axis=0),
@@ -659,17 +660,17 @@ def test_psi_sup_diverges_like_inverse_eps():
 def test_stencil_certifies_each_neighbour_on_its_start(w, per_neighbour,
                                                        monkeypatch):
     # at rest a neighbour's light-cone start is its root, so the warm
-    # solve's first evaluation of z both solves and certifies it: on n
-    # shell nodes the stencil evaluates z at exactly 8n eigentimes and
-    # never solves cold.  On hyperbolic(1) the start misses by O(h^3), and
-    # a second evaluation at most certifies each neighbour
+    # solve's first evaluation of the jet both solves and certifies it: on
+    # n shell nodes the stencil evaluates the jet at exactly 8n eigentimes
+    # and never solves cold.  On hyperbolic(1) the start misses by O(h^3),
+    # and a second evaluation at most certifies each neighbour
     eps = 0.1
     g = slab(w, eps, 1.0, 2.0)
     evaluated = []
 
-    def z(tau):
+    def jet(tau, order=2):
         evaluated.append(np.size(tau))
-        return w.z(tau)
+        return w.jet(tau, order)
 
     solve = retarded._solve
 
@@ -679,7 +680,7 @@ def test_stencil_certifies_each_neighbour_on_its_start(w, per_neighbour,
         return solve(w_, X, tau0)
 
     monkeypatch.setattr(retarded, "_solve", warm_only)
-    counted = Worldline(w.label, z=z, zdot=w.zdot, zddot=w.zddot)
+    counted = Worldline(w.label, jet=jet, tau_at=w.tau_at)
     box_phi_fd(counted, BUMP, g.points, eps, kin=g.kin)
     assert sum(evaluated) <= per_neighbour * 8 * len(g.points)
 

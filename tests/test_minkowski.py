@@ -19,6 +19,15 @@ from pointcharge.minkowski import (
 
 TAU_GRID = np.linspace(-5.0, 5.0, 401)
 
+# the catalog and the fast or strongly accelerated worldlines the suite
+# also runs on
+WORLDLINES = catalog() + [
+    hyperbolic_worldline(-1.0), hyperbolic_worldline(5.0),
+    boost_worldline(0.9998979539769781), circular_worldline(1.0, 0.9),
+]
+WORLDLINE_IDS = ["rest", "boost", "hyperbolic", "circular", "hyperbolic-1",
+                 "hyperbolic5", "boost-gamma70", "circular0.9"]
+
 
 def test_metric_signature():
     assert np.array_equal(METRIC, [1.0, -1.0, -1.0, -1.0])
@@ -116,13 +125,46 @@ def test_parse_worldline_rejects_bad_specs(spec):
 
 def test_validate_catches_bad_parametrization():
     # coordinate-time parametrization of a moving charge is not eigentime
-    from pointcharge.minkowski import Worldline, _fill
+    from pointcharge.minkowski import Worldline, _jet
 
     bad = Worldline(
         label="coordinate-time",
-        z=lambda t: _fill(t, t, 0.6 * t, 0.0, 0.0),
-        zdot=lambda t: _fill(t, 1.0, 0.6, 0.0, 0.0),
-        zddot=lambda t: _fill(t, 0.0, 0.0, 0.0, 0.0),
+        jet=lambda t, order=2: _jet(t, order, lambda: (t, 0.6 * t),
+                                    lambda: (1.0, 0.6), lambda: ()),
+        tau_at=lambda t: t,
     )
     rep = validate_worldline(bad, TAU_GRID)
     assert not rep.passed
+
+
+def test_validate_catches_a_bad_lab_time_inverse():
+    from pointcharge.minkowski import Worldline
+
+    w = boost_worldline(0.6)
+    bad = Worldline(label="boost", jet=w.jet, tau_at=lambda t: w.tau_at(t) + 1e-6)
+    rep = validate_worldline(bad, TAU_GRID)
+    assert not rep.passed
+    assert len(rep.failures) == 1 and "tau_at" in rep.failures[0]
+
+
+@pytest.mark.parametrize("w", WORLDLINES, ids=WORLDLINE_IDS)
+@pytest.mark.parametrize("shape", [(), (7, 3)], ids=["0d", "7x3"])
+def test_jet_matches_the_evaluators(w, shape):
+    tau = np.random.default_rng(11).uniform(-3.0, 3.0, size=shape)
+    for order in range(3):
+        jet = w.jet(tau, order)
+        assert len(jet) == order + 1
+        for got, evaluator in zip(jet, (w.z, w.zdot, w.zddot)):
+            assert got.shape == shape + (4,)
+            assert np.array_equal(got, evaluator(tau))
+    assert len(w.jet(tau)) == 3
+
+
+@pytest.mark.parametrize("w", WORLDLINES, ids=WORLDLINE_IDS)
+def test_tau_at_inverts_lab_time(w):
+    tau = np.linspace(-5.0, 5.0, 1001)
+    back = w.tau_at(w.z(tau)[..., 0])
+    assert np.all(np.abs(back - tau) <= 1e-12 * np.maximum(1.0, np.abs(tau)))
+    # a 0-d lab time gives a 0-d eigentime
+    assert np.ndim(w.tau_at(np.asarray(2.0))) == 0
+    assert float(w.tau_at(w.z(np.asarray(2.0))[0])) == pytest.approx(2.0, rel=1e-12)

@@ -18,7 +18,6 @@ from pointcharge.minkowski import (
 )
 from pointcharge.retarded import (
     _neighbour_tau0,
-    _tau_simultaneous,
     div_K_fd,
     grad_tau_check,
     grad_xi,
@@ -217,7 +216,7 @@ def test_cold_solve_brackets_points_with_no_cone_root_behind(monkeypatch):
     X = np.empty((n, 4))
     X[:, 0] = rng.uniform(2.5, 6.0, n)
     X[:, 1:] = rng.uniform(-4.0, 4.0, (n, 3))
-    hi = _tau_simultaneous(w, X[:, 0])
+    hi = w.tau_at(X[:, 0])
     P = X - w.z(hi)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         start = hi + retarded._cone_root(1.0 - inner(w.zddot(hi), P),
@@ -242,26 +241,24 @@ def test_cold_solve_brackets_points_with_no_cone_root_behind(monkeypatch):
 ], ids=["rest", "boost0.6", "boost0.999"])
 def test_cold_solve_certifies_inertial_points_on_their_start(w):
     # the light-cone condition expanded to second order about the
-    # simultaneous eigentime is exact on inertial worldlines, so after
-    # tau_s the cold solve evaluates z at exactly 2n eigentimes: once at
-    # tau_s, for the start, and once at the start, which certifies every
-    # point.  A bracketed Newton from a lab-time guess took 7n at rest and
-    # 10.9n and 14.1n on these boosts
+    # simultaneous eigentime tau_s is exact on inertial worldlines, and
+    # tau_s is in closed form, so the cold solve evaluates the jet at
+    # exactly 2n eigentimes: once at tau_s, for the start, and once at the
+    # start, which certifies every point.  A bracketed Newton from a
+    # lab-time guess took 7n evaluations of z at rest and 10.9n and 14.1n
+    # on these boosts
     pts = np.random.default_rng(23).uniform(-4.0, 4.0, size=(500, 4))
     pts[:, 0] += 6.0
     n = len(pts)
     sizes = []
 
-    def z(t):
+    def jet(t, order=2):
         sizes.append(np.size(t))
-        return w.z(t)
+        return w.jet(t, order)
 
-    counted = Worldline(w.label, z=z, zdot=w.zdot, zddot=w.zddot)
-    _tau_simultaneous(counted, pts[:, 0])
-    simultaneous = list(sizes)
-    sizes.clear()
+    counted = Worldline(w.label, jet=jet, tau_at=w.tau_at)
     retarded._solve(counted, pts)
-    assert sizes == simultaneous + [n, n]
+    assert sizes == [n, n]
 
 
 def hyperbolic_tau(a):
@@ -287,7 +284,7 @@ def test_hyperbolic_matches_closed_form(a):
     # moves at v = 0.998
     w = hyperbolic_worldline(a)
     X = ball(20261019, 5000)
-    X[:, 1:] += w.z(_tau_simultaneous(w, np.asarray(3.0)))[1:]
+    X[:, 1:] += w.z(w.tau_at(3.0))[1:]
     tau = kinematics_arrays(w, X)["tau_r"]
     assert np.abs(tau - hyperbolic_tau(a)(X)).max() <= 1e-10
 
@@ -417,12 +414,12 @@ def test_converged_points_leave_the_newton_iteration(w):
     tau = kinematics_arrays(w, pts)["tau_r"]
     sizes = []
 
-    def z(t):
+    def jet(t, order=2):
         sizes.append(np.size(t))
-        return w.z(t)
+        return w.jet(t, order)
 
     n = pts.shape[0]
-    counted = Worldline(w.label, z=z, zdot=w.zdot, zddot=w.zddot)
+    counted = Worldline(w.label, jet=jet, tau_at=w.tau_at)
     again = retarded._solve(counted, pts, tau)[0]
     # one evaluation over the batch both certifies the root and gives R there
     assert sizes == [n]
