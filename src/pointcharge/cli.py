@@ -21,8 +21,8 @@ import numpy as np
 from . import distalg
 from .association import CLAIM_NAMES, MIN_LIMIT_POINTS, association_suite, \
     bump_test_function, track_test_function
-from .errors import ConfigError, InvalidMollifier, PointChargeError, \
-    UnsupportedAtom
+from .errors import BehindHorizon, ConfigError, InvalidMollifier, \
+    PointChargeError, UnsupportedAtom
 from .fields import box_phi_arrays, box_phi_fd, phi_arrays
 from .minkowski import catalog, inner, parse_worldline, validate_worldline
 from .regularization import family, family_check, geometric_grid
@@ -415,8 +415,9 @@ def build_parser():
     return p
 
 
-# malformed input; any other PointChargeError means no answer exists
-INPUT_ERRORS = (ConfigError, InvalidMollifier, UnsupportedAtom)
+# malformed input (a point behind the past horizon has no retarded time to
+# ask for); any other PointChargeError means no answer exists
+INPUT_ERRORS = (ConfigError, InvalidMollifier, UnsupportedAtom, BehindHorizon)
 
 
 def _stage(args):

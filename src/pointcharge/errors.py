@@ -19,6 +19,11 @@ class OnWorldline(PointChargeError):
     """Observer point coincides with the worldline; retarded distance is 0."""
 
 
+class BehindHorizon(PointChargeError):
+    """Observer point lies behind the worldline's past horizon: its past
+    light cone meets no point of the worldline, so it has no retarded time."""
+
+
 class InvalidMollifier(PointChargeError):
     pass
 

@@ -22,8 +22,13 @@ def inner(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return (a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
-            - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
+    # in place, left to right: the bits of the plain expression with three
+    # temporaries fewer
+    out = a[..., 0] * b[..., 0]
+    out -= a[..., 1] * b[..., 1]
+    out -= a[..., 2] * b[..., 2]
+    out -= a[..., 3] * b[..., 3]
+    return out
 
 
 def lower(a):

@@ -6,7 +6,11 @@ light cone (R0 > 0).  Along the worldline, g > 0 before the retarded
 crossing, negative between the retarded and advanced crossings, and
 positive again afterwards, so any bracket [lo, hi] with g(lo) > 0,
 g(hi) < 0 and hi at the simultaneous point Z0(hi) = X0, tau_at(X0),
-isolates tau_r.  Each solver pass takes z and zdot from one jet.
+isolates tau_r.  Each solver pass takes z and zdot from one jet.  A
+cold solve starts at the retarded root of the osculating hyperbola (the
+uniformly accelerated worldline with the same z, zdot and zddot) at the
+light-delayed eigentime, which is exact for inertial and uniformly
+accelerated motion.
 
 All solver routines are vectorized over arrays of observer points of
 shape (..., 4); a single point of shape (4,) gives a float tau_r.
@@ -14,7 +18,7 @@ shape (..., 4); a single point of shape (4,) gives a float tau_r.
 
 import numpy as np
 
-from .errors import NoConvergence, OnWorldline
+from .errors import BehindHorizon, NoConvergence, OnWorldline
 from .minkowski import METRIC, inner, lower
 
 DEFAULT_TOL = 1e-12
@@ -41,8 +45,9 @@ def _g(w, X, tau):
 
 def _past_end(w, X, hi, step):
     """Lower bracket end: doubling strides, the first of length `step`, down
-    from hi until g > 0 (nan counts as not yet).  None exists e.g. behind
-    the horizon of an eternally accelerated worldline."""
+    from hi until g > 0 (nan counts as not yet).  None exists behind the
+    past horizon of an eternally accelerated worldline, whose past light
+    cone no point of the worldline reaches: BehindHorizon."""
     lo = hi - step
     step = np.broadcast_to(np.asarray(step, dtype=float), lo.shape)
     for _ in range(MAX_ITER):
@@ -52,20 +57,21 @@ def _past_end(w, X, hi, step):
             return lo
         lo = np.where(moving, lo - step, lo)
         step = np.where(moving, 2.0 * step, step)
-    raise NoConvergence(MAX_ITER, float(np.abs(g[moving]).max()))
+    raise BehindHorizon("observer point lies behind the worldline's past "
+                        "horizon and has no retarded time")
 
 
-def _rtsafe(fdf, t, lo, hi, ftol, xtol, floor=0.0):
+def _rtsafe(fdf, t, lo, hi, ftol, xtol):
     """Safeguarded Newton per point (Numerical Recipes' rtsafe, sec. 9.4),
     iterating only the points not yet converged.
 
     fdf(idx, t) returns f (increasing through the root) and df/dt at the
     points idx.  f < 0 / f > 0 moves lo / hi to t; a step that leaves
     [lo, hi] or meets df <= 0 bisects instead.  A point converges when
-    |f| <= ftol and either |step| <= xtol*max(1, |t|) or |f| <= floor (f at
-    its rounding floor, where a step is noise); one that turns non-finite
-    (an unbounded bracket) is dropped.  Returns the iterates and the mask
-    of converged points.
+    |f| <= ftol and |step| <= xtol*max(1, |t|), so an f that fdf rounds to
+    0 converges where it is; one that turns non-finite (an unbounded
+    bracket) is dropped.  Returns the iterates and the mask of converged
+    points.
     """
     t, lo, hi = t.copy(), lo.copy(), hi.copy()
     ftol = np.broadcast_to(ftol, t.shape)
@@ -82,10 +88,8 @@ def _rtsafe(fdf, t, lo, hi, ftol, xtol, floor=0.0):
             newton = ta - f / df
             bad = ~np.isfinite(newton) | (newton < a) | (newton > b) | ~(df > 0)
             new = np.where(bad, 0.5 * (a + b), newton)
-            af = np.abs(f)
-            conv = ((af <= ftol[active])
-                    & ((np.abs(new - ta) <= xtol * np.maximum(1.0, np.abs(new)))
-                       | (af <= floor)))
+            conv = ((np.abs(f) <= ftol[active])
+                    & (np.abs(new - ta) <= xtol * np.maximum(1.0, np.abs(new))))
         t[active], lo[active], hi[active] = new, a, b
         done[active] = conv
         active = active[~conv & np.isfinite(new)]
@@ -98,10 +102,52 @@ def _scale(X):
     return np.maximum(1.0, X[:, 0]**2 + X[:, 1]**2 + X[:, 2]**2 + X[:, 3]**2)
 
 
+def _floor(X, R, RE):
+    """The rounding floor of R.R formed from R = X - z(tau), for X and R of
+    shape (n, 4) and RE = Euclidean |R|^2: z_mu comes back within about
+    eps_mach |z_mu| <= eps_mach (|X_mu| + |R_mu|), which moves R.R by up to
+    2 eps_mach sum_mu |R_mu| (|X_mu| + |R_mu|); the floor is twice that, by
+    components as in _scale.  It follows R, so near the worldline it lies
+    far below eps_mach max(1, |X|^2)."""
+    return 4.0 * np.finfo(float).eps * (
+        np.abs(R[:, 0] * X[:, 0]) + np.abs(R[:, 1] * X[:, 1])
+        + np.abs(R[:, 2] * X[:, 2]) + np.abs(R[:, 3] * X[:, 3]) + RE)
+
+
 def _cone_root(A, B, C):
     """The retarded root u = C/(B + sqrt(max(B^2 - AC, 0))) of
     C - 2 B u + A u^2 = 0, in a form that does not cancel."""
     return C / (B + np.sqrt(np.maximum(B * B - A * C, 0.0)))
+
+
+def _hyperbola_start(w, X, tau):
+    """Start for points X of shape (n, 4): the retarded root of the light
+    cone of X on the osculating hyperbola at tau (n,), the uniformly
+    accelerated worldline with the z, zdot and zddot of one jet at tau and
+    proper acceleration alpha = sqrt(-zddot.zddot).  Along it z(tau + d) =
+    z + zdot sinh(alpha d)/alpha + zddot (cosh(alpha d) - 1)/alpha^2, so with
+    P = X - z and sigma = (exp(alpha d) - 1)/alpha, exp(alpha d) R.R = 0 is
+
+        C - 2 sigma (B - alpha C/2) + sigma^2 (A - alpha B) = 0,
+
+    A = 1 - zddot.P, B = zdot.P, C = P.P, and d = log1p(alpha sigma)/alpha
+    (d = sigma where alpha sigma = 0).  As alpha -> 0 it is the light-cone
+    condition with the worldline expanded to second order about tau
+    (Teitelboim, Villarroel & van Weert, Riv. Nuovo Cimento 3, 1980).  The
+    start is exact to rounding on inertial and uniformly accelerated
+    worldlines.  Where the hyperbola has no root behind (strong acceleration
+    far out) the start is not finite or off, and the warm loop steps from it
+    or drops the point.  Unlike
+    the quadratic in exp(a tau) built from X.X (Fulton & Rohrlich 1960), P
+    does not cancel near the worldline."""
+    z, zd, zdd = w.jet(tau)
+    P = np.subtract(X, z, out=z)
+    B, C = inner(zd, P), inner(P, P)
+    alpha = np.sqrt(np.maximum(-inner(zdd, zdd), 0.0))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sigma = _cone_root(1.0 - inner(zdd, P) - alpha * B, B - 0.5 * alpha * C, C)
+        u = alpha * sigma
+        return tau + np.where(u == 0.0, sigma, np.log1p(u) / alpha)
 
 
 def _solve(w, X, tau0=None):
@@ -110,29 +156,26 @@ def _solve(w, X, tau0=None):
 
     With a start tau0 (broadcast to the points), _warm_loop runs from it,
     and a point the loop cannot certify is solved again without one.
-    Without a start the loop runs from the retarded root of the light-cone
-    condition with the worldline expanded to second order about the
-    simultaneous eigentime tau_s = w.tau_at(X0) (exact on inertial
-    worldlines), z, zdot and zddot there coming from one jet.  A point it
-    cannot certify is bracketed between _past_end and tau_s and solved by
-    _rtsafe on -R.R from its start, clipped; R and xi are then evaluated
-    once at that root."""
+    Without a start z is evaluated alone at the simultaneous eigentime
+    tau_s = w.tau_at(X0), for the on-worldline test and the lab distance
+    d = |x - z(tau_s)| of the spatial parts, and the loop runs from
+    _hyperbola_start at the light-delayed eigentime tau_e =
+    w.tau_at(X0 - d): three evaluations per point where that start is the
+    root.  A point it cannot certify is bracketed between _past_end and
+    tau_s and solved by _rtsafe on -R.R from its start, clipped; R and xi
+    are then evaluated once at that root."""
     shape = X.shape[:-1]
     X = X.reshape(-1, 4)
     scale = _scale(X)
     if tau0 is None:
         hi = w.tau_at(X[:, 0])
-        z, zd, zdd = w.jet(hi)
+        z = w.jet(hi, 0)[0]
         P = np.subtract(X, z, out=z)    # X - z(tau_s), in z's place
-        if np.any(np.linalg.norm(P[:, 1:], axis=-1) < ON_WORLDLINE_DIST * np.sqrt(scale)):
+        d = np.sqrt(P[:, 1]**2 + P[:, 2]**2 + P[:, 3]**2)   # as in _scale
+        if np.any(d < ON_WORLDLINE_DIST * np.sqrt(scale)):
             raise OnWorldline("observer point lies on the worldline")
-        # _neighbour_tau0's expansion about tau_s, with P = X - z(tau_s) for
-        # R +- h e_mu; where it has no root behind tau_s (strong
-        # acceleration, far out) the start is not finite or lies ahead, and
-        # the loop drops it
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            t = hi + _cone_root(1.0 - inner(zdd, P), inner(zd, P), inner(P, P))
-        del z, P, zd, zdd
+        del z, P
+        t = _hyperbola_start(w, X, w.tau_at(X[:, 0] - d))
     else:
         t = np.array(np.broadcast_to(tau0, shape), dtype=float).ravel()
     tau, R, xi, solved = _warm_loop(w, X, t, scale)
@@ -146,20 +189,20 @@ def _solve(w, X, tau0=None):
         def fdf(idx, t):
             # -R.R and its derivative 2 xi, both over s = max(scale,
             # Euclidean |R|^2 = 2 R0^2 - R.R), which leaves the step as it
-            # is.  Inside [lo, tau_s] R0 > 0, and a root there has xi > 0
+            # is; R.R within its rounding floor counts as 0, since a step
+            # there is noise.  Inside [lo, tau_s] R0 > 0, and a root there
+            # has xi > 0
             z, zd = w.jet(t, 1)
-            Rt = Xc[idx] - z
+            Xi = Xc[idx]
+            Rt = np.subtract(Xi, z, out=z)
             g = inner(Rt, Rt)
-            s = np.maximum(sc[idx], 2.0 * Rt[:, 0] * Rt[:, 0] - g)
+            RE = 2.0 * Rt[:, 0] * Rt[:, 0] - g
+            s = np.maximum(sc[idx], RE)
+            g[np.abs(g) <= _floor(Xi, Rt, RE)] = 0.0
             return -g / s, 2.0 * inner(zd, Rt) / s
 
-        # the floor is the rounding of R.R formed from R = X - z(tau): z_mu
-        # comes back within about eps_mach |z_mu| <= eps_mach (|X_mu| +
-        # |R_mu|), which moves R.R by up to 2 eps_mach sum |R_mu| (|X_mu| +
-        # |R_mu|) <= 4 eps_mach s (on the axis ahead of a fast charge R.R
-        # cancels, and that rounding keeps it above eps_mach s)
         tc, ok = _rtsafe(fdf, np.clip(tau[cold], lo, hc), lo, hc, DEFAULT_TOL,
-                         DEFAULT_TOL, 4.0 * np.finfo(float).eps)
+                         DEFAULT_TOL)
         if not ok.all():
             raise NoConvergence(MAX_ITER, float(np.abs(_g(w, Xc[~ok], tc[~ok])).max()))
         tau[cold] = tc
@@ -173,22 +216,23 @@ def _warm_loop(w, X, t, scale):
     """Newton on R.R, unbracketed, for points X of shape (n, 4) from starts
     t of shape (n,), with scale = _scale(X); returns (tau, R, xi, solved).
 
-    Every iterate is tested: R0 > 0, xi > 0 and either |R.R| <= eps_mach*s,
-    the rounding floor of s = max(1, |X|^2, Euclidean |R|^2), or
-    |R.R| <= DEFAULT_TOL*s with a step |R.R/(2 xi)| of at most
-    DEFAULT_TOL*max(1, |tau|).  The light cone of X meets the worldline
-    once in its past, so that certifies the retarded root.  The rounding
-    of R.R grows like (R0)^2, which far exceeds |X|^2 ahead of a fast
-    charge, so s follows R; at the floor a point passes whatever its step
-    (from gamma ~ 70 on, Newton's steps there can cycle above the step
-    bound).  A point that passes returns the tau,
-    R = X - z(tau) and xi = zdot.R of that very evaluation, so a start at
-    the root costs one evaluation.  A point whose iterate leaves R0 > 0,
-    xi > 0 (it heads for the advanced root) or turns non-finite, or that
-    has not passed after MAX_ITER evaluations, is not solved: its tau is
-    its start (t is written in place), and its R and xi are of no use.
+    Every iterate is tested: R0 > 0, xi > 0 and either |R.R| at or below
+    its rounding floor (_floor, which follows R), or |R.R| <= DEFAULT_TOL*s,
+    s = max(1, |X|^2, Euclidean |R|^2), with a step |R.R/(2 xi)| of at
+    most DEFAULT_TOL*max(1, |tau|).  The light cone of X meets the
+    worldline once in its past, so that certifies the retarded root.  The
+    rounding of R.R grows like (R0)^2, which far exceeds |X|^2 ahead of a
+    fast charge, and shrinks with |R| near the worldline, where R.R is far
+    below DEFAULT_TOL*s at any iterate and only the step decides.  At the
+    floor a point passes whatever its step (from gamma ~ 70 on, Newton's
+    steps there can cycle above the step bound).  A point that passes
+    returns the tau, R = X - z(tau) and xi = zdot.R of that very
+    evaluation, so a start at the root costs one evaluation.  A point whose
+    iterate leaves R0 > 0, xi > 0 (it heads for the advanced root) or
+    turns non-finite, or that has not passed after MAX_ITER evaluations, is
+    not solved: its tau is its start (t is written in place), and its R and
+    xi are of no use.
     """
-    floor = np.finfo(float).eps
     idx = None          # the points still iterating; None while all are
     for _ in range(MAX_ITER):
         Xa, sa = (X, scale) if idx is None else (X[idx], scale[idx])
@@ -198,14 +242,17 @@ def _warm_loop(w, X, t, scale):
             xa = inner(zd, Ra)
             g = inner(Ra, Ra)
             # Euclidean |R|^2 = 2 R0^2 - R.R
-            s = np.maximum(sa, 2.0 * Ra[:, 0] * Ra[:, 0] - g)
+            RE = 2.0 * Ra[:, 0] * Ra[:, 0] - g
             step = 0.5 * g / xa
             new = t + step
             ahead = (Ra[:, 0] > 0) & (xa > 0)
             ag = np.abs(g)
-            ok = ahead & ((ag <= floor * s) | (
-                (ag <= DEFAULT_TOL * s)
-                & (np.abs(step) <= DEFAULT_TOL * np.maximum(1.0, np.abs(new)))))
+            near = ahead & (ag <= DEFAULT_TOL * np.maximum(sa, RE))
+            ok = near & (np.abs(step) <= DEFAULT_TOL * np.maximum(1.0, np.abs(new)))
+            # the floor is at most 8 eps_mach s, so it decides only where
+            # the step bound fails
+            cycle = np.flatnonzero(near & ~ok)
+            ok[cycle] = ag[cycle] <= _floor(Xa[cycle], Ra[cycle], RE[cycle])
         go_on = ahead & ~ok & np.isfinite(new)
         if idx is None:
             tau, R, xi, solved = t, Ra, xa, ok
@@ -224,11 +271,11 @@ def _warm_loop(w, X, t, scale):
 def retarded_time(w, X):
     """Retarded proper time tau_r(X) for worldline w.
 
-    Newton iteration on g(tau) = R.R using dg/dtau = -2*xi from the
-    light-cone start about the simultaneous eigentime (_solve); a point it
-    cannot certify is bracketed, with a bisection fallback whenever the
-    Newton step leaves the bracket.  Returns the certified root plus its
-    last Newton step R.R/(2 xi).
+    Newton iteration on g(tau) = R.R using dg/dtau = -2*xi from the root
+    of the osculating hyperbola at the light-delayed eigentime (_solve); a
+    point it cannot certify is bracketed, with a bisection fallback
+    whenever the Newton step leaves the bracket.  Returns the certified
+    root plus its last Newton step R.R/(2 xi).
     """
     pts, scalar = _as_points(X)
     tau, R, xi = _solve(w, pts)

@@ -407,6 +407,13 @@ EXIT_CODES = [
      ["associate", "--claim", "heaviside"], 2),
     ("[testfunction]\nradius = -1", ["selfenergy"], 2),
     ("", ["associate", "--claim", "bogus"], 2),
+    # behind hyperbolic(1)'s past horizon, X0 + X1 <= 0, no point has a
+    # retarded time: a test-function ball whose lower cut lies there, and
+    # such a point
+    ("worldline = hyperbolic(1)\n[testfunction]\ncenter = 0.5, 1.118, 0, 0\n"
+     "radius = 1.5", ["associate"], 2),
+    ("worldline = hyperbolic(1)\n[points]\np1 = 1, -3, 0, 0", ["kinematics"], 2),
+    ("worldline = hyperbolic(1)\n[points]\np1 = 1, -3, 0, 0", ["fields", "eval"], 2),
     ("", ["distalg", "verify", "delta^(7)"], 0),
     ("max_delta_order = 64", ["distalg", "solve"], 0),
     ("", ["renormalize", "--mc2", "0.5"], 1),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointcharge.errors import OnWorldline, PointChargeError
+from pointcharge.errors import BehindHorizon, OnWorldline
 from pointcharge import retarded
 from pointcharge.minkowski import (
     METRIC,
@@ -204,51 +204,53 @@ def test_rounding_floor_counts_as_converged(monkeypatch):
 
 
 def test_cold_solve_brackets_points_with_no_cone_root_behind(monkeypatch):
-    # far from circular(1, 0.5) the light-cone condition expanded about the
-    # simultaneous eigentime tau_s can have no root behind tau_s: the start
-    # is then not finite or lies ahead, the warm loop drops the point at
-    # once, and the bracketed fallback solves it.  On these 10,000
-    # scattered points that happens at 145; the bisection oracle checks
-    # each
-    w = circular_worldline(1.0, 0.5)
+    # far from circular(1, 0.9) the osculating hyperbola at the
+    # light-delayed eigentime can have no root behind, or one the warm loop
+    # cannot certify: the bracketed fallback solves those points.  On these
+    # 10,000 scattered points that happens at 98 (at none on the slower
+    # circular(1, 0.5)); the bisection oracle checks each
+    w = circular_worldline(1.0, 0.9)
     rng = np.random.default_rng(7)
     n = 10000
     X = np.empty((n, 4))
     X[:, 0] = rng.uniform(2.5, 6.0, n)
     X[:, 1:] = rng.uniform(-4.0, 4.0, (n, 3))
-    hi = w.tau_at(X[:, 0])
-    P = X - w.z(hi)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        start = hi + retarded._cone_root(1.0 - inner(w.zddot(hi), P),
-                                         inner(w.zdot(hi), P), inner(P, P))
-    X = X[~(start < hi)]
     bracketed = []
     past_end = retarded._past_end
 
     def bracket(w_, X_, *args):
-        bracketed.append(len(X_))
+        bracketed.append(X_.copy())
         return past_end(w_, X_, *args)
 
     monkeypatch.setattr(retarded, "_past_end", bracket)
     tau = retarded_time(w, X)
-    assert bracketed == [len(X)] and len(X) > 0
     monkeypatch.undo()
+    assert len(bracketed) == 1 and len(bracketed[0]) > 0
+    cold = (X[:, None, :] == bracketed[0][None, :, :]).all(-1).any(-1)
+    assert cold.sum() == len(bracketed[0])
     assert np.abs(tau - retarded_time_bisection(w, X)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("w", [
     rest_worldline(), boost_worldline(0.6), boost_worldline(0.999),
-], ids=["rest", "boost0.6", "boost0.999"])
+    hyperbolic_worldline(1.0), hyperbolic_worldline(5.0),
+    hyperbolic_worldline(-1.0),
+], ids=["rest", "boost0.6", "boost0.999", "hyperbolic1", "hyperbolic5",
+        "hyperbolic-1"])
 def test_cold_solve_certifies_inertial_points_on_their_start(w):
-    # the light-cone condition expanded to second order about the
-    # simultaneous eigentime tau_s is exact on inertial worldlines, and
-    # tau_s is in closed form, so the cold solve evaluates the jet at
-    # exactly 2n eigentimes: once at tau_s, for the start, and once at the
-    # start, which certifies every point.  A bracketed Newton from a
-    # lab-time guess took 7n evaluations of z at rest and 10.9n and 14.1n
-    # on these boosts
+    # the osculating hyperbola is the worldline itself on inertial and
+    # uniformly accelerated motion, and tau_s and tau_e are in closed form,
+    # so the cold solve evaluates the jet at exactly 3n eigentimes: z alone
+    # at tau_s, for the on-worldline test and the lab distance, the jet at
+    # tau_e, for the start, and one pass at the start, which certifies
+    # every point.  A bracketed Newton from a lab-time guess took 7n
+    # evaluations of z at rest and 10.9n and 14.1n on these boosts
     pts = np.random.default_rng(23).uniform(-4.0, 4.0, size=(500, 4))
     pts[:, 0] += 6.0
+    if w.label == "hyperbolic":
+        # in front of the past horizon, X0 + X1 > 0 for a > 0 and
+        # X0 - X1 > 0 for a < 0
+        pts[:, 1] = np.abs(pts[:, 1]) * np.sign(w.zddot(0.0)[1]) + 0.1
     n = len(pts)
     sizes = []
 
@@ -258,7 +260,85 @@ def test_cold_solve_certifies_inertial_points_on_their_start(w):
 
     counted = Worldline(w.label, jet=jet, tau_at=w.tau_at)
     retarded._solve(counted, pts)
-    assert sizes == [n, n]
+    assert sizes == [n, n, n]
+
+
+def cone_points(w, rng, tau0, rho):
+    """X = z(tau0) + rho (1, n), n uniform on the sphere: points on the
+    future light cone of z(tau0), whose retarded time is tau0."""
+    d = rng.normal(size=(len(tau0), 3))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    X = w.z(tau0)
+    X[:, 0] += rho
+    X[:, 1:] += rho[:, None] * d
+    return X
+
+
+@pytest.mark.parametrize("a", [0.2, 1.0, 5.0, -1.0, -3.0])
+def test_cold_start_is_the_root_on_hyperbolic_motion(a, monkeypatch):
+    # the start alone, before the warm loop takes a step, lands on the
+    # retarded root from lab distance 1e-10 out to 3 (worst 7.7e-14
+    # here).  |a tau0| <= 1 keeps gamma <= 1.6 and the points off the
+    # OnWorldline test at rho = 1e-10; a local generator leaves the
+    # module's RNG stream to the other tests
+    w = hyperbolic_worldline(a)
+    rng = np.random.default_rng(5)
+    n = 2000
+    tau0 = rng.uniform(-1.0, 1.0, n) / abs(a)
+    X = cone_points(w, rng, tau0, 10.0 ** rng.uniform(-10.0, np.log10(3.0), n))
+    starts = []
+    warm_loop = retarded._warm_loop
+
+    def capture(w_, X_, t, scale):
+        starts.append(t.copy())
+        return warm_loop(w_, X_, t, scale)
+
+    monkeypatch.setattr(retarded, "_warm_loop", capture)
+    retarded._solve(w, X)
+    assert len(starts) == 1
+    assert np.all(np.abs(starts[0] - tau0) <= 1e-11 * np.maximum(1.0, np.abs(tau0)))
+
+
+@pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
+def test_warm_start_near_the_worldline_steps_to_the_root(w):
+    # at lab distance rho = 1e-9 or 1e-7, R.R is about 2 rho 1e-9 at a
+    # start 1e-9 off the root: far below eps_mach max(1, |X|^2), so a
+    # floor on that scale would certify the start itself, 1e-9 off.  The
+    # rounding floor of R.R formed from R follows |R| down, so Newton
+    # steps on to the root.  A start 1e-9 ahead at rho = 1e-9 sits between
+    # the retarded and advanced roots, where xi <= 0, and is solved cold
+    rng = np.random.default_rng(11)
+    n = 125
+    for rho in (1e-9, 1e-7):
+        tau0 = rng.uniform(-2.0, 2.0, n)
+        X = cone_points(w, rng, tau0, np.full(n, rho))
+        for sign in (1.0, -1.0):
+            tau = retarded._solve(w, X, tau0 + sign * 1e-9)[0]
+            assert np.all(np.abs(tau - tau0) <= 1e-11 * np.maximum(1.0, np.abs(tau0)))
+
+
+@pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
+def test_fallback_near_the_worldline_brackets_to_the_root(w, monkeypatch):
+    # the same points with every start left uncertified, then clipped to
+    # the bracket's ends: the bracketed fallback's floor follows R as the
+    # warm loop's does; a flat floor of 4 eps_mach on -R.R/s, s >= 1,
+    # would accept tau_s itself, rho off the root
+    rng = np.random.default_rng(13)
+    n = 125
+    for start in (-np.inf, np.inf):     # clipped to lo and to tau_s
+
+        def uncertified(w_, X_, t, scale):
+            m = len(X_)
+            return (np.full(m, start), np.zeros((m, 4)), np.zeros(m),
+                    np.zeros(m, dtype=bool))
+
+        monkeypatch.setattr(retarded, "_warm_loop", uncertified)
+        for rho in (1e-9, 1e-7):
+            tau0 = rng.uniform(-2.0, 2.0, n)
+            X = cone_points(w, rng, tau0, np.full(n, rho))
+            tau = retarded._solve(w, X)[0]
+            assert np.all(np.abs(tau - tau0)
+                          <= 1e-11 * np.maximum(1.0, np.abs(tau0)))
 
 
 def hyperbolic_tau(a):
@@ -452,9 +532,12 @@ def test_on_worldline_rejected():
 def test_hyperbolic_horizon_has_no_retarded_time():
     from pointcharge.minkowski import hyperbolic_worldline
 
-    # X0 + X1 <= 0 never intersects the backward light cone of the motion
-    with pytest.raises(PointChargeError):
-        retarded_time(hyperbolic_worldline(1.0), (1.0, -3.0, 0.0, 0.0))
+    # X0 + X1 <= 0 never intersects the backward light cone of the motion:
+    # the bracket search finds no lower end, and the error names the horizon
+    w = hyperbolic_worldline(1.0)
+    for solve in (retarded_time, retarded_time_bisection):
+        with pytest.raises(BehindHorizon, match="past horizon"):
+            solve(w, (1.0, -3.0, 0.0, 0.0))
 
 
 @given(
