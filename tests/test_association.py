@@ -559,6 +559,132 @@ def test_tau_windows_hold_every_time_in_the_ball_extent(w, lo, hi):
     assert np.all(held[gap < -1e-9]) and not np.any(held[gap > 1e-9])
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("w", [
+    rest_worldline(), hyperbolic_worldline(5.0), circular_worldline(1.0, 0.9),
+], ids=["rest", "hyperbolic5", "circular0.9"])
+def test_one_window_search_equals_a_search_per_panel(w):
+    # the suite searches the windows of every panel of every eps at once;
+    # each panel's share, turn pieces included, is the per-panel search's
+    phi = track_test_function(w)
+    span = association._retarded_span(w, phi)
+    dirs, _ = association.GRID_DIRECTIONS
+    panels = [gauss_panels((lo * eps, hi * eps), n)[0][0]
+              for eps in GRID for lo, hi, n in XI_PANELS]
+    shared = association._panel_windows(w, phi, panels, span)
+    turns = 0
+    for xi, mine in zip(panels, shared):
+        alone = association._tau_windows(w, phi, np.repeat(xi, len(dirs)),
+                                         np.tile(dirs, (xi.size, 1)), span)
+        assert all(same_bits(a, b) for a, b in zip(mine, alone))
+        turns += alone[0].size - xi.size * len(dirs)
+    assert (turns > 0) == (w.label.startswith("hyperbolic"))
+
+
+def test_suite_searches_tau_windows_once(monkeypatch):
+    calls = []
+    search = association._tau_windows
+
+    def counting_search(*args, **kwargs):
+        calls.append(args[2].size)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(association, "_tau_windows", counting_search)
+    rep = association_suite(rest_worldline(), BUMP, SHORT)
+    assert rep.passed, str(rep)
+    rays = sum(n for _, _, n in XI_PANELS) * len(association.GRID_DIRECTIONS[0])
+    assert calls == [rays * SHORT.size]
+
+
+def summed_phi(phi, x):
+    """TestFunction.__call__ with its squared radius from .sum(axis=-1)."""
+    if phi.dimension == 1:
+        y = (x - phi.center[0]) / phi.radius
+        rho2 = y * y
+    else:
+        y = (x - phi.center) / phi.radius
+        rho2 = (y * y).sum(axis=-1)
+    out = association.bump(rho2)
+    mask = rho2 < 1.0
+    if phi.poly is not None:
+        out[mask] *= phi.poly(y[mask])
+    return out
+
+
+def summed_box(phi, x):
+    """TestFunction.box with u from .sum(axis=-1)."""
+    y = (x - phi.center) / phi.radius
+    y2 = y * y
+    u = y2.sum(axis=-1)
+    f = association.bump(u)
+    s = np.zeros_like(u)
+    s[u < 1.0] = 1.0 / (1.0 - u[u < 1.0])
+    s2 = s * s
+    d1, d2 = -f * s2, f * s2 * (s2 - 2.0 * s)
+    return 4.0 * (d2 * (2.0 * y2[..., 0] - u) - d1) / phi.radius ** 2
+
+
+def unit_vectors(rng, n):
+    m = rng.normal(size=(n, 3))
+    return m / np.linalg.norm(m, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("d", [1, 3, 4])
+@pytest.mark.parametrize("poly", [False, True], ids=["bump", "poly"])
+def test_component_sums_keep_the_bits_of_phi(d, poly):
+    rng = np.random.default_rng([2030, d, poly])
+    center, radius = rng.normal(size=d), 0.7
+    factor = ((lambda y: 1.0 + y - 0.5 * y * y) if d == 1 else
+              (lambda y: 1.0 + y[:, 0] - 0.5 * y[:, -1] * y[:, -1]))
+    phi = bump_test_function(d, center, radius, factor if poly else None)
+    x = center + rng.uniform(-1.2 * radius, 1.2 * radius, size=(5000, d))
+    if d == 1:
+        x = x[:, 0]
+    values = phi(x)
+    assert np.count_nonzero(values) > 500
+    assert same_bits(values, summed_phi(phi, x))
+    if d == 4 and not poly:
+        assert same_bits(phi.box(x), summed_box(phi, x))
+
+
+def turned(w):
+    """w with its spatial axes turned, so that no component of its
+    velocity or acceleration vanishes and the order of a component sum
+    shows in its bits."""
+    q, _ = np.linalg.qr(np.random.default_rng(2030).normal(size=(3, 3)))
+
+    def jet(tau, order=2):
+        return tuple(np.concatenate([j[..., :1], j[..., 1:] @ q.T], axis=-1)
+                     for j in w.jet(tau, order))
+
+    return Worldline(w.label, jet, w.tau_at)
+
+
+@pytest.mark.parametrize("w", [
+    rest_worldline(), turned(boost_worldline(0.999)),
+    turned(hyperbolic_worldline(5.0)), turned(circular_worldline(1.0, 0.9)),
+], ids=["rest", "boost0.999", "hyperbolic5", "circular0.9"])
+def test_component_sums_keep_the_bits_of_the_grid_kinematics(w):
+    rng = np.random.default_rng([2030, len(w.label)])
+    tau, xi = rng.uniform(-1.0, 3.0, 4000), rng.uniform(0.0, 2.0, 4000)
+    m = unit_vectors(rng, tau.size)
+    z, zd, zdd = w.jet(tau)
+    v = zd[:, 1:]
+    vm = (v * m).sum(axis=-1)
+    K = np.empty_like(zd)
+    K[:, 0] = zd[:, 0] + vm
+    K[:, 1:] = v * (1.0 + vm / (1.0 + zd[:, 0]))[:, None] + m
+    assert same_bits(association._null_direction(zd, m), K)
+    t = z[:, 0] + xi * (zd[:, 0] + (zd[:, 1:] * m).sum(-1))
+    dt = zd[:, 0] + xi * (zdd[:, 0] + (zdd[:, 1:] * m).sum(-1))
+    got = association._ray_lab_time(w, xi, m, tau)
+    assert same_bits(got[0], t) and same_bits(got[1], dt)
+
+
 def test_grid_matches_a_lab_frame_oracle_where_lab_time_turns():
     # on the xi panel [0.2, 0.8] of hyperbolic(5), <g(xi), phi> with g a
     # sin^2 bump over the panel reads 1.35723e-2 on the grid, against
