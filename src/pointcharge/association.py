@@ -21,9 +21,10 @@ rule, exact on the sphere up to degree 9.  The grid's xi panels have
 edges at 0, 0.05*eps, eps and 2*eps: claims (b) and (d) integrate from
 xi = 0, and claim (c) runs on the shell slab only.  Claim (d) pairs in
 weak form, with box moved onto phi, so it needs no retarded solve and no
-finite-difference stencil.  The suite builds one slab of a few xi nodes
-at a time, pairs it with every claim that reads it and sums the pairings
-over the slabs.  Claim (d)'s scale <Lambda_0 H_eps(xi), phi> is summed
+finite-difference stencil.  The suite finds the tau windows of every
+ray of every (eps, xi panel) that a claim reads in one search, then builds
+one slab of up to 16 xi nodes at a time, pairs it with every claim that
+reads it and sums the pairings over the slabs.  Claim (d)'s scale <Lambda_0 H_eps(xi), phi> is summed
 at the last eps over the lab-frame band r in [0.05*eps, 8*eps] around the
 worldline's simultaneous track point, with a cold retarded solve per node.
 """
@@ -149,9 +150,11 @@ TAU_NODES = 12
 DIRECTIONS = 8
 # eigentimes at which _tau_windows samples dt/dtau on rays where t may turn
 TURN_SAMPLES = 33
-# xi nodes per slab: 4 x 38 directions x 12 tau nodes = 1,824 nodes, so
-# that few grid nodes and their kinematics are alive at a time
-SLAB_XI_NODES = 4
+# xi nodes per slab: the 4- and 8-node panels are one slab each and the
+# shell's 32 nodes two, 16 x 38 directions x 12 tau nodes = 7,296 nodes
+# at rest; fewer, larger numpy passes than slabs of 4 xi nodes, while
+# whole 32-node panels raise peak RSS
+SLAB_XI_NODES = 16
 
 
 def _angular_grid(n):
@@ -297,7 +300,9 @@ def _tau_windows(w, phi, xi, m, span=None):
     strongly accelerated charge, where t can fall before it rises) t turns
     where dt/dtau changes sign between two of TURN_SAMPLES eigentimes
     spread over [first, last].  span is _retarded_span(w, phi), computed
-    here if not given."""
+    here if not given.  Every step works per ray, so a ray's windows do
+    not depend on the other rays searched with it: the suite searches the
+    rays of all its panels at once (_panel_windows)."""
     c0, radius = phi.center[0], phi.radius
     first, last, alpha = _retarded_span(w, phi) if span is None else span
     samples = np.linspace(first, last, TURN_SAMPLES)
@@ -584,27 +589,6 @@ def box_minus_lw_scale(w, fam, phi, eps, e):
     return float((lam_H * phi(pts) * wts.ravel()).sum())
 
 
-def psi_sup_values(w, fam, eps_grid, e=1.0):
-    """sup over a shell sample of max-component |Psi_eps|, per eps.
-
-    Sample points sit on 200 rays from the worldline point at eigentime 1,
-    with radii covering the transition shell.
-    """
-    rng = np.random.default_rng(20260823)
-    dirs = rng.normal(size=(200, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    out = []
-    z = w.z(np.asarray(1.0))
-    for eps in eps_grid:
-        radii = np.linspace(0.3 * eps, 4.0 * eps, 80)
-        pts = np.empty((dirs.shape[0], radii.size, 4))
-        pts[..., 0] = z[0] + 1.5 * eps
-        pts[..., 1:] = z[1:] + radii[None, :, None] * dirs[:, None, :]
-        psi = _psi(fam, kinematics_arrays(w, pts), eps, e)
-        out.append(float(np.abs(psi).max()))
-    return np.array(out)
-
-
 @dataclass(frozen=True)
 class SuiteReport:
     results: dict
@@ -632,12 +616,13 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
                       claims=None):
     """Run the four claims; claim (a) only applies to the rest worldline.
 
-    Claims (b)-(d) make one pass over eps and, per eps, over the slabs of
-    the xi panels of XI_PANELS that a wanted claim reads: each slab (with
-    its kinematics and phi values) is built once, paired by every wanted
-    claim that reads it, and dropped before the next slab is built; claims
-    (b) and (d) share its H_eps.  Each claim sums its pairings over the
-    slabs; weak_limit then runs once per claim.  Pass a subset of
+    Claims (b)-(d) collect every (eps, xi panel of XI_PANELS) that a
+    wanted claim reads and find the tau windows of all their rays in one
+    search.  Then, per eps and panel, each slab (with its kinematics and
+    phi values) is built once, paired by every wanted claim that reads it,
+    and dropped before the next slab is built; claims (b) and (d) share its
+    H_eps.  Each claim sums its pairings over the slabs; weak_limit then
+    runs once per claim.  Pass a subset of
     CLAIM_NAMES as `claims` to restrict the run."""
     if claims is not None:
         unknown = set(claims) - set(CLAIM_NAMES)

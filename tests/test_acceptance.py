@@ -16,11 +16,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from pointcharge.association import (
-    association_suite,
-    bump_test_function,
-    psi_sup_values,
-)
+from oracles import psi_sup_values
+from pointcharge.association import association_suite, bump_test_function
 from pointcharge.distalg import (
     DistExpr,
     THETA,

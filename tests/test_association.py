@@ -14,11 +14,11 @@ from pointcharge.association import (
     claim_box_minus_lw,
     claim_charge_density,
     integral_of,
-    psi_sup_values,
     slice_grid,
     track_test_function,
     weak_limit,
 )
+from oracles import psi_sup_values
 from pointcharge.errors import NoTrend
 from pointcharge.fields import box_phi_fd, fd_steps
 from pointcharge.minkowski import Worldline, boost_worldline, circular_worldline, \
@@ -364,16 +364,16 @@ def test_suite_evaluates_phi_and_psi_once_per_grid(monkeypatch):
     monkeypatch.setattr(association, "_psi", counting_psi)
     rep = association_suite(w, BUMP, SHORT, phi4=phi4)
     assert rep.passed, str(rep)
-    # once per slab of 4 xi nodes x the grid's directions x 12 tau nodes,
-    # and Psi on the shell's 8 slabs only; integral_of does not evaluate
-    # phi, and claim (d)'s scale evaluates it once on its lab-frame band of
-    # 12 times x 12 radii x 64 directions
-    per_slab = association.SLAB_XI_NODES
-    directions = len(association.GRID_DIRECTIONS[0])
-    slab_shape = (per_slab * directions * 12, 4)
-    slabs = sum(n for _, _, n in XI_PANELS) // per_slab
-    assert phi_calls == [slab_shape] * (slabs * SHORT.size) + [(12 * 12 * 64, 4)]
-    assert psi_calls == [slab_shape] * (32 // per_slab * SHORT.size)
+    # once per slab x the grid's directions x 12 tau nodes, the slabs of
+    # each eps holding 4, 8, 16 and 16 xi nodes (the 4- and 8-node panels
+    # and the shell's two halves), and Psi on the shell's 2 slabs only;
+    # integral_of does not evaluate phi, and claim (d)'s scale evaluates it
+    # once on its lab-frame band of 12 times x 12 radii x 64 directions
+    assert association.SLAB_XI_NODES == 16
+    per_xi = len(association.GRID_DIRECTIONS[0]) * 12
+    per_eps = [(n * per_xi, 4) for n in (4, 8, 16, 16)]
+    assert phi_calls == per_eps * SHORT.size + [(12 * 12 * 64, 4)]
+    assert psi_calls == per_eps[2:] * SHORT.size
 
 
 def test_suite_frees_each_grid_before_the_next(monkeypatch):
@@ -392,9 +392,9 @@ def test_suite_frees_each_grid_before_the_next(monkeypatch):
     rep = association_suite(rest_worldline(), BUMP, SHORT,
                             claims=("heaviside", "psi_0"))
     assert rep.passed, str(rep)
-    # claim (b) reads the 11 slabs below 2 eps, which hold the shell's 8
+    # claim (b) reads the 4 slabs below 2 eps, which hold the shell's 2
     # that claim (c) reads
-    assert len(built) == 11 * SHORT.size
+    assert len(built) == 4 * SHORT.size
 
 
 def test_full_suite_boost():
