@@ -22,11 +22,12 @@ edges at 0, 0.05*eps, eps and 2*eps: claims (b) and (d) integrate from
 xi = 0, and claim (c) runs on the shell slab only.  Claim (d) pairs in
 weak form, with box moved onto phi, so it needs no retarded solve and no
 finite-difference stencil.  The suite finds the tau windows of every
-ray of every (eps, xi panel) that a claim reads in one search, then builds
-one slab of up to 16 xi nodes at a time, pairs it with every claim that
-reads it and sums the pairings over the slabs.  Claim (d)'s scale <Lambda_0 H_eps(xi), phi> is summed
-at the last eps over the lab-frame band r in [0.05*eps, 8*eps] around the
-worldline's simultaneous track point, with a cold retarded solve per node.
+ray of every (eps, xi panel) that a claim reads in one search, then
+builds one slab of up to 16 xi nodes at a time, pairs it with every claim
+that reads it and sums the pairings over the slabs.  Claim (d)'s scale
+<Lambda_0 H_eps(xi), phi> is summed at the last eps over the lab-frame
+band r in [0.05*eps, 8*eps] around the worldline's simultaneous track
+point, with a cold retarded solve per node.
 """
 
 import itertools
@@ -151,9 +152,9 @@ DIRECTIONS = 8
 # eigentimes at which _tau_windows samples dt/dtau on rays where t may turn
 TURN_SAMPLES = 33
 # xi nodes per slab: the 4- and 8-node panels are one slab each and the
-# shell's 32 nodes two, 16 x 38 directions x 12 tau nodes = 7,296 nodes
-# at rest; fewer, larger numpy passes than slabs of 4 xi nodes, while
-# whole 32-node panels raise peak RSS
+# shell's 32 nodes two (16 x 38 directions x 12 tau nodes = 7,296 nodes
+# at rest): 4 slabs per eps, each one set of numpy passes; whole 32-node
+# panels raise peak RSS
 SLAB_XI_NODES = 16
 
 
@@ -622,8 +623,8 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
     phi values) is built once, paired by every wanted claim that reads it,
     and dropped before the next slab is built; claims (b) and (d) share its
     H_eps.  Each claim sums its pairings over the slabs; weak_limit then
-    runs once per claim.  Pass a subset of
-    CLAIM_NAMES as `claims` to restrict the run."""
+    runs once per claim.  Pass a subset of CLAIM_NAMES as `claims` to
+    restrict the run."""
     if claims is not None:
         unknown = set(claims) - set(CLAIM_NAMES)
         if unknown:

@@ -628,11 +628,6 @@ def summed_box(phi, x):
     return 4.0 * (d2 * (2.0 * y2[..., 0] - u) - d1) / phi.radius ** 2
 
 
-def unit_vectors(rng, n):
-    m = rng.normal(size=(n, 3))
-    return m / np.linalg.norm(m, axis=1)[:, None]
-
-
 @pytest.mark.parametrize("d", [1, 3, 4])
 @pytest.mark.parametrize("poly", [False, True], ids=["bump", "poly"])
 def test_component_sums_keep_the_bits_of_phi(d, poly):
@@ -671,7 +666,8 @@ def turned(w):
 def test_component_sums_keep_the_bits_of_the_grid_kinematics(w):
     rng = np.random.default_rng([2030, len(w.label)])
     tau, xi = rng.uniform(-1.0, 3.0, 4000), rng.uniform(0.0, 2.0, 4000)
-    m = unit_vectors(rng, tau.size)
+    m = rng.normal(size=(tau.size, 3))
+    m /= np.linalg.norm(m, axis=1)[:, None]
     z, zd, zdd = w.jet(tau)
     v = zd[:, 1:]
     vm = (v * m).sum(axis=-1)
