@@ -2,7 +2,7 @@
 
 Submodules:
   minkowski       four-vectors, metric, eigentime worldline catalog
-  retarded        retarded-time solver, light-cone kinematics, stencil neighbours
+  retarded        retarded-time solver, light-cone kinematics
   regularization  Gauss panel rule, bump profile, mollifiers, Heaviside families
   fields          generating function Phi and its d'Alembertian split
   association     weak-limit pairings against test functions

@@ -32,10 +32,6 @@ class SmoothnessRequired(PointChargeError):
     """Operation needs H'' but the family was built from a piecewise mollifier."""
 
 
-class DegenerateNet(PointChargeError):
-    """A seminorm value vanished; the net is negligible at machine precision."""
-
-
 class NoTrend(PointChargeError):
     """Pairing values show no decreasing trend toward the target."""
 

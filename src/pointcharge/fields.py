@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SmoothnessRequired
 from .minkowski import METRIC
-from .retarded import _as_points, _solve, kinematics_arrays, neighbours
+from .retarded import _as_points, kinematics_arrays
 
 def _phi(fam, R, xi, eps, e):
     return 0.5 * e * R * fam.H(xi, eps)[..., None]
@@ -67,44 +67,32 @@ def fd_steps(X, xi, eps):
                       np.maximum(eps / 40.0, (xi - 2.0 * eps) / 20.0))
 
 
-def box_phi_fd(w, fam, X, eps, h=None, e=1.0, kin=None):
+# the 8 central-difference shifts +e_mu then -e_mu, mu = 0..3
+_SHIFTS = np.concatenate([np.eye(4), -np.eye(4)])
+
+
+def box_phi_fd(w, fam, X, eps, h=None, e=1.0):
     """d'Alembertian of Phi by central second differences (oracle path).
 
-    kin holds the kinematics at X as kinematics_arrays returns them
-    (solved here if not given).  Each neighbour X +- h e_mu is solved by
-    retarded._solve from the light-cone start of retarded._neighbour_tau0,
-    which is exact on inertial worldlines, so there one evaluation of the
-    worldline both solves and certifies the root.  Phi at the neighbour is
-    formed from the R and xi of the evaluation that certified its root; a
-    neighbour the Newton loop cannot certify from its start is solved
-    again without one.
+    The 8 neighbours X +- h e_mu of every point form one (..., 8, 4) array,
+    and Phi there is one phi_arrays call, so each neighbour is solved as
+    kinematics_arrays solves any point: from the certified root plus its
+    last Newton step, with R and xi formed at that stepped root.
     """
     pts, _ = _as_points(X)
-    if kin is None:
-        kin = kinematics_arrays(w, pts)
+    kin = kinematics_arrays(w, pts)
     if h is None:
         h = fd_steps(pts, kin["xi"], eps)
     h = np.asarray(h, dtype=float) * np.ones(pts.shape[:-1])
     twice_center = 2.0 * _phi(fam, kin["R"], kin["xi"], eps, e)
+    shifted = phi_arrays(w, fam, pts[..., None, :] + h[..., None, None] * _SHIFTS,
+                         eps, e)
     hh = (h * h)[..., None]
     total = np.zeros_like(pts)
-    for mu, Xp, tau_plus, Xm, tau_minus in neighbours(pts, kin, h):
-        plus = _phi(fam, *_solve(w, Xp, tau_plus)[1:], eps, e)
-        minus = _phi(fam, *_solve(w, Xm, tau_minus)[1:], eps, e)
+    for mu in range(4):
+        plus, minus = shifted[..., mu, :], shifted[..., 4 + mu, :]
         total += METRIC[mu] * (plus - twice_center + minus) / hh
     return total
-
-
-def static_phi(fam, r, eps, e=1.0):
-    """Regularized Coulomb potential e*H_eps(r)/r (vectorized in r)."""
-    r = np.asarray(r, dtype=float)
-    return e * fam.H(r, eps) / r
-
-
-def static_E_radial(fam, r, eps, e=1.0):
-    """Radial component of E = -grad phi."""
-    r = np.asarray(r, dtype=float)
-    return e * (fam.H(r, eps) / (r * r) - fam.dH(r, eps) / r)
 
 
 def static_rho(fam, r, eps, e=1.0):

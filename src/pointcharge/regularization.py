@@ -10,7 +10,7 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DegenerateNet, InvalidMollifier, SmoothnessRequired
+from .errors import InvalidMollifier, SmoothnessRequired
 
 # the mollifier integrals use GAUSS_PANELS equal panels of GAUSS_NODES
 # Gauss-Legendre nodes; H_1 is a cubic Hermite interpolant on H1_CELLS
@@ -272,37 +272,5 @@ def family_check(fam, eps_grid):
                         violations=tuple(violations), passed=not violations)
 
 
-@dataclass(frozen=True)
-class GeneralizedNet:
-    """eps-indexed net of payloads on a strictly decreasing grid in (0, 1]."""
-
-    eps: np.ndarray
-    payloads: tuple
-
-    def __post_init__(self):
-        eps = np.asarray(self.eps, dtype=float)
-        if np.any(eps <= 0) or np.any(eps > 1):
-            raise ValueError("eps grid must lie in (0, 1]")
-        if np.any(np.diff(eps) >= 0):
-            raise ValueError("eps grid must be strictly decreasing")
-        object.__setattr__(self, "eps", eps)
-        if len(self.payloads) != eps.size:
-            raise ValueError("one payload per eps required")
-
-
 def geometric_grid(start=0.1, ratio=0.5, count=6):
     return start * ratio ** np.arange(count)
-
-
-def moderateness_slope(net: GeneralizedNet, seminorm):
-    """Least-squares slope of log p(u_eps) against log eps.
-
-    A slope of -N estimates the moderateness exponent of the net.
-    """
-    if net.eps.size < 4:
-        raise ValueError("need at least 4 grid points for a slope estimate")
-    p = np.array([float(seminorm(u)) for u in net.payloads])
-    if np.any(p == 0.0):
-        raise DegenerateNet("negligible at machine precision")
-    slope, _ = np.polyfit(np.log(net.eps), np.log(p), 1)
-    return float(slope)

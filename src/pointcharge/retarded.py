@@ -6,11 +6,11 @@ light cone (R0 > 0).  Along the worldline, g > 0 before the retarded
 crossing, negative between the retarded and advanced crossings, and
 positive again afterwards, so any bracket [lo, hi] with g(lo) > 0,
 g(hi) < 0 and hi at the simultaneous point Z0(hi) = X0, tau_at(X0),
-isolates tau_r.  Each solver pass takes z and zdot from one jet.  A
-cold solve starts at the retarded root of the osculating hyperbola (the
-uniformly accelerated worldline with the same z, zdot and zddot) at the
-light-delayed eigentime, which is exact for inertial and uniformly
-accelerated motion.
+isolates tau_r.  Every solve goes through _solve, and each of its passes
+takes z and zdot from one jet.  It starts at the retarded root of the
+osculating hyperbola (the uniformly accelerated worldline with the same
+z, zdot and zddot) at the light-delayed eigentime, which is exact for
+inertial and uniformly accelerated motion.
 
 All solver routines are vectorized over arrays of observer points of
 shape (..., 4); a single point of shape (4,) gives a float tau_r.
@@ -19,7 +19,7 @@ shape (..., 4); a single point of shape (4,) gives a float tau_r.
 import numpy as np
 
 from .errors import BehindHorizon, NoConvergence, OnWorldline
-from .minkowski import METRIC, inner, lower
+from .minkowski import inner
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 100
@@ -150,39 +150,32 @@ def _hyperbola_start(w, X, tau):
         return tau + np.where(u == 0.0, sigma, np.log1p(u) / alpha)
 
 
-def _solve(w, X, tau0=None):
+def _solve(w, X):
     """(tau_r, R, xi) for points X of shape (..., 4), from the evaluation
     that certified tau_r, so R = X - z(tau_r) and xi = zdot.R there.
 
-    With a start tau0 (broadcast to the points), _warm_loop runs from it,
-    and a point the loop cannot certify is solved again without one.
-    Without a start z is evaluated alone at the simultaneous eigentime
-    tau_s = w.tau_at(X0), for the on-worldline test and the lab distance
-    d = |x - z(tau_s)| of the spatial parts, and the loop runs from
-    _hyperbola_start at the light-delayed eigentime tau_e =
-    w.tau_at(X0 - d): three evaluations per point where that start is the
-    root.  A point it cannot certify is bracketed between _past_end and
-    tau_s and solved by _rtsafe on -R.R from its start, clipped; R and xi
-    are then evaluated once at that root."""
+    z is evaluated alone at the simultaneous eigentime tau_s =
+    w.tau_at(X0), for the on-worldline test and the lab distance d =
+    |x - z(tau_s)| of the spatial parts, and _warm_loop runs from
+    _hyperbola_start at the light-delayed eigentime tau_e = w.tau_at(X0 -
+    d): three evaluations per point where that start is the root.  A point
+    the loop cannot certify is bracketed between _past_end and tau_s and
+    solved by _rtsafe on -R.R from its start, clipped; R and xi are then
+    evaluated once at that root."""
     shape = X.shape[:-1]
     X = X.reshape(-1, 4)
     scale = _scale(X)
-    if tau0 is None:
-        hi = w.tau_at(X[:, 0])
-        z = w.jet(hi, 0)[0]
-        P = np.subtract(X, z, out=z)    # X - z(tau_s), in z's place
-        d = np.sqrt(P[:, 1]**2 + P[:, 2]**2 + P[:, 3]**2)   # as in _scale
-        if np.any(d < ON_WORLDLINE_DIST * np.sqrt(scale)):
-            raise OnWorldline("observer point lies on the worldline")
-        del z, P
-        t = _hyperbola_start(w, X, w.tau_at(X[:, 0] - d))
-    else:
-        t = np.array(np.broadcast_to(tau0, shape), dtype=float).ravel()
+    hi = w.tau_at(X[:, 0])
+    z = w.jet(hi, 0)[0]
+    P = np.subtract(X, z, out=z)    # X - z(tau_s), in z's place
+    d = np.sqrt(P[:, 1]**2 + P[:, 2]**2 + P[:, 3]**2)   # as in _scale
+    if np.any(d < ON_WORLDLINE_DIST * np.sqrt(scale)):
+        raise OnWorldline("observer point lies on the worldline")
+    del z, P
+    t = _hyperbola_start(w, X, w.tau_at(X[:, 0] - d))
     tau, R, xi, solved = _warm_loop(w, X, t, scale)
     cold = ~solved
-    if cold.any() and tau0 is not None:
-        tau[cold], R[cold], xi[cold] = _solve(w, X[cold])
-    elif cold.any():
+    if cold.any():
         Xc, sc, hc = X[cold], scale[cold], hi[cold]
         lo = _past_end(w, Xc, hc, 1.0)
 
@@ -309,8 +302,8 @@ def retarded_time_bisection(w, X):
 def kinematics_arrays(w, X):
     """Batched kinematics; returns a dict of arrays keyed by quantity.
 
-    tau_r is retarded_time's root: the cold solve's certified root plus its
-    last Newton step, where R, zdot, zddot and xi are formed anew from one
+    tau_r is retarded_time's root: _solve's certified root plus its last
+    Newton step, where R, zdot, zddot and xi are formed anew from one
     jet."""
     pts, _ = _as_points(X)
     tau, R, xi = _solve(w, pts)
@@ -331,79 +324,3 @@ def kinematics_arrays(w, X):
         "zddot": zddot,
         "residual": inner(R, R),
     }
-
-
-def _neighbour_tau0(kin, mu, h):
-    """Starts tau_r + u for the solves at X +- h e_mu: u is the retarded root
-    of the light-cone condition at X +- h e_mu with the worldline expanded
-    to second order about tau_r (Teitelboim, Villarroel & van Weert, Riv.
-    Nuovo Cimento 3, 1980).  With P = R +- h e_mu,
-
-        P.P - 2 u zdot.P + u^2 (1 - zddot.P) = 0,
-
-    so u = _cone_root(A, B, C) with A = 1 - zddot.P, B = zdot.P and
-    C = P.P.  The start is exact to rounding on inertial worldlines and
-    misses the root by O(h^3) otherwise; the solve certifies the root.
-    kin is the kinematics at X, as kinematics_arrays returns them:
-    zdot.R = xi, zddot.R = xi kappa and R.R = residual."""
-    R, zd, zdd = kin["R"], kin["zdot"], kin["zddot"]
-    RR, zR, aR = kin["residual"], kin["xi"], kin["xi"] * kin["kappa"]
-    starts = []
-    for sign in (1.0, -1.0):
-        # a.P = a.R + dh a^mu for any a, and P.P = R.R + dh (2 R^mu + sign h)
-        dh = sign * METRIC[mu] * h
-        A = 1.0 - aR - dh * zdd[..., mu]
-        B = zR + dh * zd[..., mu]
-        C = RR + dh * (2.0 * R[..., mu] + sign * h)
-        starts.append(kin["tau_r"] + _cone_root(A, B, C))
-    return starts[0], starts[1]
-
-
-def neighbours(X, kin, h):
-    """For mu = 0..3, (mu, X + h e_mu, start, X - h e_mu, start): the
-    central-difference neighbours of X (..., 4), solved by the caller with
-    _solve from the starts of _neighbour_tau0; h is one step or one per
-    point."""
-    for mu in range(4):
-        Xp, Xm = X.copy(), X.copy()
-        Xp[..., mu] += h
-        Xm[..., mu] -= h
-        tau_plus, tau_minus = _neighbour_tau0(kin, mu, h)
-        yield mu, Xp, tau_plus, Xm, tau_minus
-
-
-def grad_tau_check(w, X, h=1e-4):
-    """Max componentwise gap between central differences of tau_r and K.
-
-    The analytic gradient with respect to the coordinates X^mu is the
-    lowered K vector; the finite-difference error is O(h^2).
-    """
-    pts, _ = _as_points(X)
-    k = kinematics_arrays(w, pts)
-    K_low = lower(k["K"])
-    worst = 0.0
-    for mu, Xp, tau_plus, Xm, tau_minus in neighbours(pts, k, h):
-        fd = (_solve(w, Xp, tau_plus)[0] - _solve(w, Xm, tau_minus)[0]) / (2 * h)
-        worst = max(worst, float(np.abs(fd - K_low[..., mu]).max()))
-    return worst
-
-
-def grad_xi(w, X):
-    """Analytic gradient of the retarded distance.
-
-    Returned contravariant, G = Zdot + (xi*kappa - 1) K, so that
-    d(xi)/dX^mu equals the lowered components of G.  Never zero.
-    """
-    k = kinematics_arrays(w, X)
-    return k["zdot"] + (k["xi"] * k["kappa"] - 1.0)[..., None] * k["K"]
-
-
-def div_K_fd(w, X, h=1e-4):
-    """Coordinate divergence sum_mu dK^mu/dX^mu by central differences."""
-    pts, _ = _as_points(X)
-    k = kinematics_arrays(w, pts)
-    total = 0.0
-    for mu, Xp, tau_plus, Xm, tau_minus in neighbours(pts, k, h):
-        (_, Rp, xp), (_, Rm, xm) = _solve(w, Xp, tau_plus), _solve(w, Xm, tau_minus)
-        total = total + (Rp[..., mu] / xp - Rm[..., mu] / xm) / (2 * h)
-    return total

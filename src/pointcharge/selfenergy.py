@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .regularization import GeneralizedNet
 from .retarded import _rtsafe
 
 # fewest grid values divergence_bound_check accepts
@@ -106,12 +105,6 @@ def divergence_bound_check(fam, eps_grid, e=1.0, mu=1.0):
         row_passed=~np.any(list(failed.values()), axis=0),
         passed=not violations,
     )
-
-
-def energy_net(fam, eps_grid, e=1.0, mu=1.0):
-    """Total self-energy as an eps-indexed net (never a single float)."""
-    ue, um, _ = _energies(fam, e, mu, eps_grid)
-    return GeneralizedNet(eps=eps_grid, payloads=tuple((ue + um).tolist()))
 
 
 def mass_renormalize(fam, e, mu, target_mc2):

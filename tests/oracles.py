@@ -1,9 +1,13 @@
 """Oracles that only the tests use, kept out of the package."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from pointcharge.fields import _psi
-from pointcharge.retarded import kinematics_arrays
+from pointcharge.errors import PointChargeError
+from pointcharge.fields import _SHIFTS, _psi
+from pointcharge.minkowski import lower
+from pointcharge.retarded import _as_points, kinematics_arrays
 
 
 def psi_sup_values(w, fam, eps_grid, e=1.0):
@@ -25,3 +29,89 @@ def psi_sup_values(w, fam, eps_grid, e=1.0):
         psi = _psi(fam, kinematics_arrays(w, pts), eps, e)
         out.append(float(np.abs(psi).max()))
     return np.array(out)
+
+
+def _neighbour_kinematics(w, X, h):
+    """kinematics_arrays at the 8 neighbours X +- h e_mu, as (..., 8) arrays
+    ordered as fields._SHIFTS: +e_0..+e_3, then -e_0..-e_3."""
+    pts, _ = _as_points(X)
+    return kinematics_arrays(w, pts[..., None, :] + h * _SHIFTS)
+
+
+def grad_tau_check(w, X, h=1e-4):
+    """Max componentwise gap between central differences of tau_r and K.
+
+    The analytic gradient with respect to the coordinates X^mu is the
+    lowered K vector; the finite-difference error is O(h^2).
+    """
+    K_low = lower(kinematics_arrays(w, X)["K"])
+    tau = _neighbour_kinematics(w, X, h)["tau_r"]
+    fd = (tau[..., :4] - tau[..., 4:]) / (2 * h)
+    return float(np.abs(fd - K_low).max())
+
+
+def grad_xi(w, X):
+    """Analytic gradient of the retarded distance.
+
+    Returned contravariant, G = Zdot + (xi*kappa - 1) K, so that
+    d(xi)/dX^mu equals the lowered components of G.  Never zero.
+    """
+    k = kinematics_arrays(w, X)
+    return k["zdot"] + (k["xi"] * k["kappa"] - 1.0)[..., None] * k["K"]
+
+
+def div_K_fd(w, X, h=1e-4):
+    """Coordinate divergence sum_mu dK^mu/dX^mu by central differences."""
+    K = _neighbour_kinematics(w, X, h)["K"]
+    total = 0.0
+    for mu in range(4):
+        total = total + (K[..., mu, mu] - K[..., 4 + mu, mu]) / (2 * h)
+    return total
+
+
+def static_phi(fam, r, eps, e=1.0):
+    """Regularized Coulomb potential e*H_eps(r)/r (vectorized in r)."""
+    r = np.asarray(r, dtype=float)
+    return e * fam.H(r, eps) / r
+
+
+def static_E_radial(fam, r, eps, e=1.0):
+    """Radial component of E = -grad phi."""
+    r = np.asarray(r, dtype=float)
+    return e * (fam.H(r, eps) / (r * r) - fam.dH(r, eps) / r)
+
+
+class DegenerateNet(PointChargeError):
+    """A seminorm value vanished; the net is negligible at machine precision."""
+
+
+@dataclass(frozen=True)
+class GeneralizedNet:
+    """eps-indexed net of payloads on a strictly decreasing grid in (0, 1]."""
+
+    eps: np.ndarray
+    payloads: tuple
+
+    def __post_init__(self):
+        eps = np.asarray(self.eps, dtype=float)
+        if np.any(eps <= 0) or np.any(eps > 1):
+            raise ValueError("eps grid must lie in (0, 1]")
+        if np.any(np.diff(eps) >= 0):
+            raise ValueError("eps grid must be strictly decreasing")
+        object.__setattr__(self, "eps", eps)
+        if len(self.payloads) != eps.size:
+            raise ValueError("one payload per eps required")
+
+
+def moderateness_slope(net: GeneralizedNet, seminorm):
+    """Least-squares slope of log p(u_eps) against log eps.
+
+    A slope of -N estimates the moderateness exponent of the net.
+    """
+    if net.eps.size < 4:
+        raise ValueError("need at least 4 grid points for a slope estimate")
+    p = np.array([float(seminorm(u)) for u in net.payloads])
+    if np.any(p == 0.0):
+        raise DegenerateNet("negligible at machine precision")
+    slope, _ = np.polyfit(np.log(net.eps), np.log(p), 1)
+    return float(slope)

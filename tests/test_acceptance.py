@@ -16,7 +16,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from oracles import psi_sup_values
+from oracles import GeneralizedNet, grad_tau_check, moderateness_slope, psi_sup_values
 from pointcharge.association import association_suite, bump_test_function
 from pointcharge.distalg import (
     DistExpr,
@@ -34,17 +34,14 @@ from pointcharge.distalg import (
     upsilon,
 )
 from pointcharge.fields import box_phi_arrays, box_phi_fd, static_rho
-from pointcharge.minkowski import catalog, inner, lower, rest_worldline
+from pointcharge.minkowski import catalog, inner, rest_worldline
 from pointcharge.regularization import (
-    GeneralizedNet,
     boxcar_mollifier,
     bump_mollifier,
     geometric_grid,
     make_family,
-    moderateness_slope,
 )
 from pointcharge.retarded import (
-    grad_tau_check,
     kinematics_arrays,
     retarded_time,
     retarded_time_bisection,

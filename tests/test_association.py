@@ -18,19 +18,16 @@ from pointcharge.association import (
     track_test_function,
     weak_limit,
 )
-from oracles import psi_sup_values
+from oracles import GeneralizedNet, moderateness_slope, psi_sup_values
 from pointcharge.errors import NoTrend
-from pointcharge.fields import box_phi_fd, fd_steps
 from pointcharge.minkowski import Worldline, boost_worldline, circular_worldline, \
     hyperbolic_worldline, inner, rest_worldline
-from pointcharge.retarded import _solve, kinematics_arrays, neighbours
+from pointcharge.retarded import kinematics_arrays
 from pointcharge.regularization import (
     bump_mollifier,
     gauss_panels,
     geometric_grid,
     make_family,
-    moderateness_slope,
-    GeneralizedNet,
 )
 
 BUMP = make_family(bump_mollifier())
@@ -774,77 +771,3 @@ def test_psi_sup_diverges_like_inverse_eps():
     slope = moderateness_slope(net, abs)
     assert slope == pytest.approx(-1.0, abs=0.1)
     assert np.all(vals > 0)
-
-
-@pytest.mark.parametrize("w, per_neighbour", [
-    (rest_worldline(), 1), (hyperbolic_worldline(1.0), 2),
-], ids=["rest", "hyperbolic"])
-def test_stencil_certifies_each_neighbour_on_its_start(w, per_neighbour,
-                                                       monkeypatch):
-    # at rest a neighbour's light-cone start is its root, so the warm
-    # solve's first evaluation of the jet both solves and certifies it: on
-    # n shell nodes the stencil evaluates the jet at exactly 8n eigentimes
-    # and never solves cold.  On hyperbolic(1) the start misses by O(h^3),
-    # and a second evaluation at most certifies each neighbour
-    eps = 0.1
-    g = slab(w, eps, 1.0, 2.0)
-    evaluated = []
-
-    def jet(tau, order=2):
-        evaluated.append(np.size(tau))
-        return w.jet(tau, order)
-
-    solve = retarded._solve
-
-    def warm_only(w_, X, tau0=None):
-        if tau0 is None:
-            raise AssertionError("a neighbour was solved without its start")
-        return solve(w_, X, tau0)
-
-    monkeypatch.setattr(retarded, "_solve", warm_only)
-    counted = Worldline(w.label, jet=jet, tau_at=w.tau_at)
-    box_phi_fd(counted, BUMP, g.points, eps, kin=g.kin)
-    assert sum(evaluated) <= per_neighbour * 8 * len(g.points)
-
-
-@pytest.mark.parametrize("w", [
-    rest_worldline(), boost_worldline(0.6), hyperbolic_worldline(1.0),
-    circular_worldline(1.0, 0.5), hyperbolic_worldline(5.0),
-    boost_worldline(0.999),
-], ids=["rest", "boost", "hyperbolic", "circular", "hyperbolic5", "boost0.999"])
-def test_warm_neighbours_match_the_cold_solve(w):
-    # tau_r, R and xi of box_phi_fd's stencil neighbours, solved warm from
-    # their light-cone starts around every shell node at eps = 0.1, the
-    # suite's largest step, against a cold solve of the same points.  Each
-    # solve certifies its root to a step of 1e-12*max(1, |tau|), and the
-    # warm solve returns the tau, R = X - z(tau) and xi = zdot.R of the
-    # evaluation that passed, so the two roots agree to twice that, and R
-    # and xi to what such a tau error moves them: zdot0 and |xi kappa - 1|
-    # times it.  xi also carries the rounding of zdot.R at each solve:
-    # z_mu(tau) comes back within about half an ulp of |z_mu| and R_mu
-    # within half an ulp of |R_mu|, so the two solves' xi may differ by
-    # eps_mach sum |zdot_mu| (|z_mu| + |R_mu|) more.  That term matters
-    # where xi kappa ~ 1: on the worst neighbour (hyperbolic(5), zdot0 = 18)
-    # the gap is 1.8e-14, the tau term 2.3e-15 and the rounding term
-    # 3.1e-14, and on 117 of its 144,096 neighbours the gap exceeds the tau
-    # term alone; on the other worldlines none does.  Measured against
-    # 1e-12*max(1, |tau|): tau up to 1.01x, R up to 17x (hyperbolic(5)),
-    # xi up to 1.7x; the xi gap beyond its tau term reaches 0.50 of the
-    # rounding term
-    eps = 0.1
-    g = slab(w, eps, 1.0, 2.0)
-    X, kin = g.points, g.kin
-    for _, Xp, tau_plus, Xm, tau_minus in neighbours(X, kin, fd_steps(X, kin["xi"], eps)):
-        for Xn, start in ((Xp, tau_plus), (Xm, tau_minus)):
-            tau, R, xi = _solve(w, Xn, start)
-            assert np.array_equal(R, Xn - w.z(tau))
-            assert np.array_equal(xi, inner(w.zdot(tau), R))
-            cold = kinematics_arrays(w, Xn)
-            tol = 2e-12 * np.maximum(1.0, np.abs(cold["tau_r"]))
-            assert np.all(np.abs(tau - cold["tau_r"]) <= tol)
-            assert np.all(np.abs(R - cold["R"]) <= (tol * cold["zdot"][:, 0])[:, None])
-            rounding = np.finfo(float).eps * (np.abs(cold["zdot"])
-                                              * (np.abs(Xn - cold["R"])
-                                                 + np.abs(cold["R"]))).sum(-1)
-            assert np.all(np.abs(xi - cold["xi"])
-                          <= tol * np.abs(cold["xi"] * cold["kappa"] - 1.0) + rounding)

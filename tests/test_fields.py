@@ -9,8 +9,6 @@ from pointcharge.fields import (
     box_phi_fd,
     fd_steps,
     phi_arrays,
-    static_E_radial,
-    static_phi,
     static_rho,
 )
 from pointcharge.minkowski import catalog, rest_worldline
@@ -21,22 +19,22 @@ from pointcharge.regularization import (
     make_family,
 )
 from pointcharge.retarded import kinematics_arrays
+from oracles import static_E_radial, static_phi
 
 BUMP = make_family(bump_mollifier())
 BOX = make_family(boxcar_mollifier())
 RNG = np.random.default_rng(7)
 
 
-def shell_points(w, eps, n, lo=1.1, hi=1.9, t_window=(0.5, 2.0)):
+def shell_points(w, eps, n, lo=1.1, hi=1.9, t_window=(0.5, 2.0), rng=RNG):
     """Points whose retarded distance xi lies in [lo*eps, hi*eps].
 
     Radii are iterated toward the target xi (xi ~ r up to the Doppler
     factor, which is bounded for the catalog worldlines), then filtered.
     """
-    pts = []
-    target = RNG.uniform(lo * eps, hi * eps, size=4 * n)
-    tau = RNG.uniform(*t_window, size=4 * n)
-    d = RNG.normal(size=(4 * n, 3))
+    target = rng.uniform(lo * eps, hi * eps, size=4 * n)
+    tau = rng.uniform(*t_window, size=4 * n)
+    d = rng.normal(size=(4 * n, 3))
     d /= np.linalg.norm(d, axis=1)[:, None]
     z = w.z(tau)
     rad = target.copy()
@@ -108,10 +106,14 @@ def test_analytic_box_phi_matches_fd_outside(w):
 
 @pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
 def test_analytic_box_phi_matches_fd_in_shell(w):
+    # criterion 3's step: the gap falls 4x per halving of h, and over
+    # default_rng seeds 0-39 it broke the bound on 28 at eps/320 (worst
+    # 4.9e-3, hyperbolic) and on none at eps/1280 (worst 3.0e-4); a local
+    # generator makes the points independent of the tests run before
     eps = 0.05
-    pts = shell_points(w, eps, 30)
+    pts = shell_points(w, eps, 30, rng=np.random.default_rng(110))
     _, _, tot = box_phi_arrays(w, BUMP, pts, eps)
-    fd = box_phi_fd(w, BUMP, pts, eps, h=eps / 320.0)
+    fd = box_phi_fd(w, BUMP, pts, eps, h=eps / 1280.0)
     rel = np.abs(fd - tot).max(axis=-1) / np.maximum(np.abs(tot).max(axis=-1), 1.0)
     assert rel.max() <= 1e-3
 
@@ -133,18 +135,7 @@ def rel_gap(a, b):
             / np.maximum(np.abs(b).max(axis=-1), 1.0)).max()
 
 
-@pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
-def test_warm_stencil_matches_cold_stencil(w):
-    # box_phi_fd solves each neighbour warm from its light-cone start; the
-    # reference re-solves all nine points cold
-    eps = 0.05
-    pts = np.concatenate([shell_points(w, eps, 20), outside_points(w, eps, 20)])
-    h = fd_steps(pts, kinematics_arrays(w, pts)["xi"], eps)
-    cold = stencil(lambda X: phi_arrays(w, BUMP, X, eps), pts, h)
-    assert rel_gap(box_phi_fd(w, BUMP, pts, eps), cold) <= 1e-6
-
-
-def test_warm_stencil_matches_closed_form_stencil_at_rest():
+def test_stencil_matches_closed_form_stencil_at_rest():
     # at rest tau_r = X0 - |x|, R = (|x|, x) and xi = |x|
     w = rest_worldline()
     eps = 0.05
@@ -174,7 +165,7 @@ def test_stencil_keeps_the_leading_shape():
 @pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
 def test_phi_arrays_matches_full_kinematics(w):
     # phi_arrays forms Phi from the R and xi of kinematics_arrays, as
-    # box_phi_fd forms it at each neighbour from the warm solve's R and xi
+    # box_phi_fd forms it at its centre
     eps, e = 0.05, 1.5
     pts = np.concatenate([shell_points(w, eps, 10), outside_points(w, eps, 10)])
     kin = kinematics_arrays(w, pts)

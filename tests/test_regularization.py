@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pointcharge.errors import (
-    DegenerateNet,
-    InvalidMollifier,
-    SmoothnessRequired,
-)
+from oracles import DegenerateNet, GeneralizedNet, moderateness_slope
+from pointcharge.errors import InvalidMollifier, SmoothnessRequired
 from pointcharge.regularization import (
-    GeneralizedNet,
     Mollifier,
     _bump_norm,
     boxcar_mollifier,
@@ -18,7 +14,6 @@ from pointcharge.regularization import (
     gauss_panels,
     geometric_grid,
     make_family,
-    moderateness_slope,
     parse_mollifier,
 )
 

@@ -5,7 +5,6 @@ from scipy.optimize import brentq
 
 from pointcharge.errors import OutOfRange
 from pointcharge.regularization import (
-    GeneralizedNet,
     boxcar_mollifier,
     bump_mollifier,
     geometric_grid,
@@ -13,7 +12,6 @@ from pointcharge.regularization import (
 )
 from pointcharge.selfenergy import (
     divergence_bound_check,
-    energy_net,
     mass_renormalize,
     sup_dh,
     u_ele,
@@ -152,13 +150,6 @@ def test_electric_magnetic_inequality_small_eps():
             a = 2.0 * u_ele(fam, 1.0, eps)
             b = 3.0 * u_mag(fam, 1.0, eps)
             assert a <= b * (1 + 1e-12)
-
-
-def test_energy_net_is_a_net():
-    net = energy_net(BUMP, GRID)
-    assert isinstance(net, GeneralizedNet)
-    assert len(net.payloads) == GRID.size
-    assert all(v > 0 for v in net.payloads)
 
 
 def test_mass_renormalize_residual():
