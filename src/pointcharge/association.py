@@ -23,11 +23,12 @@ xi = 0, and claim (c) runs on the shell slab only.  Claim (d) pairs in
 weak form, with box moved onto phi, so it needs no retarded solve and no
 finite-difference stencil.  The suite finds the tau windows of every
 ray of every (eps, xi panel) that a claim reads in one search, then
-builds one slab of up to 16 xi nodes at a time, pairs it with every claim
-that reads it and sums the pairings over the slabs.  Claim (d)'s scale
-<Lambda_0 H_eps(xi), phi> is summed at the last eps over the lab-frame
-band r in [0.05*eps, 8*eps] around the worldline's simultaneous track
-point, with a cold retarded solve per node.
+builds one slab of up to 16 xi nodes at a time on the windows of its
+rays, pairs it with every claim that reads it and sums the pairings over
+the slabs.  Claim (d)'s scale <Lambda_0 H_eps(xi), phi> is summed at the
+last eps over the lab-frame band r in [0.05*eps, 8*eps] around the
+worldline's simultaneous track point, with a cold retarded solve per
+node.
 """
 
 import itertools
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import NoConvergence, NoTrend, OnWorldline
 from .fields import _psi, static_rho
-from .minkowski import inner
+from .minkowski import _dot, inner
 from .regularization import bump, gauss_panels
 from .retarded import DEFAULT_TOL, MAX_ITER, _rtsafe, kinematics_arrays, \
     retarded_time
@@ -91,17 +92,6 @@ class TestFunction:
         d1, d2 = -f * s2, f * s2 * (s2 - 2.0 * s)
         return (4.0 * (d2 * (2.0 * (y[..., 0] * y[..., 0]) - u) - d1)
                 / self.radius ** 2)
-
-
-def _dot(a, b):
-    """(a * b).sum(axis=-1) over a last axis of 3 or 4 components, by
-    components left to right, as minkowski.inner: numpy adds so short an
-    axis in that order, so the bits are the same, without the product
-    array and at about a third of the reduction's cost."""
-    out = a[..., 0] * b[..., 0]
-    for k in range(1, a.shape[-1]):
-        out += a[..., k] * b[..., k]
-    return out
 
 
 def bump_test_function(dimension, center, radius, poly=None):
@@ -277,36 +267,28 @@ def _lab_time_turn(w, xi, m, lo, hi, sign):
     return turn
 
 
-def _retarded_span(w, phi):
-    """(first, last, alpha): the retarded times [first, last] that phi's
-    support ball can have, last being the eigentime at lab time c0 +
-    radius, and the largest proper acceleration alpha at TURN_SAMPLES
-    eigentimes spread over them.  One set per test function and
-    worldline, shared by every ray of a run."""
-    first = _first_retarded_time(w, phi)
-    last = float(w.tau_at(phi.center[0] + phi.radius))
-    zdd = w.zddot(np.linspace(first, last, TURN_SAMPLES))
-    return first, last, np.sqrt(max(0.0, float(-inner(zdd, zdd).min())))
-
-
-def _tau_windows(w, phi, xi, m, span=None):
+def _tau_windows(w, phi, xi, m):
     """The eigentime windows of the rays (xi, m) on which the ray's lab time
     lies in phi's time extent [c0 - radius, c0 + radius], cut to the
-    retarded times [first, last] that phi's support ball can have.
+    retarded times [first, last] that phi's support ball can have, last
+    being the eigentime at lab time c0 + radius.
 
     Returns (ray, lo, hi), one window per piece of [first, last] on which
     a ray's lab time t is monotone.  Along a ray dt/dtau >= zdot0 (1 - 2 xi
-    alpha), alpha the proper acceleration, so t rises throughout on every
+    alpha), alpha the largest proper acceleration at TURN_SAMPLES
+    eigentimes spread over [first, last], so t rises throughout on every
     ray with 2 xi alpha < 1: one piece.  On the other rays (behind a
     strongly accelerated charge, where t can fall before it rises) t turns
-    where dt/dtau changes sign between two of TURN_SAMPLES eigentimes
-    spread over [first, last].  span is _retarded_span(w, phi), computed
-    here if not given.  Every step works per ray, so a ray's windows do
-    not depend on the other rays searched with it: the suite searches the
-    rays of all its panels at once (_panel_windows)."""
+    where dt/dtau changes sign between two of those eigentimes.  Every step
+    works per ray, so a ray's windows do not depend on the other rays
+    searched with it: the suite searches the rays of all its slabs at once
+    (_slabs)."""
     c0, radius = phi.center[0], phi.radius
-    first, last, alpha = _retarded_span(w, phi) if span is None else span
+    first = _first_retarded_time(w, phi)
+    last = float(w.tau_at(c0 + radius))
     samples = np.linspace(first, last, TURN_SAMPLES)
+    zdd = w.zddot(samples)
+    alpha = np.sqrt(max(0.0, float(-inner(zdd, zdd).min())))
     # the pieces as (ray, lo, hi, sign of dt/dtau)
     ray = np.arange(xi.size)
     lo, hi, sign = np.full(xi.size, first), np.full(xi.size, last), np.ones(xi.size)
@@ -346,13 +328,12 @@ class SliceGrid:
     kin: dict
     phi_values: np.ndarray  # (n,), the test function the grid was built for
 
-    def pair(self, values, where=slice(None)):
-        """<values, phi> on the nodes `where` (all by default), given
-        `values` at those nodes only."""
-        return float((values * self.phi_values[where] * self.weights[where]).sum())
+    def pair(self, values):
+        """<values, phi>, given `values` at the nodes."""
+        return float((values * self.phi_values * self.weights).sum())
 
 
-def slice_grid(w, phi, xi, xi_weights, windows=None):
+def slice_grid(w, phi, xi, xi_weights, windows):
     """The slab of the retarded-coordinate grid at the xi nodes `xi` (with
     their quadrature weights) over phi's support ball, with the
     kinematics at its nodes in closed form, under kinematics_arrays' keys.
@@ -363,7 +344,7 @@ def slice_grid(w, phi, xi, xi_weights, windows=None):
     GRID_DIRECTIONS, and TAU_NODES Gauss nodes in tau on each window of
     _tau_windows, where the ray's lab time lies in the ball's time extent
     [c0 - radius, c0 + radius].  windows is _tau_windows of the slab's rays
-    (xi-major, one per direction per xi node), computed here if not given.
+    (xi-major, one per direction per xi node).
     """
     if phi.dimension != 4:
         raise ValueError("spacetime pairing needs a 4D test function")
@@ -372,7 +353,7 @@ def slice_grid(w, phi, xi, xi_weights, windows=None):
     ray_m = np.tile(dirs, (xi.size, 1))
     ray_w = np.tile(wa, xi.size) * ray_xi * ray_xi * np.repeat(
         xi_weights, dirs.shape[0])
-    ray, lo, hi = _tau_windows(w, phi, ray_xi, ray_m) if windows is None else windows
+    ray, lo, hi = windows
     (x,), _, wt = gauss_panels((-1.0, 1.0), TAU_NODES)
     half = 0.5 * (hi - lo)[:, None]
     tau = (0.5 * (hi + lo)[:, None] + half * x).ravel()
@@ -383,45 +364,32 @@ def slice_grid(w, phi, xi, xi_weights, windows=None):
     R = node_xi[:, None] * K
     pts = z + R
     kin = {"tau_r": tau, "R": R, "xi": node_xi, "K": K,
-           "kappa": inner(zddot, K), "zdot": zdot, "zddot": zddot,
-           "residual": inner(R, R)}
+           "kappa": inner(zddot, K), "zdot": zdot, "zddot": zddot}
     return SliceGrid(points=pts, weights=wts.ravel(), kin=kin, phi_values=phi(pts))
 
 
-def _rays_in(windows, start, stop):
-    """The windows (ray, lo, hi) of the rays start .. stop - 1, numbered
-    from 0, in their order in `windows`."""
-    ray, lo, hi = windows
-    mine = (ray >= start) & (ray < stop)
-    return ray[mine] - start, lo[mine], hi[mine]
-
-
-def _panel_windows(w, phi, panels, span):
-    """The tau windows of the rays of every xi panel in `panels` (a list of
-    xi node arrays), found by one _tau_windows search over all of them,
-    span being _retarded_span(w, phi).  A panel's rays are xi-major, one
-    per direction of GRID_DIRECTIONS per xi node.  Returns one (ray, lo,
-    hi) per panel, its rays numbered from 0 and in the order a search on
-    the panel alone gives them: every ray's first window, then the turn
-    pieces.  Each step of the search works per ray, so the windows are
-    those of a search per panel, bit for bit."""
+def _slabs(w, phi, panels):
+    """(panel index, slab) for every xi panel in `panels`, a list of (xi
+    nodes, quadrature weights), SLAB_XI_NODES of its xi nodes at a time,
+    built one by one.  One _tau_windows search finds the windows of the
+    rays of every panel, xi-major, one per direction of GRID_DIRECTIONS per
+    xi node; a slab takes those of its own rays, numbered from 0, in the
+    order of the search: every ray's first window, then the turn pieces.
+    Each step of the search works per ray, so they are the windows of a
+    search on the slab's rays alone, bit for bit."""
     dirs = GRID_DIRECTIONS[0]
-    xi = np.concatenate(panels)
-    windows = _tau_windows(w, phi, np.repeat(xi, len(dirs)),
-                           np.tile(dirs, (xi.size, 1)), span)
-    edges = len(dirs) * np.cumsum([0] + [p.size for p in panels])
-    return [_rays_in(windows, a, b) for a, b in zip(edges[:-1], edges[1:])]
-
-
-def _slabs(w, phi, xi, xi_weights, windows):
-    """The slabs of one xi panel, SLAB_XI_NODES of its xi nodes `xi` (with
-    their quadrature weights) at a time, built one by one from the panel's
-    tau windows, as _panel_windows gives them; no slab searches."""
-    per_xi = len(GRID_DIRECTIONS[0])
-    for i in range(0, xi.size, SLAB_XI_NODES):
-        part = slice(i, i + SLAB_XI_NODES)
-        mine = _rays_in(windows, i * per_xi, (i + SLAB_XI_NODES) * per_xi)
-        yield slice_grid(w, phi, xi[part], xi_weights[part], mine)
+    xi = np.concatenate([p[0] for p in panels])
+    ray, lo, hi = _tau_windows(w, phi, np.repeat(xi, len(dirs)),
+                               np.tile(dirs, (xi.size, 1)))
+    a = 0   # the slab's first ray
+    for k, (x, wx) in enumerate(panels):
+        for i in range(0, x.size, SLAB_XI_NODES):
+            part = slice(i, i + SLAB_XI_NODES)
+            b = a + len(dirs) * x[part].size
+            mine = (ray >= a) & (ray < b)
+            yield k, slice_grid(w, phi, x[part], wx[part],
+                                (ray[mine] - a, lo[mine], hi[mine]))
+            a = b
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +405,6 @@ class AssociationResult:
     target: float
     tolerance: float
     passed: bool
-
-    def __str__(self):
-        status = "pass" if self.passed else "fail"
-        return (f"association: {status} limit={self.limit:.6g} "
-                f"target={self.target:.6g} order={self.order:.3g}")
 
 
 # differences below NOISE*scale count as converged in weak_limit
@@ -595,11 +558,6 @@ class SuiteReport:
     results: dict
     passed: bool
 
-    def __str__(self):
-        lines = [f"association suite: {'pass' if self.passed else 'fail'}"]
-        lines += [f"  {name}: {res}" for name, res in self.results.items()]
-        return "\n".join(lines)
-
 
 CLAIM_NAMES = ("charge_density", "heaviside", "psi_0", "psi_1", "psi_2",
                "psi_3", "box_minus_lw")
@@ -618,10 +576,10 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
     """Run the four claims; claim (a) only applies to the rest worldline.
 
     Claims (b)-(d) collect every (eps, xi panel of XI_PANELS) that a
-    wanted claim reads and find the tau windows of all their rays in one
-    search.  Then, per eps and panel, each slab (with its kinematics and
-    phi values) is built once, paired by every wanted claim that reads it,
-    and dropped before the next slab is built; claims (b) and (d) share its
+    wanted claim reads, and _slabs finds the tau windows of all their rays
+    in one search.  Each slab (with its kinematics and phi values) is then
+    built once, paired by every wanted claim that reads its panel, and
+    dropped before the next slab is built; claims (b) and (d) share its
     H_eps.  Each claim sums its pairings over the slabs; weak_limit then
     runs once per claim.  Pass a subset of CLAIM_NAMES as `claims` to
     restrict the run."""
@@ -651,24 +609,23 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
             if readers:
                 (xi,), half, wx = gauss_panels((lo * eps, hi * eps), nodes)
                 panels.append((k, readers, xi, half[0, 0] * wx))
-    windows = (_panel_windows(w, phi4, [p[2] for p in panels],
-                              _retarded_span(w, phi4)) if panels else [])
     vals = {n: [0.0] * len(eps_grid) for n in spacetime}
-    for (k, readers, xi, wx), panel_windows in zip(panels, windows):
+    slabs = _slabs(w, phi4, [p[2:] for p in panels]) if panels else ()
+    for p, g in slabs:
+        k, readers = panels[p][:2]
         eps = eps_grid[k]
         psi_names = [n for n in readers if n.startswith("psi_")]
-        for g in _slabs(w, phi4, xi, wx, panel_windows):
-            H = (fam.H(g.kin["xi"], eps)
-                 if {"heaviside", "box_minus_lw"} & set(readers) else None)
-            if "heaviside" in readers:
-                vals["heaviside"][k] += claim_heaviside(g, H)
-            if psi_names:
-                psi = claim_psi(fam, g, eps, e)
-                for name in psi_names:
-                    vals[name][k] += psi[int(name[-1])]
-            if "box_minus_lw" in readers:
-                vals["box_minus_lw"][k] += claim_box_minus_lw(g, H, e, phi4)
-            del g, H    # free this slab before the next one is built
+        H = (fam.H(g.kin["xi"], eps)
+             if {"heaviside", "box_minus_lw"} & set(readers) else None)
+        if "heaviside" in readers:
+            vals["heaviside"][k] += claim_heaviside(g, H)
+        if psi_names:
+            psi = claim_psi(fam, g, eps, e)
+            for name in psi_names:
+                vals[name][k] += psi[int(name[-1])]
+        if "box_minus_lw" in readers:
+            vals["box_minus_lw"][k] += claim_box_minus_lw(g, H, e, phi4)
+        del g, H    # free this slab before the next one is built
     for name in spacetime:
         if name == "heaviside":
             limit_at, scale = target, max(abs(target), 1e-3)

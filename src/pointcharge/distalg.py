@@ -2,8 +2,8 @@
 
 Atom alphabet: t^n (n >= 0), theta(t), finite parts tplus^-k / tminus^-k
 (k >= 1, with tminus^-k agreeing with t^-k on t < 0), and delta^(k).
-Expressions are canonical Fraction-linear combinations; theta(-t) is not
-canonical and is eliminated as 1 - theta(t).
+Expressions are canonical Fraction-linear combinations; theta(-t) has no
+atom and is written 1 - theta(t).
 
 The Euler operator u -> t*u' + u has particular solution tplus^-1 for the
 right-hand side delta, with two-dimensional homogeneous space spanned by
@@ -34,7 +34,6 @@ def mono(n):
 
 
 THETA = ("theta",)
-THETA_MINUS = ("theta-",)  # input-only; canonicalized away
 
 
 def fp_plus(k):
@@ -61,16 +60,7 @@ class DistExpr:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        canon = {}
-        for atom, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            if atom == THETA_MINUS:  # theta(-t) = 1 - theta(t)
-                canon[mono(0)] = canon.get(mono(0), Fraction(0)) + c
-                canon[THETA] = canon.get(THETA, Fraction(0)) - c
-            else:
-                canon[atom] = canon.get(atom, Fraction(0)) + c
+        canon = {a: Fraction(c) for a, c in (coeffs or {}).items()}
         self.coeffs = {a: c for a, c in canon.items() if c != 0}
 
     @classmethod
@@ -247,15 +237,11 @@ def solve_euler_delta(max_delta_order=3):
     return particular, homogeneous
 
 
-def upsilon(normalize_positive=True, c=Fraction(1), a0=Fraction(0)):
-    """t * (general Euler solution) = theta + (c - 1); the requirement of
-    being 1 on the positive axis forces c = 1, leaving exactly theta."""
-    if normalize_positive:
-        c = Fraction(1)
-    phi = DistExpr({fp_plus(1): Fraction(c),
-                    fp_minus(1): Fraction(c) - 1,
-                    delta(0): Fraction(a0)})
-    return mul_by_t(phi)
+def upsilon():
+    """t * (general Euler solution c tplus^-1 + (c - 1) tminus^-1 + a0
+    delta) = theta + (c - 1), whatever a0; the requirement of being 1 on
+    the positive axis forces c = 1, leaving exactly theta."""
+    return mul_by_t(DistExpr.atom(fp_plus(1)))
 
 
 # ---------------------------------------------------------------------------

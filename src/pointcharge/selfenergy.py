@@ -61,13 +61,6 @@ class SelfEnergyReport:
     row_passed: np.ndarray     # one verdict per eps: no violation there
     passed: bool
 
-    def __str__(self):
-        status = "pass" if self.passed else "fail"
-        lines = [f"self-energy bounds: {status}",
-                 f"  c0 = {self.c0:.12g}"]
-        lines += [f"  violated: {v}" for v in self.violations]
-        return "\n".join(lines)
-
 
 def divergence_bound_check(fam, eps_grid, e=1.0, mu=1.0):
     """Verify the divergence lower bounds on every grid point, up to a

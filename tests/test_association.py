@@ -140,6 +140,14 @@ def test_box_needs_a_4d_bump_without_a_poly_factor(phi):
         phi.box(np.zeros((1, phi.dimension)))
 
 
+def own_windows(w, phi, xi):
+    """The tau windows of a slab at the xi nodes `xi`, from a search on its
+    own rays: xi-major, one per direction of GRID_DIRECTIONS per node."""
+    dirs, _ = association.GRID_DIRECTIONS
+    return association._tau_windows(w, phi, np.repeat(xi, len(dirs)),
+                                    np.tile(dirs, (xi.size, 1)))
+
+
 def slab(w, eps, lo, hi, nodes=None):
     """The whole xi panel [lo*eps, hi*eps] of the default test function's
     grid as one slab, on the node count of XI_PANELS' panel [lo, hi]
@@ -147,7 +155,8 @@ def slab(w, eps, lo, hi, nodes=None):
     if nodes is None:
         nodes = {(a, b): n for a, b, n in XI_PANELS}[(lo, hi)]
     (xi,), half, wx = gauss_panels((lo * eps, hi * eps), nodes)
-    return slice_grid(w, track_test_function(w), xi, half[0, 0] * wx)
+    phi = track_test_function(w)
+    return slice_grid(w, phi, xi, half[0, 0] * wx, own_windows(w, phi, xi))
 
 
 def test_radial_nodes_resolve_the_shell():
@@ -564,21 +573,30 @@ def same_bits(a, b):
 @pytest.mark.parametrize("w", [
     rest_worldline(), hyperbolic_worldline(5.0), circular_worldline(1.0, 0.9),
 ], ids=["rest", "hyperbolic5", "circular0.9"])
-def test_one_window_search_equals_a_search_per_panel(w):
-    # the suite searches the windows of every panel of every eps at once;
-    # each panel's share, turn pieces included, is the per-panel search's
+def test_one_window_search_equals_a_search_per_slab(w, monkeypatch):
+    # _slabs searches the windows of every panel of every eps at once; each
+    # slab's share, turn pieces included, is a search on its rays alone
     phi = track_test_function(w)
-    span = association._retarded_span(w, phi)
-    dirs, _ = association.GRID_DIRECTIONS
     panels = [gauss_panels((lo * eps, hi * eps), n)[0][0]
               for eps in GRID for lo, hi, n in XI_PANELS]
-    shared = association._panel_windows(w, phi, panels, span)
+    handed = []
+
+    def capturing_slice_grid(w, phi, xi, xi_weights, windows):
+        handed.append((xi, windows))
+        return None
+
+    monkeypatch.setattr(association, "slice_grid", capturing_slice_grid)
+    slabs = list(association._slabs(w, phi, [(xi, 1.0 + xi) for xi in panels]))
+    # 4 slabs per eps, which hand on their panels' xi nodes in order
+    assert len(slabs) == 4 * GRID.size
+    assert [p for p, _ in slabs] == sorted(p for p, _ in slabs)
+    assert same_bits(np.concatenate([xi for xi, _ in handed]),
+                     np.concatenate(panels))
     turns = 0
-    for xi, mine in zip(panels, shared):
-        alone = association._tau_windows(w, phi, np.repeat(xi, len(dirs)),
-                                         np.tile(dirs, (xi.size, 1)), span)
+    for xi, mine in handed:
+        alone = own_windows(w, phi, xi)
         assert all(same_bits(a, b) for a, b in zip(mine, alone))
-        turns += alone[0].size - xi.size * len(dirs)
+        turns += alone[0].size - xi.size * len(association.GRID_DIRECTIONS[0])
     assert (turns > 0) == (w.label.startswith("hyperbolic"))
 
 
@@ -692,7 +710,8 @@ def test_grid_matches_a_lab_frame_oracle_where_lab_time_turns():
 
     xi, wx, _, _ = ray_grid(0.2, 0.8)
     grid = sum(s.pair(g(s.kin["xi"])) for s in (
-        slice_grid(w, phi4, xi[i:i + 4], wx[i:i + 4]) for i in (0, 4)))
+        slice_grid(w, phi4, xi[i:i + 4], wx[i:i + 4],
+                   own_windows(w, phi4, xi[i:i + 4])) for i in (0, 4)))
     oracle, edge_max = lab_frame_pairing(w, g, phi4, 0.02, 2.0, 1.0)
     assert edge_max == 0.0
     assert grid == pytest.approx(oracle, rel=5e-3)

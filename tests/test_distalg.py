@@ -12,7 +12,6 @@ from pointcharge.association import bump_test_function, integral_of
 from pointcharge.distalg import (
     MAX_ORDER,
     THETA,
-    THETA_MINUS,
     DistExpr,
     _fd_derivative,
     _fd_step,
@@ -61,11 +60,6 @@ def test_atom_constructors_validate():
         fp_plus(0)
     with pytest.raises(ValueError):
         delta(-1)
-
-
-def test_theta_minus_is_canonicalized():
-    u = DistExpr.atom(THETA_MINUS)
-    assert u == DistExpr({mono(0): 1, THETA: -1})
 
 
 def test_differentiation_table():
@@ -150,11 +144,11 @@ def test_solve_euler_delta_structure(n):
 
 def test_upsilon_is_theta():
     assert upsilon() == DistExpr.atom(THETA)
-    # without normalization the free constant c - 1 survives
-    assert upsilon(normalize_positive=False, c=3) == DistExpr(
+    # without normalization the free constant c - 1 survives (c = 3)
+    assert mul_by_t(DistExpr({fp_plus(1): 3, fp_minus(1): 2})) == DistExpr(
         {THETA: 1, mono(0): 2})
     # the delta part of the general solution never contributes to t*u
-    assert upsilon(a0=Fraction(7)) == DistExpr.atom(THETA)
+    assert mul_by_t(DistExpr({fp_plus(1): 1, delta(0): 7})) == DistExpr.atom(THETA)
 
 
 # ---------------------------------------------------------------------------
