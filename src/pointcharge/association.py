@@ -58,19 +58,27 @@ class TestFunction:
     radius: float
     poly: callable = None
 
-    def __call__(self, x):
+    def _terms(self, x):
+        """y = (x - center)/radius (one component at a time, in x's
+        layout), u = |y|^2 (Euclidean) and f = bump(u) at x."""
         x = np.asarray(x, dtype=float)
         if self.dimension == 1:
             y = (x - self.center[0]) / self.radius
-            rho2 = y * y
+            u = y * y
         else:
-            y = (x - self.center) / self.radius
-            rho2 = _dot(y, y)
-        out = bump(rho2)
-        mask = rho2 < 1.0
+            y = np.empty_like(x, shape=np.broadcast_shapes(x.shape,
+                                                           self.center.shape))
+            for k in range(self.dimension):
+                y[..., k] = (x[..., k] - self.center[k]) / self.radius
+            u = _dot(y, y)
+        return y, u, bump(u)
+
+    def __call__(self, x):
+        y, u, out = self._terms(x)
+        mask = u < 1.0
         if self.poly is not None and np.any(mask):
             out[mask] *= self.poly(y[mask])
-        return float(out) if self.dimension == 1 and x.ndim == 0 else out
+        return float(out) if self.dimension == 1 and np.ndim(x) == 0 else out
 
     def box(self, x):
         """The d'Alembertian d0^2 - d1^2 - d2^2 - d3^2 of a 4D bump without a
@@ -82,16 +90,21 @@ class TestFunction:
         where f' = -f s^2 and f'' = f (s^4 - 2 s^3), s = 1/(1-u)."""
         if self.dimension != 4 or self.poly is not None:
             raise ValueError("box needs a 4D bump without a poly factor")
-        y = (np.asarray(x, dtype=float) - self.center) / self.radius
-        u = _dot(y, y)
-        f = bump(u)
+        return self._with_box(x)[1]
+
+    def _with_box(self, x):
+        """(phi(x), box phi(x)) of a 4D test function from one pass of
+        _terms; box phi is None for a poly factor, as box refuses it."""
+        if self.poly is not None:
+            return self(x), None
+        y, u, f = self._terms(x)
         s = np.zeros_like(u)
         inside = u < 1.0
         s[inside] = 1.0 / (1.0 - u[inside])
         s2 = s * s
         d1, d2 = -f * s2, f * s2 * (s2 - 2.0 * s)
-        return (4.0 * (d2 * (2.0 * (y[..., 0] * y[..., 0]) - u) - d1)
-                / self.radius ** 2)
+        return f, (4.0 * (d2 * (2.0 * (y[..., 0] * y[..., 0]) - u) - d1)
+                   / self.radius ** 2)
 
 
 def bump_test_function(dimension, center, radius, poly=None):
@@ -197,12 +210,14 @@ def _null_direction(zdot, m):
     """K = zdot + n, where n is the pure boost to zdot of the lab-frame
     unit vector (0, m): n0 = v.m and n = m + (v.m)/(1 + zdot0) v with
     v = zdot[1:], so that n.n = -1, n.zdot = 0 and K is null with
-    K.zdot = 1.  1 + zdot0 >= 2, so no velocity needs a special case."""
-    v = zdot[..., 1:]
-    vm = _dot(v, m)
+    K.zdot = 1.  1 + zdot0 >= 2, so no velocity needs a special case.  K
+    is formed one component at a time, in zdot's memory layout."""
+    vm = _dot(zdot[..., 1:], m)
+    f = 1.0 + vm / (1.0 + zdot[..., 0])
     K = np.empty_like(zdot)
     K[..., 0] = zdot[..., 0] + vm
-    K[..., 1:] = v * (1.0 + vm / (1.0 + zdot[..., 0]))[..., None] + m
+    for k in (1, 2, 3):
+        K[..., k] = zdot[..., k] * f + m[..., k - 1]
     return K
 
 
@@ -321,16 +336,23 @@ def _tau_windows(w, phi, xi, m):
 @dataclass(frozen=True)
 class SliceGrid:
     """Spacetime quadrature nodes around the worldline, with the retarded
-    kinematics and phi shared by its integrands."""
+    kinematics, phi and box phi shared by its integrands."""
 
     points: np.ndarray      # (n, 4)
     weights: np.ndarray     # (n,)
     kin: dict
     phi_values: np.ndarray  # (n,), the test function the grid was built for
+    box_values: np.ndarray  # (n,), its box, or None where phi has no box
+    xi_nodes: np.ndarray    # the slab's xi nodes
+    xi_index: np.ndarray    # (n,), each node's index into xi_nodes
 
     def pair(self, values):
         """<values, phi>, given `values` at the nodes."""
         return float((values * self.phi_values * self.weights).sum())
+
+    def per_xi(self, f, eps):
+        """f(xi, eps) at the nodes for an f of xi alone, once per xi node."""
+        return f(self.xi_nodes, eps)[self.xi_index]
 
 
 def slice_grid(w, phi, xi, xi_weights, windows):
@@ -344,28 +366,34 @@ def slice_grid(w, phi, xi, xi_weights, windows):
     GRID_DIRECTIONS, and TAU_NODES Gauss nodes in tau on each window of
     _tau_windows, where the ray's lab time lies in the ball's time extent
     [c0 - radius, c0 + radius].  windows is _tau_windows of the slab's rays
-    (xi-major, one per direction per xi node).
+    (xi-major, one per direction per xi node); a node's xi and direction
+    come from its ray's index.  Vectors are formed by components in the
+    jet's component-major layout, phi and box phi in one pass, and a
+    function of xi alone once per xi node (SliceGrid.per_xi).
     """
     if phi.dimension != 4:
         raise ValueError("spacetime pairing needs a 4D test function")
     dirs, wa = GRID_DIRECTIONS
-    ray_xi = np.repeat(xi, dirs.shape[0])
-    ray_m = np.tile(dirs, (xi.size, 1))
-    ray_w = np.tile(wa, xi.size) * ray_xi * ray_xi * np.repeat(
-        xi_weights, dirs.shape[0])
     ray, lo, hi = windows
+    ray_xi, ray_dir = np.divmod(ray, dirs.shape[0])
     (x,), _, wt = gauss_panels((-1.0, 1.0), TAU_NODES)
     half = 0.5 * (hi - lo)[:, None]
     tau = (0.5 * (hi + lo)[:, None] + half * x).ravel()
-    node_xi = np.repeat(ray_xi[ray], TAU_NODES)
-    wts = half * wt * ray_w[ray][:, None]
+    r = xi[ray_xi]
+    wts = half * wt * (wa[ray_dir] * r * r * xi_weights[ray_xi])[:, None]
+    xi_index = np.repeat(ray_xi, TAU_NODES)
+    node_xi = xi[xi_index]
     z, zdot, zddot = w.jet(tau)
-    K = _null_direction(zdot, np.repeat(ray_m[ray], TAU_NODES, axis=0))
+    K = _null_direction(
+        zdot, dirs.T.take(np.repeat(ray_dir, TAU_NODES), axis=1).T)
     R = node_xi[:, None] * K
     pts = z + R
     kin = {"tau_r": tau, "R": R, "xi": node_xi, "K": K,
            "kappa": inner(zddot, K), "zdot": zdot, "zddot": zddot}
-    return SliceGrid(points=pts, weights=wts.ravel(), kin=kin, phi_values=phi(pts))
+    phi_values, box_values = phi._with_box(pts)
+    return SliceGrid(points=pts, weights=wts.ravel(), kin=kin,
+                     phi_values=phi_values, box_values=box_values,
+                     xi_nodes=xi, xi_index=xi_index)
 
 
 def _slabs(w, phi, panels):
@@ -380,7 +408,7 @@ def _slabs(w, phi, panels):
     dirs = GRID_DIRECTIONS[0]
     xi = np.concatenate([p[0] for p in panels])
     ray, lo, hi = _tau_windows(w, phi, np.repeat(xi, len(dirs)),
-                               np.tile(dirs, (xi.size, 1)))
+                               np.tile(dirs.T, xi.size).T)
     a = 0   # the slab's first ray
     for k, (x, wx) in enumerate(panels):
         for i in range(0, x.size, SLAB_XI_NODES):
@@ -487,11 +515,11 @@ def claim_psi(fam, g, eps, e):
     """(c) on one slab: the pairings <Psi_eps_a, phi> of the four
     components a (Psi is supported in the transition shell, which is one
     slab of the grid).  Psi is computed once for all four."""
-    psi = _psi(fam, g.kin, eps, e)
+    psi = _psi(fam, g.kin, eps, e, g.per_xi)
     return [g.pair(psi[..., a]) for a in range(4)]
 
 
-def claim_box_minus_lw(g, H, e, phi):
+def claim_box_minus_lw(g, H, e):
     """(d) on one slab: <boxPhi_eps_0 - Lambda_0 H_eps(xi), phi> in weak form.
 
     Phi_eps is smooth, so <boxPhi_eps, phi> = <Phi_eps, box phi>, and
@@ -504,11 +532,13 @@ def claim_box_minus_lw(g, H, e, phi):
 
     with Lambda_0 = -e zdot_0/xi.  H - 1 = 0 from xi = 2 eps on, so the
     slabs below 2 eps carry the whole pairing.  The integrand uses only H,
-    R, zdot and box phi (phi being the test function g was built for), so
-    the claim checks the analytic Psi formula of claim (c), whose pairing
-    it equals at each eps, by an independent route.
+    R, zdot and box phi (of the test function g was built for, which the
+    slab holds), so the claim checks the analytic Psi formula of claim
+    (c), whose pairing it equals at each eps, by an independent route.
     """
-    integrand = (0.5 * e * g.kin["R"][..., 0] * phi.box(g.points)
+    if g.box_values is None:
+        raise ValueError("box needs a 4D bump without a poly factor")
+    integrand = (0.5 * e * g.kin["R"][..., 0] * g.box_values
                  + e * g.kin["zdot"][..., 0] / g.kin["xi"] * g.phi_values)
     return float(((H - 1.0) * integrand * g.weights).sum())
 
@@ -541,12 +571,12 @@ def box_minus_lw_scale(w, fam, phi, eps, e):
     (x,), _, wt = gauss_panels((-1.0, 1.0), TAU_NODES)
     t = phi.center[0] + phi.radius * x
     track = w.z(w.tau_at(t))
-    pts = np.empty((t.size, r.size, dirs.shape[0], 4))
-    pts[..., 0] = t[:, None, None]
-    pts[..., 1:] = (track[:, None, None, 1:]
-                    + r[None, :, None, None] * dirs[None, None, :, :])
+    pts = np.empty((4, t.size, r.size, dirs.shape[0]))
+    pts[0] = t[:, None, None]
+    pts[1:] = (track.T[1:, :, None, None]
+               + r[None, None, :, None] * dirs.T[:, None, None, :])
     wts = (phi.radius * wt)[:, None, None] * (wr * r * r)[:, None] * wa
-    pts = pts.reshape(-1, 4)
+    pts = pts.reshape(4, -1).T
     kin = kinematics_arrays(w, pts)
     xi = kin["xi"]
     lam_H = -e * kin["zdot"][..., 0] / xi * fam.H(xi, eps)
@@ -615,7 +645,7 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
         k, readers = panels[p][:2]
         eps = eps_grid[k]
         psi_names = [n for n in readers if n.startswith("psi_")]
-        H = (fam.H(g.kin["xi"], eps)
+        H = (g.per_xi(fam.H, eps)
              if {"heaviside", "box_minus_lw"} & set(readers) else None)
         if "heaviside" in readers:
             vals["heaviside"][k] += claim_heaviside(g, H)
@@ -624,7 +654,7 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
             for name in psi_names:
                 vals[name][k] += psi[int(name[-1])]
         if "box_minus_lw" in readers:
-            vals["box_minus_lw"][k] += claim_box_minus_lw(g, H, e, phi4)
+            vals["box_minus_lw"][k] += claim_box_minus_lw(g, H, e)
         del g, H    # free this slab before the next one is built
     for name in spacetime:
         if name == "heaviside":

@@ -31,17 +31,20 @@ def phi_arrays(w, fam, X, eps, e=1.0):
     return _phi(fam, kin["R"], kin["xi"], eps, e)
 
 
-def _psi(fam, kin, eps, e):
-    """Psi from the kinematics kin, under kinematics_arrays' keys."""
+def _psi(fam, kin, eps, e, per_xi=None):
+    """Psi from the kinematics kin, under kinematics_arrays' keys; per_xi(f,
+    eps) gives f(xi, eps) at kin's points (f(kin["xi"], eps) by default), so
+    a grid with few xi values evaluates H' and H'' once per value."""
     xi, kappa = kin["xi"], kin["kappa"]
+    per_xi = per_xi or (lambda f, eps: f(xi, eps))
     need_shell = bool(np.any((xi > eps) & (xi < 2.0 * eps)))
     if need_shell and not fam.smooth:
         raise SmoothnessRequired(
             "xi falls inside the transition shell; H'' of a piecewise family "
             "is not a function"
         )
-    dH = fam.dH(xi, eps)
-    d2H = fam.d2H(xi, eps) if need_shell else np.zeros_like(dH)
+    dH = per_xi(fam.dH, eps)
+    d2H = per_xi(fam.d2H, eps) if need_shell else np.zeros_like(dH)
     coeff = e * ((3.0 * xi * kappa - 2.0) * dH + (xi * kappa - 0.5) * xi * d2H)
     return coeff[..., None] * kin["K"]
 

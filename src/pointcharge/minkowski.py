@@ -42,11 +42,6 @@ def _dot(a, b):
     return out
 
 
-def lower(a):
-    """Lower the index: componentwise metric application g_{mu nu} a^nu."""
-    return METRIC * np.asarray(a, dtype=float)
-
-
 @dataclass(frozen=True)
 class Worldline:
     """Eigentime-parametrized worldline, given in closed form by its jet and
@@ -55,8 +50,9 @@ class Worldline:
     jet(tau, order=2) maps eigentimes of shape S to (z, zdot,
     zddot)[:order + 1], each of shape S + (4,), forming only the
     derivatives asked for and each transcendental of tau once; tau_at(t)
-    solves z0(tau) = t for 0-d or array t.  z, zdot and zddot are read off
-    the jet, so they agree with it bit for bit.
+    solves z0(tau) = t for 0-d or array t.  The catalog's jets are
+    component-contiguous (_jet).  z, zdot and zddot are read off the jet,
+    so they agree with it bit for bit.
     """
 
     label: str
@@ -75,12 +71,17 @@ class Worldline:
 def _jet(tau, order, *rows):
     """(z, zdot, zddot)[:order + 1] at tau, the k-th of shape shape(tau) +
     (4,) with the leading components rows[k]() returns (arrays of tau's
-    shape or scalars) and 0 for the rest; no later row is called."""
+    shape or scalars) and 0 for the rest; no later row is called.  Each is
+    the (..., 4) view of a component-major buffer of shape (4,) +
+    shape(tau), so every component [..., k] is contiguous."""
     jet = []
     for row in rows[:order + 1]:
-        jet.append(np.zeros(np.shape(tau) + (4,)))
-        for i, c in enumerate(row()):
-            jet[-1][..., i] = c
+        buf = np.empty((4,) + np.shape(tau))
+        comps = row()
+        for i, c in enumerate(comps):
+            buf[i] = c
+        buf[len(comps):] = 0.0
+        jet.append(buf.transpose(*range(1, buf.ndim), 0))
     return tuple(jet)
 
 

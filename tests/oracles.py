@@ -6,8 +6,49 @@ import numpy as np
 
 from pointcharge.errors import PointChargeError
 from pointcharge.fields import _SHIFTS, _psi
-from pointcharge.minkowski import lower
+from pointcharge import minkowski
+from pointcharge.minkowski import METRIC, Worldline
 from pointcharge.retarded import _as_points, kinematics_arrays
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def row_major_jet(tau, order, *rows):
+    """minkowski._jet with each jet a zero-filled C-ordered array of shape
+    shape(tau) + (4,), filled a component at a time: the reference for the
+    values of the component-major jets."""
+    jet = []
+    for row in rows[:order + 1]:
+        jet.append(np.zeros(np.shape(tau) + (4,)))
+        for i, c in enumerate(row()):
+            jet[-1][..., i] = c
+    return tuple(jet)
+
+
+def turned(w):
+    """w with its spatial axes turned, so that no component of its
+    velocity or acceleration vanishes and the order of a component sum
+    shows in its bits.  Each turned component is a sum left to right,
+    and the jet is built by minkowski._jet, so it has _jet's layout."""
+    q, _ = np.linalg.qr(np.random.default_rng(2030).normal(size=(3, 3)))
+
+    def turn(j):
+        return (j[..., 0], *(j[..., 1] * q[i, 0] + j[..., 2] * q[i, 1]
+                             + j[..., 3] * q[i, 2] for i in range(3)))
+
+    def jet(tau, order=2):
+        rows = [lambda j=j: turn(j) for j in w.jet(tau, order)]
+        return minkowski._jet(tau, order, *rows)
+
+    return Worldline(w.label, jet, w.tau_at)
+
+
+def lower(a):
+    """Lower the index: componentwise metric application g_{mu nu} a^nu."""
+    return METRIC * np.asarray(a, dtype=float)
 
 
 def psi_sup_values(w, fam, eps_grid, e=1.0):

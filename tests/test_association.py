@@ -18,9 +18,10 @@ from pointcharge.association import (
     track_test_function,
     weak_limit,
 )
-from oracles import GeneralizedNet, moderateness_slope, psi_sup_values
+from oracles import GeneralizedNet, moderateness_slope, psi_sup_values, \
+    same_bits, turned
 from pointcharge.errors import NoTrend
-from pointcharge.minkowski import Worldline, boost_worldline, circular_worldline, \
+from pointcharge.minkowski import boost_worldline, circular_worldline, \
     hyperbolic_worldline, inner, rest_worldline
 from pointcharge.retarded import kinematics_arrays
 from pointcharge.regularization import (
@@ -351,16 +352,35 @@ def test_suite_subset_selection():
 
 
 def test_suite_evaluates_phi_and_psi_once_per_grid(monkeypatch):
-    phi_calls, psi_calls = [], []
+    phi_calls, box_calls, psi_calls, h_calls = [], [], [], []
 
     class CountingTestFunction(association.TestFunction):
-        def __call__(self, x):
+        # the one pass over the points that phi and box phi share
+        def _terms(self, x):
             phi_calls.append(np.shape(x))
-            return super().__call__(x)
+            return super()._terms(x)
+
+        def _with_box(self, x):
+            box_calls.append(np.shape(x))
+            return super()._with_box(x)
+
+    class CountingFamily(type(BUMP)):
+        def H(self, r, eps):
+            h_calls.append(("H", np.size(r)))
+            return super().H(r, eps)
+
+        def dH(self, r, eps):
+            h_calls.append(("dH", np.size(r)))
+            return super().dH(r, eps)
+
+        def d2H(self, r, eps):
+            h_calls.append(("d2H", np.size(r)))
+            return super().d2H(r, eps)
 
     w = rest_worldline()
     phi4 = CountingTestFunction(dimension=4, center=np.array([3.0, 0.0, 0.0, 0.0]),
                                 radius=1.0)
+    fam = CountingFamily(mollifier=BUMP.mollifier, _h1=BUMP._h1)
     psi = association._psi
 
     def counting_psi(fam, kin, *args):
@@ -368,18 +388,27 @@ def test_suite_evaluates_phi_and_psi_once_per_grid(monkeypatch):
         return psi(fam, kin, *args)
 
     monkeypatch.setattr(association, "_psi", counting_psi)
-    rep = association_suite(w, BUMP, SHORT, phi4=phi4)
+    rep = association_suite(w, fam, SHORT, phi4=phi4)
     assert rep.passed, str(rep)
-    # once per slab x the grid's directions x 12 tau nodes, the slabs of
-    # each eps holding 4, 8, 16 and 16 xi nodes (the 4- and 8-node panels
-    # and the shell's two halves), and Psi on the shell's 2 slabs only;
-    # integral_of does not evaluate phi, and claim (d)'s scale evaluates it
-    # once on its lab-frame band of 12 times x 12 radii x 64 directions
+    # phi and box phi once per slab, from one pass, x the grid's directions
+    # x 12 tau nodes, the slabs of each eps holding 4, 8, 16 and 16 xi
+    # nodes (the 4- and 8-node panels and the shell's two halves), and Psi
+    # on the shell's 2 slabs only; integral_of does not evaluate phi, and
+    # claim (d)'s scale evaluates it (without box phi) once on its
+    # lab-frame band of 12 times x 12 radii x 64 directions
     assert association.SLAB_XI_NODES == 16
     per_xi = len(association.GRID_DIRECTIONS[0]) * 12
     per_eps = [(n * per_xi, 4) for n in (4, 8, 16, 16)]
     assert phi_calls == per_eps * SHORT.size + [(12 * 12 * 64, 4)]
+    assert box_calls == per_eps * SHORT.size
     assert psi_calls == per_eps[2:] * SHORT.size
+    # H, H' and H'' of a slab once per xi node: H on every slab below
+    # 2 eps, H' and H'' on the shell's 2; claim (a) takes H'' on its 64
+    # radial nodes per eps first, and the scale H on its band's nodes last
+    shell = [("H", 16), ("dH", 16), ("d2H", 16)]
+    slabs = [("H", 4), ("H", 8)] + shell + shell
+    assert h_calls == ([("d2H", 64)] * SHORT.size + slabs * SHORT.size
+                       + [("H", 12 * 12 * 64)])
 
 
 def test_suite_frees_each_grid_before_the_next(monkeypatch):
@@ -419,7 +448,6 @@ def test_box_minus_lw_makes_no_stencil_and_no_retarded_solve(monkeypatch):
     # claim (d) pairs in weak form from the grid's closed-form kinematics:
     # neither the finite-difference box Phi nor a retarded solve runs
     w, eps = boost_worldline(0.6), 0.05
-    phi4 = track_test_function(w)
     slabs = [slab(w, eps, lo, hi, n)
              for lo, hi, n in ((0.05, 1.0, 8), (1.0, 2.0, 32), (2.0, 8.0, 8))]
 
@@ -429,7 +457,7 @@ def test_box_minus_lw_makes_no_stencil_and_no_retarded_solve(monkeypatch):
     for module in (fields, association):
         monkeypatch.setattr(module, "box_phi_fd", refuse, raising=False)
     monkeypatch.setattr(retarded, "_solve", refuse)
-    values = [claim_box_minus_lw(g, BUMP.H(g.kin["xi"], eps), 1.0, phi4)
+    values = [claim_box_minus_lw(g, BUMP.H(g.kin["xi"], eps), 1.0)
               for g in slabs]
     assert values[0] != 0.0 and values[1] != 0.0
     assert values[2] == 0.0
@@ -441,7 +469,7 @@ def test_box_minus_lw_is_zero_off_the_shell():
     g = slab(w, eps, 3.0, 8.0, 8)
     assert g.kin["xi"].min() > 2.0 * eps
     H = BUMP.H(g.kin["xi"], eps)
-    assert claim_box_minus_lw(g, H, 1.0, track_test_function(w)) == 0.0
+    assert claim_box_minus_lw(g, H, 1.0) == 0.0
     assert g.pair(lam_H(g, BUMP, eps)) != 0.0     # the slab meets phi
 
 
@@ -565,11 +593,6 @@ def test_tau_windows_hold_every_time_in_the_ball_extent(w, lo, hi):
     assert np.all(held[gap < -1e-9]) and not np.any(held[gap > 1e-9])
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @pytest.mark.parametrize("w", [
     rest_worldline(), hyperbolic_worldline(5.0), circular_worldline(1.0, 0.9),
 ], ids=["rest", "hyperbolic5", "circular0.9"])
@@ -661,19 +684,6 @@ def test_component_sums_keep_the_bits_of_phi(d, poly):
         assert same_bits(phi.box(x), summed_box(phi, x))
 
 
-def turned(w):
-    """w with its spatial axes turned, so that no component of its
-    velocity or acceleration vanishes and the order of a component sum
-    shows in its bits."""
-    q, _ = np.linalg.qr(np.random.default_rng(2030).normal(size=(3, 3)))
-
-    def jet(tau, order=2):
-        return tuple(np.concatenate([j[..., :1], j[..., 1:] @ q.T], axis=-1)
-                     for j in w.jet(tau, order))
-
-    return Worldline(w.label, jet, w.tau_at)
-
-
 @pytest.mark.parametrize("w", [
     rest_worldline(), turned(boost_worldline(0.999)),
     turned(hyperbolic_worldline(5.0)), turned(circular_worldline(1.0, 0.9)),
@@ -694,6 +704,59 @@ def test_component_sums_keep_the_bits_of_the_grid_kinematics(w):
     dt = zd[:, 0] + xi * (zdd[:, 0] + (zdd[:, 1:] * m).sum(-1))
     got = association._ray_lab_time(w, xi, m, tau)
     assert same_bits(got[0], t) and same_bits(got[1], dt)
+
+
+def suite_slabs(w, phi, eps, lo, hi):
+    """The suite's slabs of the xi panel [lo*eps, hi*eps] of XI_PANELS."""
+    nodes = {(a, b): n for a, b, n in XI_PANELS}[(lo, hi)]
+    (xi,), half, wx = gauss_panels((lo * eps, hi * eps), nodes)
+    return [g for _, g in association._slabs(w, phi, [(xi, half[0, 0] * wx)])]
+
+
+@pytest.mark.parametrize("w", [
+    hyperbolic_worldline(5.0), circular_worldline(1.0, 0.9),
+], ids=["hyperbolic5", "circular0.9"])
+def test_per_xi_factors_keep_the_bits_of_a_per_node_evaluation(w):
+    # H, H' and H'' taken once per xi node of a shell slab and gathered to
+    # its nodes are the per-node values bit for bit, and so is Psi
+    eps = 0.025
+    slabs = suite_slabs(w, track_test_function(w), eps, 1.0, 2.0)
+    assert [g.xi_nodes.size for g in slabs] == [16, 16]
+    for g in slabs:
+        xi = g.kin["xi"]
+        assert same_bits(g.xi_nodes[g.xi_index], xi)
+        for f in (BUMP.H, BUMP.dH, BUMP.d2H):
+            assert same_bits(g.per_xi(f, eps), f(xi, eps))
+        assert same_bits(fields._psi(BUMP, g.kin, eps, 1.0, g.per_xi),
+                         fields._psi(BUMP, g.kin, eps, 1.0))
+
+
+@pytest.mark.parametrize("w", [
+    rest_worldline(), boost_worldline(0.999), hyperbolic_worldline(5.0),
+    circular_worldline(1.0, 0.9),
+], ids=["rest", "boost0.999", "hyperbolic5", "circular0.9"])
+def test_slab_phi_and_box_phi_are_those_of_the_test_function(w):
+    # the slab's phi and box phi, from one pass over its nodes, are phi
+    # and phi.box at its points bit for bit
+    phi = track_test_function(w)
+    for lo, hi, _ in XI_PANELS:
+        for g in suite_slabs(w, phi, 0.05, lo, hi):
+            assert np.count_nonzero(g.phi_values) > 0
+            assert same_bits(g.phi_values, phi(g.points))
+            assert same_bits(g.box_values, phi.box(g.points))
+
+
+def test_slab_of_a_poly_test_function_has_no_box():
+    # a poly factor leaves phi on the slab and box phi undefined: claim
+    # (d) refuses the slab, as phi.box refuses the test function
+    w = rest_worldline()
+    phi = bump_test_function(4, track_test_function(w).center, 1.0,
+                             poly=lambda y: 1.0 + y[..., 0])
+    g = suite_slabs(w, phi, 0.05, 1.0, 2.0)[0]
+    assert g.box_values is None
+    assert same_bits(g.phi_values, phi(g.points))
+    with pytest.raises(ValueError, match="poly factor"):
+        claim_box_minus_lw(g, BUMP.H(g.kin["xi"], 0.05), 1.0)
 
 
 def test_grid_matches_a_lab_frame_oracle_where_lab_time_turns():

@@ -11,11 +11,12 @@ from pointcharge.minkowski import (
     circular_worldline,
     hyperbolic_worldline,
     inner,
-    lower,
     parse_worldline,
     rest_worldline,
     validate_worldline,
 )
+from pointcharge import minkowski
+from oracles import lower, row_major_jet, same_bits, turned
 
 TAU_GRID = np.linspace(-5.0, 5.0, 401)
 
@@ -27,6 +28,26 @@ WORLDLINES = catalog() + [
 ]
 WORLDLINE_IDS = ["rest", "boost", "hyperbolic", "circular", "hyperbolic-1",
                  "hyperbolic5", "boost-gamma70", "circular0.9"]
+
+
+@pytest.mark.parametrize("turn", [False, True], ids=["", "turned"])
+@pytest.mark.parametrize("w", WORLDLINES, ids=WORLDLINE_IDS)
+def test_jets_are_component_contiguous_with_row_major_bits(w, turn, monkeypatch):
+    # every component z[..., k] of a jet is contiguous, on 1-d, 2-d and
+    # 0-d eigentimes and each order, and the values are those of
+    # zero-filled row-major jets bit for bit
+    if turn:
+        w = turned(w)
+    taus = [np.linspace(-2.0, 2.0, 101), np.linspace(-1.0, 3.0, 24).reshape(4, 6),
+            np.asarray(0.7)]
+    jets = [w.jet(tau, order) for tau in taus for order in (0, 1, 2)]
+    assert [len(jet) for jet in jets] == [1, 2, 3] * len(taus)
+    assert all(j[..., k].flags.c_contiguous for jet in jets for j in jet
+               for k in range(4))
+    monkeypatch.setattr(minkowski, "_jet", row_major_jet)
+    ref = [w.jet(tau, order) for tau in taus for order in (0, 1, 2)]
+    assert all(same_bits(a, b) for jet, rj in zip(jets, ref)
+               for a, b in zip(jet, rj))
 
 
 def test_metric_signature():

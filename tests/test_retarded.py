@@ -12,7 +12,6 @@ from pointcharge.minkowski import (
     circular_worldline,
     hyperbolic_worldline,
     inner,
-    lower,
     rest_worldline,
 )
 from pointcharge.retarded import (
@@ -20,7 +19,7 @@ from pointcharge.retarded import (
     retarded_time,
     retarded_time_bisection,
 )
-from oracles import div_K_fd, grad_tau_check, grad_xi
+from oracles import div_K_fd, grad_tau_check, grad_xi, lower
 
 RNG = np.random.default_rng(42)
 
