@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import NoConvergence, NoTrend, OnWorldline
 from .fields import _psi, static_rho
-from .minkowski import _dot, inner
+from .minkowski import _dot, _rows, inner
 from .regularization import bump, gauss_panels
 from .retarded import DEFAULT_TOL, MAX_ITER, _rtsafe, kinematics_arrays, \
     retarded_time
@@ -250,7 +250,7 @@ def _lab_time_root(w, xi, m, target, lo, hi, sign):
     sign * (t(hi) - target) <= 0."""
 
     def fdf(idx, tau):
-        t, dt = _ray_lab_time(w, xi[idx], m[idx], tau)
+        t, dt = _ray_lab_time(w, xi[idx], _rows(m, idx), tau)
         return sign[idx] * (t - target[idx]), sign[idx] * dt
 
     every = np.arange(xi.size)
@@ -273,7 +273,7 @@ def _lab_time_turn(w, xi, m, lo, hi, sign):
     from - to +, by bisection (no third derivative of z is at hand)."""
 
     def fdf(idx, tau):
-        dt = _ray_lab_time(w, xi[idx], m[idx], tau)[1]
+        dt = _ray_lab_time(w, xi[idx], _rows(m, idx), tau)[1]
         return sign[idx] * dt, np.zeros_like(tau)
 
     turn, done = _rtsafe(fdf, 0.5 * (lo + hi), lo, hi, np.inf, DEFAULT_TOL)
@@ -297,7 +297,7 @@ def _tau_windows(w, phi, xi, m):
     where dt/dtau changes sign between two of those eigentimes.  Every step
     works per ray, so a ray's windows do not depend on the other rays
     searched with it: the suite searches the rays of all its slabs at once
-    (_slabs)."""
+    (_slabs).  m (n, 3) is best component-major: its rows are gathered so."""
     c0, radius = phi.center[0], phi.radius
     first = _first_retarded_time(w, phi)
     last = float(w.tau_at(c0 + radius))
@@ -311,7 +311,7 @@ def _tau_windows(w, phi, xi, m):
     if check.size:
         n = TURN_SAMPLES
         rising = _ray_lab_time(w, np.repeat(xi[check], n),
-                               np.repeat(m[check], n, axis=0),
+                               _rows(m, np.repeat(check, n)),
                                np.tile(samples, check.size))[1] > 0.0
         rising = rising.reshape(check.size, n)
         sign[check] = np.where(rising[:, 0], 1.0, -1.0)
@@ -319,8 +319,8 @@ def _tau_windows(w, phi, xi, m):
         r, k = np.nonzero(rising[:, 1:] != rising[:, :-1])
         if r.size:
             up = np.where(rising[r, k + 1], 1.0, -1.0)
-            turns = _lab_time_turn(w, xi[check[r]], m[check[r]], samples[k],
-                                   samples[k + 1], up)
+            turns = _lab_time_turn(w, xi[check[r]], _rows(m, check[r]),
+                                   samples[k], samples[k + 1], up)
             same = np.append(r[1:] == r[:-1], False)
             _, head = np.unique(r, return_index=True)
             hi[check[r[head]]] = turns[head]
@@ -328,8 +328,9 @@ def _tau_windows(w, phi, xi, m):
             lo = np.concatenate([lo, turns])
             hi = np.concatenate([hi, np.where(same, np.roll(turns, -1), last)])
             sign = np.concatenate([sign, up])
-    lo_w = _lab_time_root(w, xi[ray], m[ray], c0 - sign * radius, lo, hi, sign)
-    hi_w = _lab_time_root(w, xi[ray], m[ray], c0 + sign * radius, lo, hi, sign)
+    ray_xi, ray_m = xi[ray], _rows(m, ray)
+    lo_w = _lab_time_root(w, ray_xi, ray_m, c0 - sign * radius, lo, hi, sign)
+    hi_w = _lab_time_root(w, ray_xi, ray_m, c0 + sign * radius, lo, hi, sign)
     return ray, np.minimum(lo_w, hi_w), np.maximum(lo_w, hi_w)
 
 
@@ -384,8 +385,7 @@ def slice_grid(w, phi, xi, xi_weights, windows):
     xi_index = np.repeat(ray_xi, TAU_NODES)
     node_xi = xi[xi_index]
     z, zdot, zddot = w.jet(tau)
-    K = _null_direction(
-        zdot, dirs.T.take(np.repeat(ray_dir, TAU_NODES), axis=1).T)
+    K = _null_direction(zdot, _rows(dirs, np.repeat(ray_dir, TAU_NODES)))
     R = node_xi[:, None] * K
     pts = z + R
     kin = {"tau_r": tau, "R": R, "xi": node_xi, "K": K,

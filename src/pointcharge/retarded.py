@@ -10,16 +10,18 @@ isolates tau_r.  Every solve goes through _solve, and each of its passes
 takes z and zdot from one jet.  It starts at the retarded root of the
 osculating hyperbola (the uniformly accelerated worldline with the same
 z, zdot and zddot) at the light-delayed eigentime, which is exact for
-inertial and uniformly accelerated motion.
+inertial and uniformly accelerated motion, and returns the stepped root
+tau + R.R/(2 xi) of the evaluation that certified tau.
 
-All solver routines are vectorized over arrays of observer points of
-shape (..., 4); a single point of shape (4,) gives a float tau_r.
+All solver routines are vectorized over observer points of shape (..., 4),
+laid out once as the jets are (component-major) and gathered by component;
+a single point of shape (4,) gives a float tau_r.
 """
 
 import numpy as np
 
 from .errors import BehindHorizon, NoConvergence, OnWorldline
-from .minkowski import _dot, inner
+from .minkowski import _component_major, _dot, _rows, inner
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 100
@@ -148,19 +150,19 @@ def _hyperbola_start(w, X, tau):
 
 
 def _solve(w, X):
-    """(tau_r, R, xi) for points X of shape (..., 4), from the evaluation
-    that certified tau_r, so R = X - z(tau_r) and xi = zdot.R there.
+    """tau_r of points X (..., 4): the stepped root tau + R.R/(2 xi) of the
+    evaluation that certified tau (R = X - z(tau), xi = zdot.R there).
 
-    z is evaluated alone at the simultaneous eigentime tau_s =
-    w.tau_at(X0), for the on-worldline test and the lab distance d =
-    |x - z(tau_s)| of the spatial parts, and _warm_loop runs from
-    _hyperbola_start at the light-delayed eigentime tau_e = w.tau_at(X0 -
-    d): three evaluations per point where that start is the root.  A point
-    the loop cannot certify is bracketed between _past_end and tau_s and
-    solved by _rtsafe on -R.R from its start, clipped; R and xi are then
-    evaluated once at that root."""
+    X is laid out component-major once.  z is evaluated alone at the
+    simultaneous eigentime tau_s = w.tau_at(X0), for the on-worldline test
+    and the lab distance d = |x - z(tau_s)| of the spatial parts, and
+    _warm_loop runs from _hyperbola_start at the light-delayed eigentime
+    tau_e = w.tau_at(X0 - d): three evaluations per point where that start
+    is the root.  A point the loop cannot certify is bracketed between
+    _past_end and tau_s and solved by _rtsafe on -R.R from its start,
+    clipped; its root is stepped from one jet at the bracketed root."""
     shape = X.shape[:-1]
-    X = X.reshape(-1, 4)
+    X = _component_major(X)
     scale = _scale(X)
     hi = w.tau_at(X[:, 0])
     z = w.jet(hi, 0)[0]
@@ -170,10 +172,10 @@ def _solve(w, X):
         raise OnWorldline("observer point lies on the worldline")
     del z, P
     t = _hyperbola_start(w, X, w.tau_at(X[:, 0] - d))
-    tau, R, xi, solved = _warm_loop(w, X, t, scale)
-    cold = ~solved
-    if cold.any():
-        Xc, sc, hc = X[cold], scale[cold], hi[cold]
+    root, solved = _warm_loop(w, X, t, scale)
+    cold = np.flatnonzero(~solved)
+    if cold.size:
+        Xc, sc, hc = _rows(X, cold), scale[cold], hi[cold]
         lo = _past_end(w, Xc, hc, 1.0)
 
         def fdf(idx, t):
@@ -183,7 +185,7 @@ def _solve(w, X):
             # there is noise.  Inside [lo, tau_s] R0 > 0, and a root there
             # has xi > 0
             z, zd = w.jet(t, 1)
-            Xi = Xc[idx]
+            Xi = _rows(Xc, idx)
             Rt = np.subtract(Xi, z, out=z)
             g = inner(Rt, Rt)
             RE = 2.0 * Rt[:, 0] * Rt[:, 0] - g
@@ -191,20 +193,20 @@ def _solve(w, X):
             g[np.abs(g) <= _floor(Xi, Rt, RE)] = 0.0
             return -g / s, 2.0 * inner(zd, Rt) / s
 
-        tc, ok = _rtsafe(fdf, np.clip(tau[cold], lo, hc), lo, hc, DEFAULT_TOL,
+        tc, ok = _rtsafe(fdf, np.clip(root[cold], lo, hc), lo, hc, DEFAULT_TOL,
                          DEFAULT_TOL)
         if not ok.all():
             raise NoConvergence(MAX_ITER, float(np.abs(_g(w, Xc[~ok], tc[~ok])).max()))
-        tau[cold] = tc
         z, zd = w.jet(tc, 1)
-        R[cold] = Xc - z
-        xi[cold] = inner(zd, R[cold])
-    return tau.reshape(shape), R.reshape(shape + (4,)), xi.reshape(shape)
+        R = np.subtract(Xc, z, out=z)
+        root[cold] = tc + 0.5 * inner(R, R) / inner(zd, R)
+    return root.reshape(shape)
 
 
 def _warm_loop(w, X, t, scale):
-    """Newton on R.R, unbracketed, for points X of shape (n, 4) from starts
-    t of shape (n,), with scale = _scale(X); returns (tau, R, xi, solved).
+    """Newton on R.R, unbracketed, for points X of shape (n, 4),
+    component-major, from starts t of shape (n,), with scale = _scale(X);
+    returns (root, solved).
 
     Every iterate is tested: R0 > 0, xi > 0 and either |R.R| at or below
     its rounding floor (_floor, which follows R), or |R.R| <= DEFAULT_TOL*s,
@@ -216,16 +218,15 @@ def _warm_loop(w, X, t, scale):
     below DEFAULT_TOL*s at any iterate and only the step decides.  At the
     floor a point passes whatever its step (from gamma ~ 70 on, Newton's
     steps there can cycle above the step bound).  A point that passes
-    returns the tau, R = X - z(tau) and xi = zdot.R of that very
-    evaluation, so a start at the root costs one evaluation.  A point whose
-    iterate leaves R0 > 0, xi > 0 (it heads for the advanced root) or
-    turns non-finite, or that has not passed after MAX_ITER evaluations, is
-    not solved: its tau is its start (t is written in place), and its R and
-    xi are of no use.
+    returns the stepped root tau + R.R/(2 xi) of that very evaluation, so a
+    start at the root costs one evaluation.  A point whose iterate leaves
+    R0 > 0, xi > 0 (it heads for the advanced root) or turns non-finite, or
+    that has not passed after MAX_ITER evaluations, is not solved: its root
+    is its start (t is written in place).
     """
     idx = None          # the points still iterating; None while all are
     for _ in range(MAX_ITER):
-        Xa, sa = (X, scale) if idx is None else (X[idx], scale[idx])
+        Xa, sa = (X, scale) if idx is None else (_rows(X, idx), scale[idx])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             z, zd = w.jet(t, 1)
             Ra = np.subtract(Xa, z, out=z)
@@ -242,20 +243,22 @@ def _warm_loop(w, X, t, scale):
             # the floor is at most 8 eps_mach s, so it decides only where
             # the step bound fails
             cycle = np.flatnonzero(near & ~ok)
-            ok[cycle] = ag[cycle] <= _floor(Xa[cycle], Ra[cycle], RE[cycle])
+            ok[cycle] = ag[cycle] <= _floor(_rows(Xa, cycle), _rows(Ra, cycle),
+                                            RE[cycle])
         go_on = ahead & ~ok & np.isfinite(new)
         if idx is None:
-            tau, R, xi, solved = t, Ra, xa, ok
+            np.copyto(t, new, where=ok)
+            root, solved = t, ok
             idx = np.flatnonzero(go_on)
         else:
             done = idx[ok]
-            tau[done], R[done], xi[done], solved[done] = t[ok], Ra[ok], xa[ok], True
+            root[done], solved[done] = new[ok], True
             idx = idx[go_on]
         if idx.size == 0:
             break
         t = new[go_on]
         del z, zd, Ra   # freed before the next pass evaluates the jet
-    return tau, R, xi, solved
+    return root, solved
 
 
 def retarded_time(w, X):
@@ -264,12 +267,11 @@ def retarded_time(w, X):
     Newton iteration on g(tau) = R.R using dg/dtau = -2*xi from the root
     of the osculating hyperbola at the light-delayed eigentime (_solve); a
     point it cannot certify is bracketed, with a bisection fallback
-    whenever the Newton step leaves the bracket.  Returns the certified
-    root plus its last Newton step R.R/(2 xi).
+    whenever the Newton step leaves the bracket.  Returns _solve's stepped
+    root: the certified root plus its last Newton step R.R/(2 xi).
     """
     pts, scalar = _as_points(X)
-    tau, R, xi = _solve(w, pts)
-    tau = tau + 0.5 * inner(R, R) / xi
+    tau = _solve(w, pts)
     return float(tau) if scalar else tau
 
 
@@ -283,41 +285,35 @@ def retarded_time_bisection(w, X):
     simultaneous eigentime w.tau_at(X0).
     """
     pts, scalar = _as_points(X)
-    hi = w.tau_at(pts[..., 0])
-    lo = _past_end(w, pts, hi, 1.0)
+    X = _component_major(pts)
+    hi = w.tau_at(X[:, 0])
+    lo = _past_end(w, X, hi, 1.0)
     for _ in range(200):
         tau = 0.5 * (lo + hi)
-        g = _g(w, pts, tau)
+        g = _g(w, X, tau)
         lo = np.where(g > 0, tau, lo)
         hi = np.where(g <= 0, tau, hi)
         if np.all(hi - lo <= DEFAULT_TOL):
             break
     tau = 0.5 * (lo + hi)
-    return float(tau) if scalar else tau
+    return float(tau) if scalar else tau.reshape(pts.shape[:-1])
 
 
 def kinematics_arrays(w, X):
-    """Batched kinematics; returns a dict of arrays keyed by quantity.
+    """Batched kinematics; returns a dict of arrays keyed by quantity, each
+    of the shape (...) or (..., 4) of the points X.
 
-    tau_r is retarded_time's root: _solve's certified root plus its last
-    Newton step, where R, zdot, zddot and xi are formed anew from one
-    jet."""
+    tau_r is _solve's stepped root, where R, zdot, zddot and xi are formed
+    anew from one jet, over X laid out component-major once."""
     pts, _ = _as_points(X)
-    tau, R, xi = _solve(w, pts)
-    tau = tau + 0.5 * inner(R, R) / xi
-    del R, xi       # freed before they are formed again at the stepped root
+    X = _component_major(pts)
+    tau = _solve(w, X)
     z, zdot, zddot = w.jet(tau)
-    R = np.subtract(pts, z, out=z)
+    R = np.subtract(X, z, out=z)
     xi = inner(zdot, R)
-    K = R / xi[..., None]
-    kappa = inner(zddot, K)
-    return {
-        "tau_r": tau,
-        "R": R,
-        "xi": xi,
-        "K": K,
-        "kappa": kappa,
-        "zdot": zdot,
-        "zddot": zddot,
-        "residual": inner(R, R),
-    }
+    K = R / xi[:, None]
+    kin = {"tau_r": tau, "R": R, "xi": xi, "K": K, "kappa": inner(zddot, K),
+           "zdot": zdot, "zddot": zddot, "residual": inner(R, R)}
+    # [()] makes a single point's 0-d results numpy scalars
+    shape = pts.shape[:-1]
+    return {k: v.reshape(shape + v.shape[1:])[()] for k, v in kin.items()}

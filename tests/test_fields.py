@@ -11,15 +11,20 @@ from pointcharge.fields import (
     phi_arrays,
     static_rho,
 )
-from pointcharge.minkowski import catalog, rest_worldline
+from pointcharge.minkowski import (
+    boost_worldline,
+    catalog,
+    hyperbolic_worldline,
+    rest_worldline,
+)
 from pointcharge.regularization import (
     Mollifier,
     boxcar_mollifier,
     bump_mollifier,
     make_family,
 )
-from pointcharge.retarded import kinematics_arrays
-from oracles import static_E_radial, static_phi
+from pointcharge.retarded import kinematics_arrays, retarded_time
+from oracles import same_bits, static_E_radial, static_phi
 
 BUMP = make_family(bump_mollifier())
 BOX = make_family(boxcar_mollifier())
@@ -171,6 +176,42 @@ def test_phi_arrays_matches_full_kinematics(w):
     kin = kinematics_arrays(w, pts)
     assert np.array_equal(phi_arrays(w, BUMP, pts, eps, e),
                           _phi(BUMP, kin["R"], kin["xi"], eps, e))
+
+
+@pytest.mark.parametrize("w", catalog() + [boost_worldline(0.999),
+                                        hyperbolic_worldline(5.0)],
+                         ids=["rest", "boost", "hyperbolic", "circular",
+                              "boost0.999", "hyperbolic5"])
+def test_results_do_not_depend_on_the_points_layout(w):
+    # the solver lays its points out component-major itself, so a
+    # row-major X, its component-major copy and (k, m, 4) reshapes of
+    # both give every array the same bits; 48 points in the shell and 48
+    # out to 1.5, about z(tau) for tau in [0, 0.3]
+    eps, rng = 0.1, np.random.default_rng(2026)
+    tau = rng.uniform(0.0, 0.3, 48)
+    d = rng.normal(size=(48, 3))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    r = rng.uniform(3.0 * eps, 1.5, 48)
+    z = w.z(tau)
+    far = np.concatenate([(z[:, 0] + 1.3 * r)[:, None],
+                          z[:, 1:] + r[:, None] * d], axis=1)
+    X = np.concatenate([shell_points(w, eps, 48, t_window=(0.0, 0.3), rng=rng),
+                        far])
+    n = len(X)
+    cm = np.ascontiguousarray(X.T).T
+
+    def results(X):
+        kin = kinematics_arrays(w, X)
+        return ([kin[k] for k in sorted(kin)]
+                + [retarded_time(w, X), phi_arrays(w, BUMP, X, eps)]
+                + list(box_phi_arrays(w, BUMP, X, eps))
+                + [box_phi_fd(w, BUMP, X, eps)])
+
+    ref = results(X)
+    for Y in (cm, X.reshape(4, -1, 4), cm.reshape(4, -1, 4)):
+        got = results(Y)
+        assert all(same_bits(a.reshape((n,) + a.shape[Y.ndim - 1:]), b)
+                   for a, b in zip(got, ref))
 
 
 def test_second_derivative_coefficient_sign():

@@ -189,3 +189,18 @@ def test_tau_at_inverts_lab_time(w):
     # a 0-d lab time gives a 0-d eigentime
     assert np.ndim(w.tau_at(np.asarray(2.0))) == 0
     assert float(w.tau_at(w.z(np.asarray(2.0))[0])) == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("idx", [[], [3, 0, 3, 7], list(range(10))],
+                         ids=["empty", "repeated", "all"])
+def test_row_gather_has_the_bits_of_fancy_indexing(idx):
+    # on a row-major and a component-major A, gathered component-major;
+    # laying out points that are component-major already copies nothing
+    A = np.random.default_rng(3).normal(size=(10, 4))
+    idx = np.asarray(idx, dtype=np.intp)
+    for B in (A, np.ascontiguousarray(A.T).T):
+        got = minkowski._rows(B, idx)
+        assert same_bits(got, B[idx]) and got.T.flags.c_contiguous
+        laid = minkowski._component_major(B)
+        assert same_bits(laid, A) and laid.T.flags.c_contiguous
+    assert np.shares_memory(laid, B)

@@ -19,7 +19,7 @@ from pointcharge.retarded import (
     retarded_time,
     retarded_time_bisection,
 )
-from oracles import div_K_fd, grad_tau_check, grad_xi, lower
+from oracles import div_K_fd, grad_tau_check, grad_xi, lower, same_bits
 
 RNG = np.random.default_rng(42)
 
@@ -160,7 +160,8 @@ def test_rounding_floor_counts_as_converged(monkeypatch):
     # and cannot get smaller: the warm loop of the cold solve, without a
     # fallback, counts it as converged, and so does the bracketed
     # fallback, reached through _solve when the loop certifies nothing,
-    # from either bracket end
+    # from either bracket end.  _solve returns the root stepped from one jet
+    # at the bracketed root
     v = 0.9998979539769781
     w = boost_worldline(v)
     X = np.array([[3.0, 3.5283429076982924, 0.7999880632867423,
@@ -182,19 +183,29 @@ def test_rounding_floor_counts_as_converged(monkeypatch):
         return past_end(*args)
 
     monkeypatch.setattr(retarded, "_past_end", bracket)
+    rtsafe = retarded._rtsafe
+    roots = []
+
+    def bracketed(*args):
+        t, done = rtsafe(*args)
+        roots.append(t)
+        return t, done
+
+    monkeypatch.setattr(retarded, "_rtsafe", bracketed)
     for start in (-np.inf, np.inf):     # clipped to lo and to tau_s
 
         def uncertified(w_, X_, t, scale):
-            n = len(X_)
-            return (np.full(n, start), np.zeros((n, 4)), np.zeros(n),
-                    np.zeros(n, dtype=bool))
+            return np.full(len(X_), start), np.zeros(len(X_), dtype=bool)
 
         monkeypatch.setattr(retarded, "_warm_loop", uncertified)
         reached.clear()
-        tau, R, xi = retarded._solve(w, X)
+        roots.clear()
+        root = retarded._solve(w, X)
+        (tau,) = roots
         assert reached and np.abs(tau - exact) <= bound
-        assert np.array_equal(R, X - w.z(tau))
-        assert np.array_equal(xi, inner(w.zdot(tau), R))
+        z, zd = w.jet(tau, 1)
+        R = X - z
+        assert same_bits(root, tau + 0.5 * inner(R, R) / inner(zd, R))
 
 
 def test_cold_solve_brackets_points_with_no_cone_root_behind(monkeypatch):
@@ -294,28 +305,48 @@ def test_cold_start_is_the_root_on_hyperbolic_motion(a, monkeypatch):
 
 
 @pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
-def test_warm_start_near_the_worldline_steps_to_the_root(w):
+def test_warm_start_near_the_worldline_steps_to_the_root(w, monkeypatch):
     # at lab distance rho = 1e-9 or 1e-7, R.R is about 2 rho 1e-9 at a
     # start 1e-9 off the root: far below eps_mach max(1, |X|^2), so a
     # floor on that scale would certify the start itself, 1e-9 off.  The
     # rounding floor of R.R formed from R follows |R| down, so Newton
     # steps on to the root.  A start 1e-9 ahead at rho = 1e-9 sits between
     # the retarded and advanced roots, where xi <= 0, and the loop leaves
-    # it uncertified (for _solve's bracketed fallback)
+    # it uncertified (for _solve's bracketed fallback).  Off circular
+    # motion _solve starts on the root, and certifies every point on its
+    # first pass: it returns the root stepped from one jet at its start,
+    # as retarded_time and kinematics_arrays do
     rng = np.random.default_rng(11)
     n = 125
+    warm_loop = retarded._warm_loop
+    starts = []
+
+    def capture(w_, X_, t, scale):
+        starts.append(t.copy())
+        return warm_loop(w_, X_, t, scale)
+
     for rho in (1e-9, 1e-7):
         tau0 = rng.uniform(-2.0, 2.0, n)
         X = cone_points(w, rng, tau0, np.full(n, rho))
         for sign in (1.0, -1.0):
-            tau, _, _, solved = retarded._warm_loop(w, X, tau0 + sign * 1e-9,
-                                                    retarded._scale(X))
+            tau, solved = warm_loop(w, X, tau0 + sign * 1e-9, retarded._scale(X))
             if rho == 1e-9 and sign > 0:
                 assert not solved.any()
             else:
                 assert solved.all()
                 assert np.all(np.abs(tau - tau0)
                               <= 1e-11 * np.maximum(1.0, np.abs(tau0)))
+        if w.label != "circular":
+            monkeypatch.setattr(retarded, "_warm_loop", capture)
+            starts.clear()
+            root = retarded._solve(w, X)
+            monkeypatch.undo()
+            (t,) = starts
+            z, zd = w.jet(t, 1)
+            R = X - z
+            assert same_bits(root, t + 0.5 * inner(R, R) / inner(zd, R))
+            assert same_bits(root, retarded_time(w, X))
+            assert same_bits(root, kinematics_arrays(w, X)["tau_r"])
 
 
 @pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
@@ -329,15 +360,13 @@ def test_fallback_near_the_worldline_brackets_to_the_root(w, monkeypatch):
     for start in (-np.inf, np.inf):     # clipped to lo and to tau_s
 
         def uncertified(w_, X_, t, scale):
-            m = len(X_)
-            return (np.full(m, start), np.zeros((m, 4)), np.zeros(m),
-                    np.zeros(m, dtype=bool))
+            return np.full(len(X_), start), np.zeros(len(X_), dtype=bool)
 
         monkeypatch.setattr(retarded, "_warm_loop", uncertified)
         for rho in (1e-9, 1e-7):
             tau0 = rng.uniform(-2.0, 2.0, n)
             X = cone_points(w, rng, tau0, np.full(n, rho))
-            tau = retarded._solve(w, X)[0]
+            tau = retarded._solve(w, X)
             assert np.all(np.abs(tau - tau0)
                           <= 1e-11 * np.maximum(1.0, np.abs(tau0)))
 
@@ -422,8 +451,8 @@ def test_converged_points_leave_the_newton_iteration(w):
     n = pts.shape[0]
     counted = Worldline(w.label, jet=jet, tau_at=w.tau_at)
     scale = retarded._scale(pts)
-    again, _, _, solved = retarded._warm_loop(counted, pts, tau.copy(), scale)
-    # one evaluation over the batch both certifies the root and gives R there
+    again, solved = retarded._warm_loop(counted, pts, tau.copy(), scale)
+    # one evaluation over the batch both certifies the root and steps it
     assert sizes == [n] and solved.all()
     assert np.abs(again - tau).max() <= 1e-12 * np.maximum(1.0, np.abs(tau)).max()
     # points that start at the root leave the iteration after one step
