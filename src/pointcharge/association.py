@@ -6,9 +6,11 @@ The four association claims verified here:
   (c) <Psi_eps_a, phi>        -> 0               (4D, each component)
   (d) <boxPhi_eps_0 - Lambda_0 H_eps(xi), phi> -> 0  (4D, weak form)
 
-Pairings use Lebesgue measure with no metric weight.  Claim (a) and the
-target of claim (b) pair radial integrands against a radial bump, so they
-are 1D radial integrals: claim (a) over the shell r in [eps, 2*eps] where
+Pairings use Lebesgue measure with no metric weight.  Claim (a) pairs
+against the unit 3D bump centred on the charge, claims (b)-(d) against a
+4D bump on a ball (TestFunction).  Claim (a) and the target of claim (b)
+pair radial integrands against a radial bump, so they are 1D radial
+integrals: claim (a) over the shell r in [eps, 2*eps] where
 rho_eps lives, the target int phi over [0, radius].  Claims (b)-(d) pair
 integrands supported near the transition shell xi in [eps, 2*eps], on a
 grid in the retarded coordinates of the worldline, x = z(tau) + xi K with
@@ -47,56 +49,38 @@ from .retarded import DEFAULT_TOL, MAX_ITER, _rtsafe, kinematics_arrays, \
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Smooth bump exp(-1/(1-|y|^2)) on a ball, optionally times a polynomial.
+    """The smooth 4D bump exp(-1/(1-|y|^2)) on a ball, y = (x - center) /
+    radius, |y| Euclidean: center (4,) and radius fix the support ball."""
 
-    dimension 1, 3 or 4; center and radius fix the support ball; poly maps
-    the centered, scaled coordinate y to a smooth factor (default 1).
-    """
-
-    dimension: int
     center: np.ndarray
     radius: float
-    poly: callable = None
 
     def _terms(self, x):
         """y = (x - center)/radius (one component at a time, in x's
         layout), u = |y|^2 (Euclidean) and f = bump(u) at x."""
         x = np.asarray(x, dtype=float)
-        if self.dimension == 1:
-            y = (x - self.center[0]) / self.radius
-            u = y * y
-        else:
-            y = np.empty_like(x, shape=np.broadcast_shapes(x.shape,
-                                                           self.center.shape))
-            for k in range(self.dimension):
-                y[..., k] = (x[..., k] - self.center[k]) / self.radius
-            u = _dot(y, y)
+        y = np.empty_like(x, shape=np.broadcast_shapes(x.shape,
+                                                       self.center.shape))
+        for k in range(4):
+            y[..., k] = (x[..., k] - self.center[k]) / self.radius
+        u = _dot(y, y)
         return y, u, bump(u)
 
     def __call__(self, x):
-        y, u, out = self._terms(x)
-        mask = u < 1.0
-        if self.poly is not None and np.any(mask):
-            out[mask] *= self.poly(y[mask])
-        return float(out) if self.dimension == 1 and np.ndim(x) == 0 else out
+        return self._terms(x)[2]
 
     def box(self, x):
-        """The d'Alembertian d0^2 - d1^2 - d2^2 - d3^2 of a 4D bump without a
-        poly factor, in closed form.  With y = (x - c)/a, u = |y|^2
-        (Euclidean) and f(u) = exp(-1/(1-u)),
+        """The d'Alembertian d0^2 - d1^2 - d2^2 - d3^2 of the bump, in
+        closed form.  With y = (x - c)/a, u = |y|^2 (Euclidean) and
+        f(u) = exp(-1/(1-u)),
 
             box phi = 4 f''(u) (y0^2 - |y_vec|^2)/a^2 - 4 f'(u)/a^2,
 
         where f' = -f s^2 and f'' = f (s^4 - 2 s^3), s = 1/(1-u)."""
-        if self.dimension != 4 or self.poly is not None:
-            raise ValueError("box needs a 4D bump without a poly factor")
         return self._with_box(x)[1]
 
     def _with_box(self, x):
-        """(phi(x), box phi(x)) of a 4D test function from one pass of
-        _terms; box phi is None for a poly factor, as box refuses it."""
-        if self.poly is not None:
-            return self(x), None
+        """(phi(x), box phi(x)) from one pass of _terms."""
         y, u, f = self._terms(x)
         s = np.zeros_like(u)
         inside = u < 1.0
@@ -107,14 +91,14 @@ class TestFunction:
                    / self.radius ** 2)
 
 
-def bump_test_function(dimension, center, radius, poly=None):
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.size != dimension:
-        raise ValueError("center size must match the dimension")
+def bump_test_function(center, radius):
+    """The TestFunction on the ball of center (4,) and radius > 0."""
+    center = np.asarray(center, dtype=float)
+    if center.shape != (4,):
+        raise ValueError("center must have 4 components")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    return TestFunction(dimension=dimension, center=center,
-                        radius=float(radius), poly=poly)
+    return TestFunction(center=center, radius=float(radius))
 
 
 def track_test_function(w, radius=1.0):
@@ -123,21 +107,19 @@ def track_test_function(w, radius=1.0):
     actually meets its support."""
     t0 = 3.0
     track = w.z(w.tau_at(t0))
-    return bump_test_function(4, np.concatenate([[t0], track[1:]]), radius)
+    return bump_test_function(np.concatenate([[t0], track[1:]]), radius)
 
 
 def integral_of(phi):
-    """int phi over its support ball, as |S^(d-1)| radius^d times
-    int_0^1 exp(-1/(1-s^2)) s^(d-1) ds on 32 panels of 16 Gauss-Legendre
-    nodes; only a bump without a poly factor is radial."""
-    if phi.poly is not None:
-        raise ValueError("integral_of needs a bump without a poly factor")
-    d = phi.dimension
+    """int phi over its support ball, as |S^3| radius^4 times
+    int_0^1 exp(-1/(1-s^2)) s^3 ds on 32 panels of 16 Gauss-Legendre
+    nodes.  radius^4 is a float64, so that it overflows under the caller's
+    errstate rather than as a Python OverflowError."""
     s, half, w = gauss_panels(np.linspace(0.0, 1.0, 33), 16)
     s, ws = s.ravel(), (half * w).ravel()
-    sphere = 2.0 * np.pi ** (d / 2) / math.gamma(d / 2)
-    profile = bump(s * s) * s ** (d - 1)
-    return float(sphere * phi.radius ** d * (profile * ws).sum())
+    sphere = 2.0 * np.pi ** 2
+    profile = bump(s * s) * s ** 3
+    return float(sphere * np.float64(phi.radius) ** 4 * (profile * ws).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +325,7 @@ class SliceGrid:
     weights: np.ndarray     # (n,)
     kin: dict
     phi_values: np.ndarray  # (n,), the test function the grid was built for
-    box_values: np.ndarray  # (n,), its box, or None where phi has no box
+    box_values: np.ndarray  # (n,), its box
     xi_nodes: np.ndarray    # the slab's xi nodes
     xi_index: np.ndarray    # (n,), each node's index into xi_nodes
 
@@ -372,8 +354,6 @@ def slice_grid(w, phi, xi, xi_weights, windows):
     jet's component-major layout, phi and box phi in one pass, and a
     function of xi alone once per xi node (SliceGrid.per_xi).
     """
-    if phi.dimension != 4:
-        raise ValueError("spacetime pairing needs a 4D test function")
     dirs, wa = GRID_DIRECTIONS
     ray, lo, hi = windows
     ray_xi, ray_dir = np.divmod(ray, dirs.shape[0])
@@ -480,25 +460,21 @@ def weak_limit(values, eps_grid, target, tolerance=1e-3, scale=None):
 # the four claims
 
 
-def claim_charge_density(fam, phi3, eps_grid, e=1.0, tolerance=1e-3):
-    """(a) <rho_eps, phi> -> e*phi(0) for the charge at rest.
+def claim_charge_density(fam, eps_grid, e=1.0, tolerance=1e-3):
+    """(a) <rho_eps, phi> -> e*phi(0) for the charge at rest, phi the unit
+    3D bump exp(-1/(1-r^2)) centered on the charge.
 
-    rho_eps and a bump centered on the charge are both radial, so the
-    pairing is 4 pi int_eps^2eps rho_eps(r) phi3(r) r^2 dr, on 8 panels of
-    8 Gauss nodes over the shell [eps, 2 eps] where rho_eps lives."""
-    if (phi3.dimension != 3 or phi3.poly is not None
-            or np.any(phi3.center != 0.0)):
-        raise ValueError("claim (a) needs a 3D bump centered on the charge, "
-                         "without a poly factor")
+    rho_eps and phi are both radial, so the pairing is
+    4 pi int_eps^2eps rho_eps(r) phi(r) r^2 dr, on 8 panels of 8 Gauss
+    nodes over the shell [eps, 2 eps] where rho_eps lives."""
     s, half, w = gauss_panels(np.linspace(1.0, 2.0, 9), 8)
     s, ws = s.ravel(), (half * w).ravel()
     vals = []
     for eps in eps_grid:
         r = eps * s
-        on_axis = r[:, None] * np.array([0.0, 0.0, 1.0])
-        rho_phi = static_rho(fam, r, eps, e) * phi3(on_axis)
+        rho_phi = static_rho(fam, r, eps, e) * bump(r * r)
         vals.append(4.0 * np.pi * float((rho_phi * r * r * eps * ws).sum()))
-    target = e * float(phi3(np.zeros(3)))
+    target = e * float(bump(0.0))
     return weak_limit(vals, eps_grid, target, tolerance,
                       scale=max(abs(e), abs(target), 1e-3))
 
@@ -536,8 +512,6 @@ def claim_box_minus_lw(g, H, e):
     slab holds), so the claim checks the analytic Psi formula of claim
     (c), whose pairing it equals at each eps, by an independent route.
     """
-    if g.box_values is None:
-        raise ValueError("box needs a 4D bump without a poly factor")
     integrand = (0.5 * e * g.kin["R"][..., 0] * g.box_values
                  + e * g.kin["zdot"][..., 0] / g.kin["xi"] * g.phi_values)
     return float(((H - 1.0) * integrand * g.weights).sum())
@@ -625,9 +599,8 @@ def association_suite(w, fam, eps_grid, e=1.0, phi4=None, tolerance=1e-3,
         phi4 = track_test_function(w)
     results = {}
     if w.label == "rest" and wanted("charge_density"):
-        phi3 = bump_test_function(3, np.zeros(3), 1.0)
         results["charge_density"] = claim_charge_density(
-            fam, phi3, eps_grid, e, tolerance)
+            fam, eps_grid, e, tolerance)
     spacetime = [n for n in CLAIM_NAMES[1:] if wanted(n)]
     target = integral_of(phi4) if wanted("heaviside") else None
     # every (eps, xi panel) that a wanted claim reads: the eps index, the

@@ -233,7 +233,7 @@ def cmd_associate(cfg, out, args):
     if cfg.tf_center is None:
         phi4 = track_test_function(cfg.w, cfg.tf_radius)
     else:
-        phi4 = bump_test_function(4, np.array(cfg.tf_center), cfg.tf_radius)
+        phi4 = bump_test_function(cfg.tf_center, cfg.tf_radius)
     if args.claim is not None and args.claim not in CLAIM_NAMES:
         raise ConfigError(f"unknown claim {args.claim!r}; "
                           f"choose from {list(CLAIM_NAMES)}")

@@ -5,9 +5,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from pointcharge.errors import PointChargeError
-from pointcharge.fields import _SHIFTS, _psi
+from pointcharge.fields import _SHIFTS, _psi, static_rho
 from pointcharge import minkowski
-from pointcharge.minkowski import METRIC, Worldline
+from pointcharge.minkowski import METRIC, Worldline, _dot
+from pointcharge.regularization import bump, gauss_panels
 from pointcharge.retarded import _as_points, kinematics_arrays
 
 
@@ -49,6 +50,51 @@ def turned(w):
 def lower(a):
     """Lower the index: componentwise metric application g_{mu nu} a^nu."""
     return METRIC * np.asarray(a, dtype=float)
+
+
+def bump_1d(center, radius, poly=None):
+    """The 1D bump exp(-1/(1-y^2)), y = (t - center)/radius, times poly(y)
+    inside its support (default 1): a scalar t gives a float."""
+
+    def phi(t):
+        y = (np.asarray(t, dtype=float) - center) / radius
+        u = y * y
+        out = bump(u)
+        if poly is not None:
+            mask = u < 1.0
+            out[mask] *= poly(y[mask])
+        return float(out) if np.ndim(t) == 0 else out
+
+    return phi
+
+
+def bump_1d_integral(radius):
+    """int of bump_1d(center, radius) without a poly factor, as
+    2 radius int_0^1 exp(-1/(1-s^2)) ds on 32 panels of 16 Gauss-Legendre
+    nodes, the radial rule of association.integral_of."""
+    s, half, w = gauss_panels(np.linspace(0.0, 1.0, 33), 16)
+    return float(2.0 * radius * (bump(s * s) * half * w).sum())
+
+
+def bump_3d_on_axis(r):
+    """The unit 3D bump at the origin at the points r (0, 0, 1), with |x|^2
+    summed over all three components by _dot."""
+    x = np.asarray(r, dtype=float)[..., None] * np.array([0.0, 0.0, 1.0])
+    return bump(_dot(x, x))
+
+
+def charge_density_pairings(fam, eps_grid, e=1.0):
+    """Claim (a)'s pairings 4 pi int rho_eps phi r^2 dr on its shell rule
+    and its target e phi(0), with phi the unit 3D bump evaluated on the z
+    axis (bump_3d_on_axis)."""
+    s, half, w = gauss_panels(np.linspace(1.0, 2.0, 9), 8)
+    s, ws = s.ravel(), (half * w).ravel()
+    vals = []
+    for eps in eps_grid:
+        r = eps * s
+        rho_phi = static_rho(fam, r, eps, e) * bump_3d_on_axis(r)
+        vals.append(4.0 * np.pi * float((rho_phi * r * r * eps * ws).sum()))
+    return vals, e * float(bump_3d_on_axis(0.0))
 
 
 def psi_sup_values(w, fam, eps_grid, e=1.0):

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from oracles import GeneralizedNet, grad_tau_check, moderateness_slope, psi_sup_values
-from pointcharge.association import association_suite, bump_test_function
+from pointcharge.association import association_suite, claim_charge_density
 from pointcharge.distalg import (
     DistExpr,
     THETA,
@@ -372,10 +372,7 @@ def test_criterion_8_charge_normalization():
                         * static_rho(BUMP, r, eps, e),
                         eps, 2 * eps, epsabs=0.0, epsrel=1e-12, limit=200)
         worst = max(worst, abs(total - e) / e)
-    phi3 = bump_test_function(3, np.zeros(3), 1.0)
-    from pointcharge.association import claim_charge_density
-
-    res = claim_charge_density(BUMP, phi3, GRID, e)
+    res = claim_charge_density(BUMP, GRID, e)
     elapsed = time.time() - t0
     ok = (worst <= 1e-8 and res.passed and np.isfinite(res.order)
           and res.order > 0 and elapsed < 20.0)

@@ -18,8 +18,8 @@ from pointcharge.association import (
     track_test_function,
     weak_limit,
 )
-from oracles import GeneralizedNet, moderateness_slope, psi_sup_values, \
-    same_bits, turned
+from oracles import GeneralizedNet, charge_density_pairings, \
+    moderateness_slope, psi_sup_values, same_bits, turned
 from pointcharge.errors import NoTrend
 from pointcharge.minkowski import boost_worldline, circular_worldline, \
     hyperbolic_worldline, inner, rest_worldline
@@ -37,72 +37,67 @@ SHORT = geometric_grid(0.1, 0.5, 4)
 
 
 def test_bump_test_function_support():
-    phi = bump_test_function(3, np.zeros(3), 1.0)
-    assert phi(np.zeros(3)) == pytest.approx(np.exp(-1.0))
-    assert phi(np.array([1.0, 0.0, 0.0])) == 0.0
-    assert phi(np.array([2.0, 0.0, 0.0])) == 0.0
-    pts = np.random.default_rng(0).uniform(-0.99, 0.99, size=(50, 3))
+    phi = bump_test_function(np.zeros(4), 1.0)
+    assert phi(np.zeros(4)) == pytest.approx(np.exp(-1.0))
+    assert phi(np.array([1.0, 0.0, 0.0, 0.0])) == 0.0
+    assert phi(np.array([0.0, 0.0, 2.0, 0.0])) == 0.0
+    pts = np.random.default_rng(0).uniform(-0.99, 0.99, size=(50, 4))
     inside = np.linalg.norm(pts, axis=1) < 1
     assert np.all(phi(pts)[inside] > 0)
 
 
 def test_bump_test_function_validates():
     with pytest.raises(ValueError):
-        bump_test_function(3, np.zeros(2), 1.0)
+        bump_test_function(np.zeros(3), 1.0)
     with pytest.raises(ValueError):
-        bump_test_function(3, np.zeros(3), -1.0)
+        bump_test_function(np.zeros((1, 4)), 1.0)
+    with pytest.raises(ValueError):
+        bump_test_function(np.zeros(4), -1.0)
 
 
 def test_integral_of_matches_quad():
-    phi = bump_test_function(1, 0.3, 2.0)
-    ref, _ = quad(lambda t: float(phi(t)), -1.7, 2.3, epsabs=1e-13)
-    # quad calls phi itself, so this ties the radial profile integral_of
+    center = np.array([0.3, -0.2, 0.1, 0.5])
+    phi = bump_test_function(center, 2.0)
+    e = np.array([0.5, -0.5, 0.5, 0.5])
+    # |S^3| int_0^radius phi(center + r e) r^3 dr: quad calls phi itself
+    # on a ray from its centre, so this ties the radial profile integral_of
     # integrates to the test function
-    assert integral_of(phi) == pytest.approx(ref, rel=1e-13)
+    ref, _ = quad(lambda r: float(phi(center + r * e)) * r ** 3, 0.0, 2.0,
+                  epsabs=0.0, epsrel=2e-14, limit=200)
+    assert integral_of(phi) == pytest.approx(2.0 * np.pi ** 2 * ref,
+                                             rel=1e-13)
 
 
 def tensor_stack_integral(phi, n_gauss=40):
-    """The full tensor-grid sum: phi evaluated on every one of n^d nodes."""
+    """The full tensor-grid sum: phi evaluated on every one of n^4 nodes."""
     x, w = np.polynomial.legendre.leggauss(n_gauss)
-    d = phi.dimension
-    axes = [phi.center[i] + phi.radius * x for i in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    vals = phi(np.stack(grids, axis=-1) if d > 1 else grids[0])
+    axes = [phi.center[i] + phi.radius * x for i in range(4)]
+    vals = phi(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
     wgrid = np.ones_like(vals)
-    for i in range(d):
-        shape = [1] * d
+    for i in range(4):
+        shape = [1] * 4
         shape[i] = n_gauss
         wgrid = wgrid * (phi.radius * w).reshape(shape)
     return float((vals * wgrid).sum())
 
 
 @pytest.mark.parametrize("phi", [
-    bump_test_function(4, np.array([3.0, 0.0, 0.0, 0.0]), 1.0),
-    bump_test_function(4, np.array([0.3, -0.2, 0.1, 0.5]), 0.7,
-                       poly=lambda y: 1.0 + y[..., 0] * y[..., 1] ** 2),
-    bump_test_function(1, 0.3, 2.0, poly=lambda y: 1.0 + y ** 3),
-], ids=["bump4", "poly4", "poly1"])
+    bump_test_function(np.array([3.0, 0.0, 0.0, 0.0]), 1.0),
+], ids=["bump4"])
 def test_integral_of_is_the_tensor_stack_sum(phi):
     # the radial rule agrees with the 40-node tensor Gauss stack to within
-    # the stack's own error (8.7e-8 relative on the unit 4D bump); a poly
-    # factor is not radial, so integral_of refuses it
-    if phi.poly is not None:
-        with pytest.raises(ValueError):
-            integral_of(phi)
-    else:
-        assert integral_of(phi) == pytest.approx(tensor_stack_integral(phi),
-                                                  rel=1e-6)
+    # the stack's own error (8.7e-8 relative on the unit 4D bump)
+    assert integral_of(phi) == pytest.approx(tensor_stack_integral(phi),
+                                              rel=1e-6)
 
 
-@pytest.mark.parametrize("d", [1, 3, 4])
-def test_integral_of_matches_radial_quad(d):
-    # |S^(d-1)| radius^d int_0^1 exp(-1/(1-s^2)) s^(d-1) ds, off the origin
-    phi = bump_test_function(d, np.linspace(0.4, -0.9, d), 0.7)
-    sphere = {1: 2.0, 3: 4.0 * np.pi, 4: 2.0 * np.pi ** 2}[d]
-    radial, _ = quad(lambda s: np.exp(-1.0 / (1.0 - s * s)) * s ** (d - 1),
+def test_integral_of_matches_radial_quad():
+    # |S^3| radius^4 int_0^1 exp(-1/(1-s^2)) s^3 ds, off the origin
+    phi = bump_test_function(np.linspace(0.4, -0.9, 4), 0.7)
+    radial, _ = quad(lambda s: np.exp(-1.0 / (1.0 - s * s)) * s ** 3,
                      0.0, 1.0, epsabs=0.0, epsrel=2e-14, limit=200)
-    assert integral_of(phi) == pytest.approx(sphere * 0.7 ** d * radial,
-                                             rel=1e-13)
+    assert integral_of(phi) == pytest.approx(2.0 * np.pi ** 2 * 0.7 ** 4
+                                             * radial, rel=1e-13)
 
 
 def central_box(f, pts, h):
@@ -122,7 +117,7 @@ def test_box_of_the_bump_matches_central_differences(radius):
     # 3.0 at radius 0.5 and 0.65 at 1.7).  200 points inside |y| < 0.9, off
     # the centre in every coordinate; the gap reads 3.8e-5 at both radii
     center = np.array([3.0, 0.4, -0.2, 0.1])
-    phi = bump_test_function(4, center, radius)
+    phi = bump_test_function(center, radius)
     rng = np.random.default_rng(26)
     d = rng.normal(size=(200, 4))
     d /= np.linalg.norm(d, axis=1)[:, None]
@@ -130,15 +125,6 @@ def test_box_of_the_bump_matches_central_differences(radius):
     exact = phi.box(pts)
     fd = central_box(phi, pts, 1e-3 * radius)
     assert np.abs(exact - fd).max() <= 1e-4 * np.abs(exact).max()
-
-
-@pytest.mark.parametrize("phi", [
-    bump_test_function(4, np.zeros(4), 1.0, poly=lambda y: 1.0 + y[..., 0]),
-    bump_test_function(3, np.zeros(3), 1.0),
-], ids=["poly4", "bump3"])
-def test_box_needs_a_4d_bump_without_a_poly_factor(phi):
-    with pytest.raises(ValueError):
-        phi.box(np.zeros((1, phi.dimension)))
 
 
 def own_windows(w, phi, xi):
@@ -307,36 +293,35 @@ def test_weak_limit_never_passes_non_finite(vals, scale):
 
 
 def test_charge_density_pairs_to_point_charge():
-    phi3 = bump_test_function(3, np.zeros(3), 1.0)
-    res = claim_charge_density(BUMP, phi3, GRID, e=2.0)
+    res = claim_charge_density(BUMP, GRID, e=2.0)
     assert res.passed
     assert res.target == pytest.approx(2.0 * np.exp(-1.0))
     assert res.order == pytest.approx(2.0, abs=0.1)
 
 
-@pytest.mark.parametrize("phi3", [
-    bump_test_function(3, np.array([0.0, 0.0, 0.2]), 1.0),
-    bump_test_function(3, np.zeros(3), 1.0, poly=lambda y: 1.0 + y[..., 0]),
-], ids=["off_centre", "poly"])
-def test_charge_density_needs_a_radial_bump_on_the_charge(phi3):
-    # the pairing is a radial integral about the charge
-    with pytest.raises(ValueError):
-        claim_charge_density(BUMP, phi3, GRID)
+@pytest.mark.parametrize("grid", [GRID, SHORT], ids=["default", "short"])
+def test_charge_density_keeps_the_bits_of_the_3d_bump(grid):
+    # claim (a) reads the radial profile bump(r^2) directly; a 3D bump at
+    # the charge, evaluated on the z axis, gives its pairings and target
+    # bit for bit
+    vals, target = charge_density_pairings(BUMP, grid, 2.0)
+    res = claim_charge_density(BUMP, grid, 2.0)
+    assert same_bits(res.values, np.array(vals))
+    assert same_bits(res.target, target)
 
 
 @pytest.mark.parametrize("start", [0.06, 0.09, 0.1, 0.1045, 0.12])
 def test_charge_density_limit_does_not_depend_on_grid_start(start):
     # the shell panels are laid out in units of eps, so no panel count
     # hinges on how a quotient of eps values rounds
-    phi3 = bump_test_function(3, np.zeros(3), 1.0)
-    res = claim_charge_density(BUMP, phi3, geometric_grid(start, 0.5, 4))
+    res = claim_charge_density(BUMP, geometric_grid(start, 0.5, 4))
     assert res.passed
     assert abs(res.limit - res.target) <= 1e-4
 
 
 def test_heaviside_pairs_to_lebesgue():
     w = rest_worldline()
-    phi4 = bump_test_function(4, np.array([3.0, 0.0, 0.0, 0.0]), 1.0)
+    phi4 = bump_test_function(np.array([3.0, 0.0, 0.0, 0.0]), 1.0)
     rep = association_suite(w, BUMP, SHORT, phi4=phi4, claims=("heaviside",))
     res = rep.results["heaviside"]
     assert res.passed
@@ -378,7 +363,7 @@ def test_suite_evaluates_phi_and_psi_once_per_grid(monkeypatch):
             return super().d2H(r, eps)
 
     w = rest_worldline()
-    phi4 = CountingTestFunction(dimension=4, center=np.array([3.0, 0.0, 0.0, 0.0]),
+    phi4 = CountingTestFunction(center=np.array([3.0, 0.0, 0.0, 0.0]),
                                 radius=1.0)
     fam = CountingFamily(mollifier=BUMP.mollifier, _h1=BUMP._h1)
     psi = association._psi
@@ -505,7 +490,7 @@ def test_box_minus_lw_passes_on_a_fast_boost():
 def test_off_centre_test_function_pairs_every_component():
     # a ball off the track and off every symmetry plane of boost(0.6), so
     # that no pairing of Psi_1..Psi_3 vanishes by symmetry
-    phi4 = bump_test_function(4, np.array([3.0, 1.9, 0.2, -0.15]), 0.8)
+    phi4 = bump_test_function(np.array([3.0, 1.9, 0.2, -0.15]), 0.8)
     rep = association_suite(boost_worldline(0.6), BUMP, SHORT, phi4=phi4)
     assert rep.passed, str(rep)
     for name in ("psi_1", "psi_2", "psi_3"):
@@ -640,17 +625,8 @@ def test_suite_searches_tau_windows_once(monkeypatch):
 
 def summed_phi(phi, x):
     """TestFunction.__call__ with its squared radius from .sum(axis=-1)."""
-    if phi.dimension == 1:
-        y = (x - phi.center[0]) / phi.radius
-        rho2 = y * y
-    else:
-        y = (x - phi.center) / phi.radius
-        rho2 = (y * y).sum(axis=-1)
-    out = association.bump(rho2)
-    mask = rho2 < 1.0
-    if phi.poly is not None:
-        out[mask] *= phi.poly(y[mask])
-    return out
+    y = (x - phi.center) / phi.radius
+    return association.bump((y * y).sum(axis=-1))
 
 
 def summed_box(phi, x):
@@ -666,22 +642,15 @@ def summed_box(phi, x):
     return 4.0 * (d2 * (2.0 * y2[..., 0] - u) - d1) / phi.radius ** 2
 
 
-@pytest.mark.parametrize("d", [1, 3, 4])
-@pytest.mark.parametrize("poly", [False, True], ids=["bump", "poly"])
-def test_component_sums_keep_the_bits_of_phi(d, poly):
-    rng = np.random.default_rng([2030, d, poly])
-    center, radius = rng.normal(size=d), 0.7
-    factor = ((lambda y: 1.0 + y - 0.5 * y * y) if d == 1 else
-              (lambda y: 1.0 + y[:, 0] - 0.5 * y[:, -1] * y[:, -1]))
-    phi = bump_test_function(d, center, radius, factor if poly else None)
-    x = center + rng.uniform(-1.2 * radius, 1.2 * radius, size=(5000, d))
-    if d == 1:
-        x = x[:, 0]
+def test_component_sums_keep_the_bits_of_phi():
+    rng = np.random.default_rng([2030, 4, 0])
+    center, radius = rng.normal(size=4), 0.7
+    phi = bump_test_function(center, radius)
+    x = center + rng.uniform(-1.2 * radius, 1.2 * radius, size=(5000, 4))
     values = phi(x)
     assert np.count_nonzero(values) > 500
     assert same_bits(values, summed_phi(phi, x))
-    if d == 4 and not poly:
-        assert same_bits(phi.box(x), summed_box(phi, x))
+    assert same_bits(phi.box(x), summed_box(phi, x))
 
 
 @pytest.mark.parametrize("w", [
@@ -744,19 +713,6 @@ def test_slab_phi_and_box_phi_are_those_of_the_test_function(w):
             assert np.count_nonzero(g.phi_values) > 0
             assert same_bits(g.phi_values, phi(g.points))
             assert same_bits(g.box_values, phi.box(g.points))
-
-
-def test_slab_of_a_poly_test_function_has_no_box():
-    # a poly factor leaves phi on the slab and box phi undefined: claim
-    # (d) refuses the slab, as phi.box refuses the test function
-    w = rest_worldline()
-    phi = bump_test_function(4, track_test_function(w).center, 1.0,
-                             poly=lambda y: 1.0 + y[..., 0])
-    g = suite_slabs(w, phi, 0.05, 1.0, 2.0)[0]
-    assert g.box_values is None
-    assert same_bits(g.phi_values, phi(g.points))
-    with pytest.raises(ValueError, match="poly factor"):
-        claim_box_minus_lw(g, BUMP.H(g.kin["xi"], 0.05), 1.0)
 
 
 def test_grid_matches_a_lab_frame_oracle_where_lab_time_turns():

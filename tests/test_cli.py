@@ -286,6 +286,23 @@ def test_floating_point_error_names_the_subcommand(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("body, claim", [
+    ("radius = 1e100\n", []),
+    ("radius = 1e100\n", ["--claim", "heaviside"]),
+    ("center = 3.0, 0.0, 0.0, 0.0\nradius = 1e100\n", ["--claim", "heaviside"]),
+], ids=["full", "heaviside", "heaviside_centred"])
+def test_huge_test_function_radius_writes_one_line(tmp_path, capsys, body,
+                                                   claim):
+    # claim (b)'s target |S^3| radius^4 int ... overflows
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[testfunction]\n" + body)
+    status, _ = invoke(["-c", str(cfg), "associate"] + claim)
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.startswith("error: associate: floating-point overflow")
+    assert err.count("\n") == 1
+
+
 def test_renormalize_out_of_range_exits_1(capsys):
     # a positive target below U(eps = 1) is a verdict, not an input error
     for flag in ("0.1", "1e-9"):

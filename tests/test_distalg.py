@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointcharge.association import bump_test_function, integral_of
 from pointcharge.distalg import (
     MAX_ORDER,
     THETA,
@@ -30,6 +29,7 @@ from pointcharge.distalg import (
     upsilon,
 )
 from pointcharge.errors import ClosureViolation, UnsupportedAtom
+from oracles import bump_1d, bump_1d_integral
 
 RNG = np.random.default_rng(11)
 
@@ -45,7 +45,7 @@ def random_test_function(rng):
     def poly(y):
         return coeffs[0] + y * (coeffs[1] + y * (coeffs[2] + y * coeffs[3]))
 
-    phi = bump_test_function(1, c, r, poly)
+    phi = bump_1d(c, r, poly)
     return phi, (c - r, c + r)
 
 
@@ -219,10 +219,11 @@ def test_oracle_runs_without_scipy(monkeypatch):
 @pytest.mark.parametrize("center,radius", [(0.0, 1.5), (0.0, 3.0),
                                            (0.7, 2.0), (-0.4, 2.5)])
 def test_oracle_integrals_match_integral_of(center, radius):
-    # the mono and theta pairings alone, outside any duality identity
-    phi = bump_test_function(1, center, radius)
+    # the mono and theta pairings alone, outside any duality identity,
+    # against integral_of's radial rule in 1D
+    phi = bump_1d(center, radius)
     support = (center - radius, center + radius)
-    exact = integral_of(phi)
+    exact = bump_1d_integral(radius)
     assert numeric_pairing(mono(0), phi, support) == pytest.approx(
         exact, rel=1e-13)
     if center == 0.0:  # the bump is even, so theta takes half of it
@@ -321,7 +322,7 @@ def test_parse_expr_returns_or_raises_value_error(signs, terms):
 def test_fd_derivative_matches_an_uncached_solve(acc):
     # the cached unit-step weights, divided by h^k at the call site, give
     # the same bits as solving the Vandermonde system at every call
-    phi = bump_test_function(1, np.array([0.3]), 1.5)
+    phi = bump_1d(0.3, 1.5)
     for k in range(7):
         h = _fd_step(k)
         half = (k + acc - 1) // 2
