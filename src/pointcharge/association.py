@@ -43,8 +43,7 @@ from .errors import NoConvergence, NoTrend, OnWorldline
 from .fields import _psi, static_rho
 from .minkowski import _dot, _rows, inner
 from .regularization import bump, gauss_panels
-from .retarded import DEFAULT_TOL, MAX_ITER, _rtsafe, kinematics_arrays, \
-    retarded_time
+from .retarded import DEFAULT_TOL, MAX_ITER, _rtsafe, kinematics_arrays
 
 
 @dataclass(frozen=True)
@@ -69,18 +68,14 @@ class TestFunction:
     def __call__(self, x):
         return self._terms(x)[2]
 
-    def box(self, x):
-        """The d'Alembertian d0^2 - d1^2 - d2^2 - d3^2 of the bump, in
-        closed form.  With y = (x - c)/a, u = |y|^2 (Euclidean) and
-        f(u) = exp(-1/(1-u)),
+    def _with_box(self, x):
+        """(phi(x), box phi(x)) from one pass of _terms, with the
+        d'Alembertian d0^2 - d1^2 - d2^2 - d3^2 of the bump in closed form.
+        With y = (x - c)/a, u = |y|^2 (Euclidean) and f(u) = exp(-1/(1-u)),
 
             box phi = 4 f''(u) (y0^2 - |y_vec|^2)/a^2 - 4 f'(u)/a^2,
 
         where f' = -f s^2 and f'' = f (s^4 - 2 s^3), s = 1/(1-u)."""
-        return self._with_box(x)[1]
-
-    def _with_box(self, x):
-        """(phi(x), box phi(x)) from one pass of _terms."""
         y, u, f = self._terms(x)
         s = np.zeros_like(u)
         inside = u < 1.0
@@ -211,7 +206,7 @@ def _first_retarded_time(w, phi):
     P = phi.center.copy()
     P[0] -= np.sqrt(2.0) * phi.radius
     try:
-        return retarded_time(w, P)
+        return float(kinematics_arrays(w, P)["tau_r"])
     except OnWorldline:
         return float(w.tau_at(P[0]))
 
@@ -421,19 +416,18 @@ NOISE = 1e-9
 MIN_LIMIT_POINTS = 4
 
 
-def weak_limit(values, eps_grid, target, tolerance=1e-3, scale=None):
+def weak_limit(values, eps_grid, target, tolerance=1e-3, *, scale):
     """Extrapolate <u_eps, phi> = L + A*eps^p from the tail of the grid.
 
     The measured order p comes from successive differences on the
     (geometric) grid; if the differences have already dropped below the
-    noise floor NOISE*scale the last value is taken as the limit.
+    noise floor NOISE*scale the last value is taken as the limit, and the
+    limit passes within tolerance*scale of target.
     """
     values = np.asarray(values, dtype=float)
     eps_grid = np.asarray(eps_grid, dtype=float)
     if values.size < MIN_LIMIT_POINTS:
         raise ValueError(f"need at least {MIN_LIMIT_POINTS} grid points")
-    if scale is None:
-        scale = max(abs(target), 1.0)
     d = np.diff(values)
     d1, d2 = d[-2], d[-1]
     if max(abs(d1), abs(d2)) <= NOISE * scale:

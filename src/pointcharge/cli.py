@@ -27,7 +27,7 @@ from .fields import box_phi_arrays, box_phi_fd, phi_arrays
 from .minkowski import catalog, inner, parse_worldline, validate_worldline
 from .regularization import family, family_check, geometric_grid
 from .retarded import kinematics_arrays, retarded_time_bisection
-from .selfenergy import MIN_BOUND_POINTS, _energies, divergence_bound_check, \
+from .selfenergy import MIN_BOUND_POINTS, divergence_bound_check, energies, \
     mass_renormalize
 
 
@@ -237,6 +237,8 @@ def cmd_associate(cfg, out, args):
     if args.claim is not None and args.claim not in CLAIM_NAMES:
         raise ConfigError(f"unknown claim {args.claim!r}; "
                           f"choose from {list(CLAIM_NAMES)}")
+    if args.claim == "charge_density" and cfg.w.label != "rest":
+        raise ConfigError("claim 'charge_density' needs worldline = rest")
     _need_grid(cfg, "associate", MIN_LIMIT_POINTS)
     report = association_suite(cfg.w, cfg.fam, cfg.grid, cfg.e, phi4=phi4,
                                tolerance=cfg.tolerance,
@@ -273,7 +275,7 @@ def cmd_selfenergy(cfg, out, args):
 def cmd_renormalize(cfg, out, args):
     target = cfg.mc2 if args.mc2 is None else _positive("--mc2", args.mc2)
     eps0 = mass_renormalize(cfg.fam, cfg.e, cfg.mu, target)
-    ue, um, _ = _energies(cfg.fam, cfg.e, cfg.mu, eps0)
+    ue, um, _ = energies(cfg.fam, cfg.e, cfg.mu, eps0)
     residual = float(ue + um - target)
     out.write(json.dumps({"eps0": eps0, "residual": residual},
                          sort_keys=True) + "\n")

@@ -82,7 +82,7 @@ def box_phi_fd(w, fam, X, eps, h=None, e=1.0):
     kinematics_arrays solves any point: from the certified root plus its
     last Newton step, with R and xi formed at that stepped root.
     """
-    pts, _ = _as_points(X)
+    pts = _as_points(X)
     kin = kinematics_arrays(w, pts)
     if h is None:
         h = fd_steps(pts, kin["xi"], eps)

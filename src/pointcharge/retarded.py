@@ -15,7 +15,7 @@ tau + R.R/(2 xi) of the evaluation that certified tau.
 
 All solver routines are vectorized over observer points of shape (..., 4),
 laid out once as the jets are (component-major) and gathered by component;
-a single point of shape (4,) gives a float tau_r.
+a single point of shape (4,) gives 0-d results, numpy scalars.
 """
 
 import numpy as np
@@ -34,7 +34,7 @@ def _as_points(X):
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != 4:
         raise ValueError("observer points must have shape (..., 4)")
-    return X, X.ndim == 1
+    return X
 
 
 def _g(w, X, tau):
@@ -45,13 +45,13 @@ def _g(w, X, tau):
         return inner(R, R)
 
 
-def _past_end(w, X, hi, step):
-    """Lower bracket end: doubling strides, the first of length `step`, down
+def _past_end(w, X, hi):
+    """Lower bracket end: doubling strides, the first of length 1, down
     from hi until g > 0 (nan counts as not yet).  None exists behind the
     past horizon of an eternally accelerated worldline, whose past light
     cone no point of the worldline reaches: BehindHorizon."""
-    lo = hi - step
-    step = np.broadcast_to(np.asarray(step, dtype=float), lo.shape)
+    lo = hi - 1.0
+    step = np.ones_like(lo)
     for _ in range(MAX_ITER):
         g = _g(w, X, lo)
         moving = ~(g > 0)
@@ -176,7 +176,7 @@ def _solve(w, X):
     cold = np.flatnonzero(~solved)
     if cold.size:
         Xc, sc, hc = _rows(X, cold), scale[cold], hi[cold]
-        lo = _past_end(w, Xc, hc, 1.0)
+        lo = _past_end(w, Xc, hc)
 
         def fdf(idx, t):
             # -R.R and its derivative 2 xi, both over s = max(scale,
@@ -261,20 +261,6 @@ def _warm_loop(w, X, t, scale):
     return root, solved
 
 
-def retarded_time(w, X):
-    """Retarded proper time tau_r(X) for worldline w.
-
-    Newton iteration on g(tau) = R.R using dg/dtau = -2*xi from the root
-    of the osculating hyperbola at the light-delayed eigentime (_solve); a
-    point it cannot certify is bracketed, with a bisection fallback
-    whenever the Newton step leaves the bracket.  Returns _solve's stepped
-    root: the certified root plus its last Newton step R.R/(2 xi).
-    """
-    pts, scalar = _as_points(X)
-    tau = _solve(w, pts)
-    return float(tau) if scalar else tau
-
-
 def retarded_time_bisection(w, X):
     """Independent bisection oracle for tau_r; no Newton steps involved.
 
@@ -284,10 +270,10 @@ def retarded_time_bisection(w, X):
     bracket should be no deeper than necessary).  Its upper end is the
     simultaneous eigentime w.tau_at(X0).
     """
-    pts, scalar = _as_points(X)
+    pts = _as_points(X)
     X = _component_major(pts)
     hi = w.tau_at(X[:, 0])
-    lo = _past_end(w, X, hi, 1.0)
+    lo = _past_end(w, X, hi)
     for _ in range(200):
         tau = 0.5 * (lo + hi)
         g = _g(w, X, tau)
@@ -296,16 +282,18 @@ def retarded_time_bisection(w, X):
         if np.all(hi - lo <= DEFAULT_TOL):
             break
     tau = 0.5 * (lo + hi)
-    return float(tau) if scalar else tau.reshape(pts.shape[:-1])
+    return tau.reshape(pts.shape[:-1])[()]
 
 
 def kinematics_arrays(w, X):
-    """Batched kinematics; returns a dict of arrays keyed by quantity, each
-    of the shape (...) or (..., 4) of the points X.
+    """The retarded solve, with its kinematics: a dict of arrays keyed by
+    quantity, each of the shape (...) or (..., 4) of the points X.
 
-    tau_r is _solve's stepped root, where R, zdot, zddot and xi are formed
-    anew from one jet, over X laid out component-major once."""
-    pts, _ = _as_points(X)
+    tau_r is _solve's stepped root (the certified root plus its last Newton
+    step R.R/(2 xi)), where R, zdot, zddot and xi are formed anew from one
+    jet, over X laid out component-major once.  retarded_time_bisection is
+    its independent oracle."""
+    pts = _as_points(X)
     X = _component_major(pts)
     tau = _solve(w, X)
     z, zdot, zddot = w.jet(tau)

@@ -22,29 +22,17 @@ from .retarded import _rtsafe
 MIN_BOUND_POINTS = 3
 
 
-def _energies(fam, e, mu, eps):
-    """(U_ele, U_mag, c_eps) at eps in (0, 1] and e, floats or arrays that
-    broadcast, from the family's moments m0, m2 and max chi."""
+def energies(fam, e, mu, eps):
+    """(U_ele, U_mag, c_eps) at eps in (0, 1], from the family's moments m0,
+    m2 and max chi: the electric self-energy (e^2/2) int H'^2 dr =
+    e^2 m0/(2 eps), the magnetic-dipole self-energy (mu^2/3) int H'^2/r^2 dr
+    = mu^2 m2/(3 eps^3) and c_eps = sup H_eps' = max chi/eps.  e, mu and eps
+    are floats or arrays that broadcast."""
     eps = np.asarray(eps, dtype=float)
     if not np.all((eps > 0.0) & (eps <= 1.0)):
         raise ValueError("eps must lie in (0, 1]")
     m0, m2, chi_max = fam.moments
     return 0.5 * e * e * m0 / eps, (mu * mu / 3.0) * m2 / eps ** 3, chi_max / eps
-
-
-def u_ele(fam, e, eps):
-    """Electric self-energy (e^2/2) int H'^2 dr = e^2 m0/(2 eps)."""
-    return float(_energies(fam, e, 0.0, eps)[0])
-
-
-def u_mag(fam, mu, eps):
-    """Magnetic-dipole self-energy (mu^2/3) int H'^2/r^2 dr = mu^2 m2/(3 eps^3)."""
-    return float(_energies(fam, 0.0, mu, eps)[1])
-
-
-def sup_dh(fam, eps):
-    """c_eps = sup of H_eps' over the shell = max chi/eps."""
-    return float(_energies(fam, 0.0, 0.0, eps)[2])
 
 
 @dataclass(frozen=True)
@@ -76,7 +64,7 @@ def divergence_bound_check(fam, eps_grid, e=1.0, mu=1.0):
     # a_eps = 2 U_ele at e = 1 (row 1), so e = 0 needs no division by e;
     # an energy that overflows fails its row as non-finite
     with np.errstate(over="ignore"):
-        (ue, ue1), um, c = _energies(fam, np.array([[e], [1.0]]), mu, eps_grid)
+        (ue, ue1), um, c = energies(fam, np.array([[e], [1.0]]), mu, eps_grid)
     a = 2.0 * ue1
     c0 = 1.0 / (8.0 * float(np.max(eps_grid * c)))
     bound = c0 / eps_grid
@@ -113,9 +101,10 @@ def mass_renormalize(fam, e, mu, target_mc2):
     """
     if not (np.isfinite(target_mc2) and target_mc2 > 0):
         raise OutOfRange("target mc^2 must be finite and positive")
-    a, b, _ = (float(v) for v in _energies(fam, e, mu, 1.0))
+    a, b, _ = (float(v) for v in energies(fam, e, mu, 1.0))
     if a + b == 0.0:
-        raise OutOfRange("the self-energy vanishes for e = mu = 0", infimum=0.0)
+        raise OutOfRange(f"the self-energy at eps = 1 is 0 in floating point "
+                         f"for e = {e:g}, mu = {mu:g}", infimum=0.0)
     if not a + b <= target_mc2:  # also a NaN total
         raise OutOfRange(
             f"target {target_mc2:g} below the self-energy at eps = 1",

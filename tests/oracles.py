@@ -121,7 +121,7 @@ def psi_sup_values(w, fam, eps_grid, e=1.0):
 def _neighbour_kinematics(w, X, h):
     """kinematics_arrays at the 8 neighbours X +- h e_mu, as (..., 8) arrays
     ordered as fields._SHIFTS: +e_0..+e_3, then -e_0..-e_3."""
-    pts, _ = _as_points(X)
+    pts = _as_points(X)
     return kinematics_arrays(w, pts[..., None, :] + h * _SHIFTS)
 
 

@@ -122,7 +122,7 @@ def test_box_of_the_bump_matches_central_differences(radius):
     d = rng.normal(size=(200, 4))
     d /= np.linalg.norm(d, axis=1)[:, None]
     pts = center + radius * rng.uniform(0.0, 0.9, 200)[:, None] * d
-    exact = phi.box(pts)
+    exact = phi._with_box(pts)[1]
     fd = central_box(phi, pts, 1e-3 * radius)
     assert np.abs(exact - fd).max() <= 1e-4 * np.abs(exact).max()
 
@@ -252,7 +252,7 @@ def test_grid_kinematics_match_the_solver(w):
 def test_weak_limit_extrapolates_power_law():
     grid = GRID
     vals = 2.0 + 3.0 * grid ** 2
-    res = weak_limit(vals, grid, 2.0)
+    res = weak_limit(vals, grid, 2.0, scale=2.0)
     assert res.passed
     assert res.limit == pytest.approx(2.0, abs=1e-9)
     assert res.order == pytest.approx(2.0, abs=1e-6)
@@ -262,13 +262,13 @@ def test_weak_limit_flags_no_trend():
     grid = GRID
     vals = np.array([1.0, 2.0, 1.0, 2.0, 1.0, 2.0])
     with pytest.raises(NoTrend):
-        weak_limit(vals, grid, 1.5)
+        weak_limit(vals, grid, 1.5, scale=1.5)
 
 
 def test_weak_limit_noise_floor():
     grid = GRID
     vals = 5.0 + 1e-14 * np.random.default_rng(1).normal(size=grid.size)
-    res = weak_limit(vals, grid, 5.0)
+    res = weak_limit(vals, grid, 5.0, scale=5.0)
     assert res.passed
     assert res.order == np.inf
 
@@ -280,13 +280,13 @@ def test_weak_limit_takes_a_flat_tail_under_raising_errstate():
     vals = np.array([1.5, 1.2, 1.1, 1.0, 1.0, 1.0]) - np.array(
         [0.0, 0.0, 0.0, 1e-3, 0.0, 0.0])
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        res = weak_limit(vals, GRID, 1.0)
+        res = weak_limit(vals, GRID, 1.0, scale=1.0)
     assert res.passed and res.limit == 1.0 and res.order == np.inf
 
 
 @pytest.mark.parametrize("vals, scale", [
     (2.0 + 3.0 * GRID ** 2, np.inf),
-    (np.full(GRID.size, np.nan), None),
+    (np.full(GRID.size, np.nan), 2.0),
 ])
 def test_weak_limit_never_passes_non_finite(vals, scale):
     assert not weak_limit(vals, GRID, 2.0, scale=scale).passed
@@ -630,7 +630,7 @@ def summed_phi(phi, x):
 
 
 def summed_box(phi, x):
-    """TestFunction.box with u from .sum(axis=-1)."""
+    """The box phi of TestFunction._with_box with u from .sum(axis=-1)."""
     y = (x - phi.center) / phi.radius
     y2 = y * y
     u = y2.sum(axis=-1)
@@ -650,7 +650,7 @@ def test_component_sums_keep_the_bits_of_phi():
     values = phi(x)
     assert np.count_nonzero(values) > 500
     assert same_bits(values, summed_phi(phi, x))
-    assert same_bits(phi.box(x), summed_box(phi, x))
+    assert same_bits(phi._with_box(x)[1], summed_box(phi, x))
 
 
 @pytest.mark.parametrize("w", [
@@ -706,13 +706,13 @@ def test_per_xi_factors_keep_the_bits_of_a_per_node_evaluation(w):
 ], ids=["rest", "boost0.999", "hyperbolic5", "circular0.9"])
 def test_slab_phi_and_box_phi_are_those_of_the_test_function(w):
     # the slab's phi and box phi, from one pass over its nodes, are phi
-    # and phi.box at its points bit for bit
+    # and the closed form of box phi (summed_box) at its points bit for bit
     phi = track_test_function(w)
     for lo, hi, _ in XI_PANELS:
         for g in suite_slabs(w, phi, 0.05, lo, hi):
             assert np.count_nonzero(g.phi_values) > 0
             assert same_bits(g.phi_values, phi(g.points))
-            assert same_bits(g.box_values, phi.box(g.points))
+            assert same_bits(g.box_values, summed_box(phi, g.points))
 
 
 def test_grid_matches_a_lab_frame_oracle_where_lab_time_turns():

@@ -312,6 +312,17 @@ def test_renormalize_out_of_range_exits_1(capsys):
         assert err.startswith("error:") and "below the self-energy" in err
 
 
+def test_renormalize_underflowing_self_energy_names_e_and_mu(tmp_path, capsys):
+    # both energies underflow to 0 at eps = 1 although e and mu are not 0
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\ne = 1e-200\nmu = 1e-200\n")
+    status, text = invoke(["-c", str(cfg), "renormalize"])
+    err = capsys.readouterr().err
+    assert status == 1 and text == ""
+    assert err == ("error: the self-energy at eps = 1 is 0 in floating point "
+                   "for e = 1e-200, mu = 1e-200\n")
+
+
 def test_distalg_solve_output():
     status, text = invoke(["distalg", "solve"])
     assert status == 0
@@ -405,6 +416,17 @@ def assert_input_error(status, capsys):
     assert status == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_charge_density_claim_off_rest_exits_2(tmp_path, capsys):
+    # claim (a) applies to the rest worldline only, so asking for it alone
+    # elsewhere is malformed input rather than an empty run
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nworldline = boost(0.99)\n")
+    status, text = invoke(["-c", str(cfg), "associate",
+                           "--claim", "charge_density"])
+    assert text == ""
+    assert_input_error(status, capsys)
 
 
 # (the config body after its [run] header, the subcommand, its exit code):

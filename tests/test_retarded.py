@@ -16,7 +16,6 @@ from pointcharge.minkowski import (
 )
 from pointcharge.retarded import (
     kinematics_arrays,
-    retarded_time,
     retarded_time_bisection,
 )
 from oracles import div_K_fd, grad_tau_check, grad_xi, lower, same_bits
@@ -40,7 +39,7 @@ def test_rest_worldline_closed_form():
 
     w = rest_worldline()
     pts = cloud(500)
-    tau = retarded_time(w, pts)
+    tau = kinematics_arrays(w, pts)["tau_r"]
     expect = pts[:, 0] - np.linalg.norm(pts[:, 1:], axis=-1)
     assert np.abs(tau - expect).max() < 1e-12
 
@@ -58,7 +57,7 @@ def test_null_residual_and_causality(w):
 @pytest.mark.parametrize("w", catalog(), ids=lambda w: w.label)
 def test_agrees_with_bisection_oracle(w):
     pts = cloud(100, w)
-    tau = retarded_time(w, pts)
+    tau = kinematics_arrays(w, pts)["tau_r"]
     tau_b = retarded_time_bisection(w, pts)
     assert np.abs(tau - tau_b).max() <= 1e-10
 
@@ -174,7 +173,7 @@ def test_rounding_floor_counts_as_converged(monkeypatch):
         raise AssertionError("the warm loop left the point to the fallback")
 
     monkeypatch.setattr(retarded, "_past_end", no_bracket)
-    assert np.abs(retarded_time(w, X) - exact) <= bound
+    assert np.abs(kinematics_arrays(w, X)["tau_r"] - exact) <= bound
 
     reached = []
 
@@ -228,7 +227,7 @@ def test_cold_solve_brackets_points_with_no_cone_root_behind(monkeypatch):
         return past_end(w_, X_, *args)
 
     monkeypatch.setattr(retarded, "_past_end", bracket)
-    tau = retarded_time(w, X)
+    tau = kinematics_arrays(w, X)["tau_r"]
     monkeypatch.undo()
     assert len(bracketed) == 1 and len(bracketed[0]) > 0
     cold = (X[:, None, :] == bracketed[0][None, :, :]).all(-1).any(-1)
@@ -315,7 +314,7 @@ def test_warm_start_near_the_worldline_steps_to_the_root(w, monkeypatch):
     # it uncertified (for _solve's bracketed fallback).  Off circular
     # motion _solve starts on the root, and certifies every point on its
     # first pass: it returns the root stepped from one jet at its start,
-    # as retarded_time and kinematics_arrays do
+    # as kinematics_arrays does
     rng = np.random.default_rng(11)
     n = 125
     warm_loop = retarded._warm_loop
@@ -345,7 +344,6 @@ def test_warm_start_near_the_worldline_steps_to_the_root(w, monkeypatch):
             z, zd = w.jet(t, 1)
             R = X - z
             assert same_bits(root, t + 0.5 * inner(R, R) / inner(zd, R))
-            assert same_bits(root, retarded_time(w, X))
             assert same_bits(root, kinematics_arrays(w, X)["tau_r"])
 
 
@@ -469,7 +467,7 @@ def test_single_point_kinematics():
     assert np.shape(k["xi"]) == () and k["xi"] > 0
     assert k["R"].shape == k["K"].shape == (4,)
     assert abs(inner(k["K"], k["K"])) <= 1e-9
-    tau = retarded_time(w, X)
+    tau = retarded_time_bisection(w, X)
     assert isinstance(tau, float)
     assert float(k["tau_r"]) == pytest.approx(tau)
 
@@ -478,7 +476,7 @@ def test_on_worldline_rejected():
     from pointcharge.minkowski import rest_worldline
 
     with pytest.raises(OnWorldline):
-        retarded_time(rest_worldline(), (2.0, 0.0, 0.0, 0.0))
+        kinematics_arrays(rest_worldline(), (2.0, 0.0, 0.0, 0.0))
 
 
 def test_hyperbolic_horizon_has_no_retarded_time():
@@ -487,7 +485,7 @@ def test_hyperbolic_horizon_has_no_retarded_time():
     # X0 + X1 <= 0 never intersects the backward light cone of the motion:
     # the bracket search finds no lower end, and the error names the horizon
     w = hyperbolic_worldline(1.0)
-    for solve in (retarded_time, retarded_time_bisection):
+    for solve in (kinematics_arrays, retarded_time_bisection):
         with pytest.raises(BehindHorizon, match="past horizon"):
             solve(w, (1.0, -3.0, 0.0, 0.0))
 
@@ -501,5 +499,5 @@ def test_hyperbolic_horizon_has_no_retarded_time():
 def test_rest_retarded_time_property(t, x, y):
     from pointcharge.minkowski import rest_worldline
 
-    tau = retarded_time(rest_worldline(), (t, x, y, 0.0))
+    tau = kinematics_arrays(rest_worldline(), (t, x, y, 0.0))["tau_r"]
     assert tau == pytest.approx(t - np.hypot(x, y), abs=1e-10)

@@ -12,10 +12,8 @@ from pointcharge.regularization import (
 )
 from pointcharge.selfenergy import (
     divergence_bound_check,
+    energies,
     mass_renormalize,
-    sup_dh,
-    u_ele,
-    u_mag,
 )
 
 BUMP = make_family(bump_mollifier())
@@ -33,7 +31,7 @@ def int_dh_sq(fam, eps, weight=None):
 
 
 def u_ele_from_field(fam, e, eps):
-    """(1/8pi) int |E|^2 over R^3 by radial quadrature; cross-checks u_ele.
+    """(1/8pi) int |E|^2 over R^3 by radial quadrature; cross-checks U_ele.
 
     E = e*(H/r^2 - H'/r) r-hat, so the integral is
     (1/2) int_0^inf (H/r^2 - H'/r)^2 r^2 dr; the integrand vanishes below
@@ -60,15 +58,17 @@ def test_energies_match_per_eps_quadrature(fam):
     for eps in GRID:
         ele = 0.5 * e * e * int_dh_sq(fam, eps)
         mag = mu * mu / 3.0 * int_dh_sq(fam, eps, lambda r: 1.0 / (r * r))
-        assert u_ele(fam, e, eps) == pytest.approx(ele, rel=1e-10, abs=0.0)
-        assert u_mag(fam, mu, eps) == pytest.approx(mag, rel=1e-10, abs=0.0)
+        u_ele, u_mag, _ = energies(fam, e, mu, eps)
+        assert u_ele == pytest.approx(ele, rel=1e-10, abs=0.0)
+        assert u_mag == pytest.approx(mag, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("fam", [BUMP, BOX], ids=["bump", "boxcar"])
 def test_sup_dh_matches_dense_sampling(fam):
     for eps in GRID:
         dense = np.max(fam.dH(np.linspace(eps, 2.0 * eps, 20001), eps))
-        assert sup_dh(fam, eps) == pytest.approx(dense, rel=1e-9, abs=0.0)
+        assert energies(fam, 0.0, 0.0, eps)[2] == pytest.approx(
+            dense, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("fam", [BUMP, BOX], ids=["bump", "boxcar"])
@@ -86,14 +86,15 @@ def test_mass_renormalize_single_term_roots(fam):
 
 def test_boxcar_closed_forms():
     for eps in GRID:
-        assert u_ele(BOX, 1.0, eps) == pytest.approx(1.0 / (2 * eps), rel=1e-12)
-        assert u_mag(BOX, 1.0, eps) == pytest.approx(1.0 / (6 * eps ** 3), rel=1e-12)
+        u_ele, u_mag, _ = energies(BOX, 1.0, 1.0, eps)
+        assert u_ele == pytest.approx(1.0 / (2 * eps), rel=1e-12)
+        assert u_mag == pytest.approx(1.0 / (6 * eps ** 3), rel=1e-12)
 
 
 def test_scaling_laws():
     e, mu = 2.0, 0.5
-    ue = np.array([eps * u_ele(BUMP, e, eps) for eps in GRID])
-    um = np.array([eps ** 3 * u_mag(BUMP, mu, eps) for eps in GRID])
+    u_ele, u_mag, _ = energies(BUMP, e, mu, GRID)
+    ue, um = GRID * u_ele, GRID ** 3 * u_mag
     assert np.abs(ue / ue[0] - 1.0).max() < 1e-8
     assert np.abs(um / um[0] - 1.0).max() < 1e-8
     # the constants are the chi moments
@@ -109,19 +110,18 @@ def test_field_energy_cross_check():
     # H^2/r^2 terms cancel after integrating by parts (H(eps) = 0)
     for eps in (0.1, 0.0125):
         assert u_ele_from_field(BUMP, 1.0, eps) == pytest.approx(
-            u_ele(BUMP, 1.0, eps), rel=1e-10)
+            energies(BUMP, 1.0, 0.0, eps)[0], rel=1e-10)
 
 
 def test_zero_charge_and_moment():
-    assert u_ele(BUMP, 0.0, 0.1) == 0.0
-    assert u_mag(BUMP, 0.0, 0.1) == 0.0
+    u_ele, u_mag, _ = energies(BUMP, 0.0, 0.0, 0.1)
+    assert u_ele == 0.0 and u_mag == 0.0
 
 
 def test_eps_validation():
-    with pytest.raises(ValueError):
-        u_ele(BUMP, 1.0, 1.5)
-    with pytest.raises(ValueError):
-        u_mag(BUMP, 1.0, 0.0)
+    for eps in (1.5, 0.0):
+        with pytest.raises(ValueError):
+            energies(BUMP, 1.0, 1.0, eps)
 
 
 @pytest.mark.parametrize("fam", [BUMP, BOX], ids=["bump", "boxcar"])
@@ -140,15 +140,16 @@ def test_divergence_bounds_refuse_nan():
 
 def test_boxcar_sup_is_inverse_eps():
     for eps in GRID:
-        assert sup_dh(BOX, eps) == pytest.approx(1.0 / eps, rel=1e-12)
+        assert energies(BOX, 1.0, 1.0, eps)[2] == pytest.approx(1.0 / eps,
+                                                                rel=1e-12)
 
 
 def test_electric_magnetic_inequality_small_eps():
     # (2/e^2) U_ele <= (3/mu^2) U_mag for eps < 1/2
     for fam in (BUMP, BOX):
         for eps in np.geomspace(0.4999, 1e-3, 12):
-            a = 2.0 * u_ele(fam, 1.0, eps)
-            b = 3.0 * u_mag(fam, 1.0, eps)
+            u_ele, u_mag, _ = energies(fam, 1.0, 1.0, eps)
+            a, b = 2.0 * u_ele, 3.0 * u_mag
             assert a <= b * (1 + 1e-12)
 
 
@@ -156,7 +157,8 @@ def test_mass_renormalize_residual():
     e, mu = 1.0, 1.0
     for target in (5.0, 50.0, 5e3):
         eps0 = mass_renormalize(BUMP, e, mu, target)
-        res = abs(u_ele(BUMP, e, eps0) + u_mag(BUMP, mu, eps0) - target)
+        u_ele, u_mag, _ = energies(BUMP, e, mu, eps0)
+        res = abs(u_ele + u_mag - target)
         assert res <= 1e-10 * target
         assert 0 < eps0 <= 1
 
@@ -171,7 +173,8 @@ def test_mass_renormalize_boxcar_vs_independent_root():
 
 def test_mass_renormalize_out_of_range():
     # below the eps = 1 infimum there is no solution in (0, 1]
-    floor = u_ele(BUMP, 1.0, 1.0) + u_mag(BUMP, 1.0, 1.0)
+    u_ele, u_mag, _ = energies(BUMP, 1.0, 1.0, 1.0)
+    floor = u_ele + u_mag
     with pytest.raises(OutOfRange) as exc:
         mass_renormalize(BUMP, 1.0, 1.0, 0.5 * floor)
     assert exc.value.infimum == pytest.approx(floor, rel=1e-12)
