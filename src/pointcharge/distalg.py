@@ -15,7 +15,7 @@ positive axis removes.
 import re
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, log
 
 import numpy as np
 
@@ -247,8 +247,10 @@ def upsilon():
 # ---------------------------------------------------------------------------
 # numeric oracle: Hadamard finite-part pairings
 
-ORACLE_NODES = 128  # Gauss-Legendre nodes of each oracle integral
+ORACLE_NODES = 128  # Gauss-Legendre nodes of each mono/theta integral
+FP_NODES = 48  # Gauss-Legendre nodes of the finite-part cell [SERIES_EDGE, hi]
 SERIES_EDGE = 0.02  # the finite-part integral takes [0, SERIES_EDGE] by series
+N_EXTRA = 3  # Taylor coefficients beyond degree k - 1 in the series piece
 
 
 def _fd_step(k):
@@ -262,36 +264,62 @@ def _fd_step(k):
     return 0.025
 
 
+def _fd_acc(k):
+    """Order of the stencil for the k-th Taylor coefficient."""
+    return 8 if k <= 4 else 10
+
+
 def _fd_derivative(phi, k, acc=8):
     """k-th derivative at 0 by a central finite-difference stencil of order
     acc and step _fd_step(k).
 
-    Accurate when phi varies on scale ~1 near 0; a support edge of a bump
-    closer than ~0.3 to 0 makes the local high-order derivatives blow up
-    and degrades the estimate.
+    Accurate when phi varies on scale ~1 near 0; a support edge inside the
+    stencil makes the local high-order derivatives blow up, which
+    _check_stencil refuses.
     """
     if k == 0:
         return float(phi(0.0))
-    h = _fd_step(k)
-    offsets, w = _fd_weights(k, acc)
-    vals = np.array([float(phi(o * h)) for o in offsets])
-    return float((w / h ** k) @ vals)
+    points, w = _stencil(k, acc)
+    return float(w @ np.array([float(phi(t)) for t in points]))
 
 
 @cache
-def _fd_weights(k, acc):
-    """(offsets, weights) of the central stencil for the k-th derivative at
-    unit step, order acc: the Vandermonde solve, done once per (k, acc).
-    Both arrays are read-only, as every caller shares them."""
+def _stencil(k, acc):
+    """(points, weights) of the central stencil for the k-th derivative at
+    0, order acc, step h = _fd_step(k): the Vandermonde solve at unit step,
+    done once per (k, acc), its weights divided by h^k and its points o*h
+    as floats.  The weights are read-only, as every caller shares them."""
     half = (k + acc - 1) // 2
     offsets = np.arange(-half, half + 1)
     n = offsets.size
     V = np.vander(offsets.astype(float), n, increasing=True).T
     rhs = np.zeros(n)
     rhs[k] = factorial(k)
-    w = np.linalg.solve(V, rhs)
-    offsets.flags.writeable = w.flags.writeable = False
-    return offsets, w
+    h = _fd_step(k)
+    w = np.linalg.solve(V, rhs) / h ** k
+    w.flags.writeable = False
+    return tuple((offsets * h).tolist()), w
+
+
+def _stencil_span(k, acc):
+    """max |t| over the points _fd_derivative(phi, k, acc) reads."""
+    return 0.0 if k == 0 else _stencil(k, acc)[0][-1]
+
+
+def _check_stencil(atom, support, span):
+    """A support edge strictly inside the stencil's span about 0 spoils the
+    finite differences; an edge outside it leaves phi smooth (or 0) there."""
+    for edge in support:
+        if -span < edge < span:
+            raise ValueError(
+                f"<{_atom_text(atom)}, phi>: support edge {edge:g} lies inside "
+                f"the finite-difference span {span:g} about 0")
+
+
+def _taylor(phi, n):
+    """Taylor coefficients phi^(j)(0)/j!, j < n, by finite differences."""
+    return [_fd_derivative(phi, j, acc=_fd_acc(j)) / factorial(j)
+            for j in range(n)]
 
 
 def _integral(f, a, b):
@@ -301,29 +329,32 @@ def _integral(f, a, b):
     return float(half[0, 0] * (np.array(list(map(f, x[0].tolist()))) @ w))
 
 
-def _pair_fp_plus(phi, k, support_hi):
-    """<tplus^-k, phi> from int_0^1 (phi - T_k)/t^k + int_1^inf phi/t^k,
-    T_k the Taylor polynomial of phi at 0 below degree k.
+def _pair_fp_plus(phi, k, support):
+    """<tplus^-k, phi> from int_0^hi (phi - T_k)/t^k + int_1^hi T_k/t^k,
+    hi = max(1, support[1]), T_k the Taylor polynomial of phi at 0 below
+    degree k.
 
     Evaluating phi - T_k in floats cancels catastrophically near 0, so the
-    piece on [0, SERIES_EDGE] uses the next Taylor coefficients instead.
+    piece on [0, SERIES_EDGE] uses the next Taylor coefficients instead;
+    [SERIES_EDGE, hi] is one cell of FP_NODES nodes, and the T_k/t^k
+    integral over [1, hi] is in closed form.  A support starting beyond
+    the stencils has T_k = 0, and the cell starts at its edge.
     """
-    n_extra = 3
-    derivs = [_fd_derivative(phi, j, acc=8 if j <= 4 else 10)
-              for j in range(k + n_extra)]
-    taylor = [d / factorial(j) for j, d in enumerate(derivs)]
+    taylor = _taylor(phi, k + N_EXTRA)
     head, tail = taylor[:k], taylor[k:]
-
-    def mid(t):
-        poly = 0.0
-        for c in reversed(head):
-            poly = poly * t + c
-        return (phi(t) - poly) / t ** k
-
+    hi = max(1.0, support[1])
+    x, half, w = gauss_panels((max(SERIES_EDGE, support[0]), hi), FP_NODES)
+    t = x[0]
+    poly = 0.0
+    for c in reversed(head):
+        poly = poly * t + c
+    vals = np.array([phi(s) for s in t.tolist()], dtype=float)
     val = (sum(c * SERIES_EDGE ** (m + 1) / (m + 1)
                for m, c in enumerate(tail))
-           + _integral(mid, SERIES_EDGE, 1.0)
-           + _integral(lambda t: phi(t) / t ** k, 1.0, max(1.0, support_hi)))
+           + float(half[0, 0] * (((vals - poly) / t ** k) @ w))
+           + sum(c * (log(hi) if j == k - 1
+                      else (hi ** (j + 1 - k) - 1.0) / (j + 1 - k))
+                 for j, c in enumerate(head)))
     # <tplus^-k, phi> = A_k(phi) + sum_{j<k-1} phi^(j)(0)/(j! (j+1-k)), from
     # the recursion <tplus^-(k+1), phi> = (<tplus^-k, phi'> + phi^(k)(0)/k!)/k
     for j in range(k - 1):
@@ -331,10 +362,22 @@ def _pair_fp_plus(phi, k, support_hi):
     return val
 
 
-def numeric_pairing(atom, phi, support):
-    """<atom, phi> by Gauss-Legendre quadrature / finite parts; phi smooth
-    with compact support inside the interval `support`.  A numeric oracle
-    for the exact algebra that no subcommand calls."""
+def _once(phi):
+    """phi behind a memo of the points it was called at, so that the
+    stencils and cells of one pairing call it once per point.  One memo
+    serves one numeric_pairing or pair_expr call and dies with it."""
+    seen = {}
+
+    def memo(t):
+        v = seen.get(t)
+        if v is None:
+            v = seen[t] = phi(t)
+        return v
+
+    return memo
+
+
+def _pair(atom, phi, support):
     lo, hi = support
     kind = atom[0]
     if kind == "mono":
@@ -342,21 +385,33 @@ def numeric_pairing(atom, phi, support):
         return _integral(lambda t: t ** n * phi(t), lo, hi)
     if kind == "theta":
         return _integral(phi, max(lo, 0.0), max(hi, 0.0))
+    if kind not in ("delta", "fp+", "fp-"):
+        raise UnsupportedAtom(f"unknown atom {atom!r}")
+    k = atom[1]
     if kind == "delta":
-        k = atom[1]
+        _check_stencil(atom, support, _stencil_span(k, 8))
         return (-1) ** k * _fd_derivative(phi, k)
+    _check_stencil(atom, support, max(_stencil_span(j, _fd_acc(j))
+                                      for j in range(k + N_EXTRA)))
     if kind == "fp+":
-        return _pair_fp_plus(phi, atom[1], hi)
-    if kind == "fp-":
-        k = atom[1]
-        return (-1) ** k * _pair_fp_plus(lambda t: phi(-t), k, -lo)
-    raise UnsupportedAtom(f"unknown atom {atom!r}")
+        return _pair_fp_plus(phi, k, support)
+    return (-1) ** k * _pair_fp_plus(lambda t: phi(-t), k, (-hi, -lo))
+
+
+def numeric_pairing(atom, phi, support):
+    """<atom, phi> by Gauss-Legendre quadrature / finite parts; phi smooth
+    with compact support inside the interval `support`, called once per
+    point.  A numeric oracle for the exact algebra that no subcommand calls.
+    A finite-part or delta atom raises ValueError when an edge of `support`
+    lies inside a finite-difference stencil about 0."""
+    return _pair(atom, _once(phi), support)
 
 
 def pair_expr(u, phi, support):
-    """<u, phi> for a full expression, by linearity."""
-    return sum(float(c) * numeric_pairing(a, phi, support)
-               for a, c in u.coeffs.items())
+    """<u, phi> for a full expression, by linearity; phi is called once per
+    point over all the atoms."""
+    phi = _once(phi)
+    return sum(float(c) * _pair(a, phi, support) for a, c in u.coeffs.items())
 
 
 # ---------------------------------------------------------------------------

@@ -168,8 +168,11 @@ def _solve(w, X):
     z = w.jet(hi, 0)[0]
     P = np.subtract(X, z, out=z)    # X - z(tau_s), in z's place
     d = np.sqrt(_dot(P[:, 1:], P[:, 1:]))
-    if np.any(d < ON_WORLDLINE_DIST * np.sqrt(scale)):
-        raise OnWorldline("observer point lies on the worldline")
+    bound = ON_WORLDLINE_DIST * np.sqrt(scale)
+    if np.any(d < bound):
+        i = np.argmin(d / bound)
+        raise OnWorldline(f"observer point lies on the worldline: lab distance "
+                          f"{d[i]:.3g} below 1e-12*max(1, |X|) = {bound[i]:.3g}")
     del z, P
     t = _hyperbola_start(w, X, w.tau_at(X[:, 0] - d))
     root, solved = _warm_loop(w, X, t, scale)

@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import os
+import re
 import string
 import subprocess
 import sys
@@ -301,6 +302,24 @@ def test_huge_test_function_radius_writes_one_line(tmp_path, capsys, body,
     assert status == 1
     assert err.startswith("error: associate: floating-point overflow")
     assert err.count("\n") == 1
+
+
+def test_huge_test_function_radius_names_the_on_worldline_bound(tmp_path,
+                                                               capsys):
+    # claim (d)'s scale band lies within 8 eps of the track at |X| ~ 1e100,
+    # below the rounding of X: the message gives the lab distance and the
+    # bound 1e-12 max(1, |X|) it fell under
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[testfunction]\nradius = 1e100\n")
+    status, _ = invoke(["-c", str(cfg), "associate", "--claim",
+                        "box_minus_lw"])
+    err = capsys.readouterr().err
+    assert status == 1
+    m = re.fullmatch(r"error: observer point lies on the worldline: lab "
+                     r"distance (\S+) below 1e-12\*max\(1, \|X\|\) = "
+                     r"(\S+)\n", err)
+    assert m, err
+    assert float(m[1]) < float(m[2]) and float(m[2]) > 1e80
 
 
 def test_renormalize_out_of_range_exits_1(capsys):

@@ -7,13 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from pointcharge.distalg import (
+    FP_NODES,
     MAX_ORDER,
+    N_EXTRA,
+    SERIES_EDGE,
     THETA,
     DistExpr,
+    _fd_acc,
     _fd_derivative,
     _fd_step,
+    _stencil,
+    _taylor,
     delta,
     differentiate,
     euler_apply,
@@ -241,6 +248,107 @@ def test_euler_solution_pairs_like_delta():
         assert lhs == pytest.approx(float(phi(0.0)), abs=1e-6)
 
 
+def counting(phi):
+    """phi that records every point it is called at."""
+    calls = []
+
+    def f(t):
+        calls.append(float(t))
+        return phi(t)
+
+    return f, calls
+
+
+def stencil_points(k):
+    """The distinct points of the stencils of orders 0..k+2 that
+    <tplus^-k, phi> reads."""
+    points = {0.0}
+    for j in range(1, k + N_EXTRA):
+        points.update(_stencil(j, _fd_acc(j))[0])
+    return points
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_fp_pairing_calls_phi_once_per_point(k):
+    phi, support = random_test_function(np.random.default_rng(300 + k))
+    for atom in (fp_plus(k), fp_minus(k)):
+        f, calls = counting(phi)
+        numeric_pairing(atom, f, support)
+        assert len(calls) == len(set(calls))
+        assert len(calls) <= FP_NODES + len(stencil_points(k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_pair_expr_of_a_derivative_calls_no_point_twice(k):
+    # (tplus^-k)' = -k tplus^-(k+1) + (-1)^k delta^(k)/k!: the delta term
+    # reads points the finite part has read already
+    phi, support = random_test_function(np.random.default_rng(400 + k))
+    f, alone = counting(phi)
+    numeric_pairing(fp_plus(k + 1), f, support)
+    f, calls = counting(phi)
+    pair_expr(differentiate(DistExpr.atom(fp_plus(k))), f, support)
+    assert sorted(calls) == sorted(alone)
+
+
+def two_piece_pairing(phi, k, support_hi):
+    """<tplus^-k, phi> on the two-piece formula int_0^1 (phi - T_k)/t^k +
+    int_1^hi phi/t^k by scipy's quad, with the oracle's Taylor data and
+    series piece."""
+    taylor = _taylor(phi, k + N_EXTRA)
+    head, tail = taylor[:k], taylor[k:]
+
+    def mid(t):
+        return (phi(t) - sum(c * t ** j for j, c in enumerate(head))) / t ** k
+
+    opts = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
+    val = (sum(c * SERIES_EDGE ** (m + 1) / (m + 1) for m, c in enumerate(tail))
+           + quad(mid, SERIES_EDGE, 1.0, **opts)[0]
+           + quad(lambda t: phi(t) / t ** k, 1.0, max(1.0, support_hi),
+                  **opts)[0])
+    return val + sum(taylor[j] / (j + 1 - k) for j in range(k - 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_one_cell_pairing_matches_the_two_piece_quad(k):
+    rng = np.random.default_rng(500 + k)
+    for _ in range(3):
+        phi, (lo, hi) = random_test_function(rng)
+        assert numeric_pairing(fp_plus(k), phi, (lo, hi)) == pytest.approx(
+            two_piece_pairing(phi, k, hi), abs=1e-9)
+        assert numeric_pairing(fp_minus(k), phi, (lo, hi)) == pytest.approx(
+            (-1) ** k * two_piece_pairing(lambda t: phi(-t), k, -lo), abs=1e-9)
+
+
+def test_support_edge_inside_a_stencil_raises():
+    # a support edge at 0.1 lies inside the spans 0.175 (order 5) and 0.2
+    # (order 7) about 0; the delta^(4) stencil ends at 0.1 and tplus^-1's
+    # at 0.05, so they still pair
+    phi = bump_1d(1.55, 1.45)
+    support = (0.1, 3.0)
+    with pytest.raises(ValueError, match=r"tplus\^-3.*edge 0\.1 .*span 0\.175"):
+        numeric_pairing(fp_plus(3), phi, support)
+    with pytest.raises(ValueError, match=r"tplus\^-5.*edge 0\.1 .*span 0\.2 "):
+        pair_expr(DistExpr.atom(fp_plus(5)), phi, support)
+    with pytest.raises(ValueError, match=r"tminus\^-4.*edge -0\.1 "):
+        numeric_pairing(fp_minus(4), lambda t: phi(-t), (-3.0, -0.1))
+    with pytest.raises(ValueError, match=r"delta\^\(5\).*edge 0\.1 .*span 0\.15"):
+        numeric_pairing(delta(5), phi, support)
+    assert numeric_pairing(delta(4), phi, support) == 0.0
+    assert np.isfinite(numeric_pairing(fp_plus(1), phi, support))
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_support_off_the_stencil_pairs_as_a_plain_integral(k):
+    # phi = 0 on [-0.5, 0.5], so <tplus^-k, phi> is int phi/t^k; the cell
+    # starts at the support's edge (48 nodes: 1.9e-9 off at k = 5)
+    phi = bump_1d(1.75, 1.25)
+    exact = quad(lambda t: phi(t) / t ** k, 0.5, 3.0, epsabs=1e-14,
+                 epsrel=1e-13, limit=200)[0]
+    assert numeric_pairing(fp_plus(k), phi, (0.5, 3.0)) == pytest.approx(
+        exact, abs=1e-8)
+    assert numeric_pairing(fp_minus(k), phi, (0.5, 3.0)) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # text syntax
 
@@ -320,8 +428,8 @@ def test_parse_expr_returns_or_raises_value_error(signs, terms):
 
 @pytest.mark.parametrize("acc", [8, 10])
 def test_fd_derivative_matches_an_uncached_solve(acc):
-    # the cached unit-step weights, divided by h^k at the call site, give
-    # the same bits as solving the Vandermonde system at every call
+    # the cached weights and points give the same bits as solving the
+    # Vandermonde system at every call
     phi = bump_1d(0.3, 1.5)
     for k in range(7):
         h = _fd_step(k)

@@ -475,8 +475,13 @@ def test_single_point_kinematics():
 def test_on_worldline_rejected():
     from pointcharge.minkowski import rest_worldline
 
-    with pytest.raises(OnWorldline):
+    with pytest.raises(OnWorldline, match=r"lab distance 0 below "
+                       r"1e-12\*max\(1, \|X\|\) = 2e-12$"):
         kinematics_arrays(rest_worldline(), (2.0, 0.0, 0.0, 0.0))
+    # the message names the point nearest the worldline on its own scale
+    with pytest.raises(OnWorldline, match=r"lab distance 1e-13 below .* = 3e-12$"):
+        kinematics_arrays(rest_worldline(), [(2.0, 1.0, 0.0, 0.0),
+                                             (3.0, 1e-13, 0.0, 0.0)])
 
 
 def test_hyperbolic_horizon_has_no_retarded_time():
